@@ -175,20 +175,23 @@ def cmd_verify(args, config: RunConfig) -> int:
     train, err = _load_train(args.train)
     if err is not None:
         return err
+    # Weights, ACFs and spectra are built once; every verdict below and the
+    # report derive from them.
     try:
-        report = doppler.taylor_coeffs(train, args.order, config.tol)
+        weights, report = doppler._train_taylor(train, args.order, config.tol)
+        spectra = doppler._power_spectra(train.ccm, args.z_samples)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
     if train.is_ptm_ordered():
-        z_residuals = doppler.zdomain_coeff_check(train, args.order, args.z_samples)
+        z_residuals = doppler._zdomain_residuals(spectra, weights, train.ccm)
     else:
         z_residuals = None
         print("z-domain reference check skipped (train is not PTM-ordered)")
 
     try:
         for m in range(args.order + 1):
-            doppler.equivalence_check(train, m, args.z_samples, config.tol)
+            doppler._order_check(report, m, spectra, weights, train.ccm.length)
     except doppler.DomainMismatchError as exc:
         return _fail(EXIT_MISMATCH, str(exc))
 
@@ -271,9 +274,12 @@ def cmd_stagger(args, config: RunConfig) -> int:
         return err
     if args.partition:
         try:
-            partition = numtheory.EspPartition.from_json_dict(
-                _load_json(args.partition)
-            )
+            data = _load_json(args.partition)
+            if isinstance(data, list):  # as written by `esp --out`
+                if not data:
+                    raise ValueError("the file lists no partition")
+                data = data[0]
+            partition = numtheory.EspPartition.from_json_dict(data)
         except (OSError, json.JSONDecodeError) as exc:
             return _fail(EXIT_IO, f"cannot read partition {args.partition}: {exc}")
         except (ValueError, KeyError, TypeError) as exc:

@@ -95,6 +95,13 @@ class PulseTrain:
     def length(self) -> int:
         return len(self.indices)
 
+    def slots_by_code(self) -> list[list[int]]:
+        """Slot n + delay of every pulse, grouped by code index."""
+        slots: list[list[int]] = [[] for _ in range(self.ccm.count)]
+        for n, c in enumerate(self.indices):
+            slots[c].append(n + self.delay)
+        return slots
+
     def is_ptm_ordered(self) -> bool:
         """True when slot n carries code digit_sum_mod(n, K) and delay is 0."""
         if self.delay != 0:
@@ -149,22 +156,17 @@ def code_acfs(ccm: Ccm) -> np.ndarray:
     return np.column_stack([_acf(ccm.code(k)) for k in range(ccm.count)])
 
 
-def _slot_weights(train: PulseTrain, order: int) -> np.ndarray:
-    """Exact integer weights sum((n+d)^m) grouped per code, as floats.
+def _exact_weights(slots_by_code, max_order: int) -> list[list[int]]:
+    """Exact integer weights W_c(m) = sum(slot^m) over code c's slots.
 
-    Grouping keeps the integer cancellation between slots of the same code
-    exact; the only rounding is the final int-to-float conversion.
-    Row m, column k holds the total order-m weight of code k.
+    Row m, column c; one power sum per (code, order).  Grouping keeps the
+    integer cancellation between slots of the same code exact; callers
+    convert to float only where the weights meet the ACFs or spectra.
     """
-    slots_by_code: list[list[int]] = [[] for _ in range(train.ccm.count)]
-    for n, c in enumerate(train.indices):
-        slots_by_code[c].append(n + train.delay)
-    return np.array(
-        [
-            [float(power_sum(slots, m)) for slots in slots_by_code]
-            for m in range(order + 1)
-        ]
-    )
+    return [
+        [power_sum(slots, m) for slots in slots_by_code]
+        for m in range(max_order + 1)
+    ]
 
 
 def ambiguity(train: PulseTrain, lag: int, theta: float) -> complex:
@@ -209,12 +211,21 @@ class TaylorReport:
 
 
 def _taylor_from_weights(
-    acfs: np.ndarray, weights: np.ndarray, last_slot: int, tol: float
+    acfs: np.ndarray,
+    weights: list[list[int]],
+    last_slot: int,
+    tol: float,
+    report=TaylorReport,
+    **extra,
 ):
-    """Shared coefficient pipeline for single trains and composite plans."""
+    """Shared coefficient pipeline for single trains and composite plans.
+
+    c_m(k) = sum_c W_c(m) * ACF_c(k); `report` is the report class and
+    `extra` its fields beyond the TaylorReport ones.
+    """
     code_length = (acfs.shape[0] + 1) // 2
-    max_order = weights.shape[0] - 1
-    coeffs = weights @ acfs.T
+    max_order = len(weights) - 1
+    coeffs = np.array(weights, dtype=float) @ acfs.T
     center = code_length - 1
     if acfs.shape[0] > 1:
         off_peak = np.abs(np.delete(coeffs, center, axis=1))
@@ -229,32 +240,33 @@ def _taylor_from_weights(
             break
         null_order = m
     lags = np.arange(1 - code_length, code_length)
-    return lags, coeffs, residuals, thresholds, null_order
+    return report(
+        max_order, lags, coeffs, residuals, thresholds, null_order, **extra
+    )
+
+
+def _train_taylor(train: PulseTrain, max_order: int, tol: float):
+    """Exact weights of the train and the Taylor report built from them."""
+    if not 0 <= max_order <= MAX_TAYLOR_ORDER:
+        raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
+    weights = _exact_weights(train.slots_by_code(), max_order)
+    last_slot = train.length - 1 + train.delay
+    report = _taylor_from_weights(code_acfs(train.ccm), weights, last_slot, tol)
+    return weights, report
 
 
 def taylor_coeffs(
     train: PulseTrain, max_order: int, tol: float = NULL_TOL
 ) -> TaylorReport:
     """Taylor coefficients c_0..c_max_order of the train's ambiguity."""
-    if not 0 <= max_order <= MAX_TAYLOR_ORDER:
-        raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
-    acfs = code_acfs(train.ccm)
-    weights = _slot_weights(train, max_order)
-    last_slot = train.length - 1 + train.delay
-    lags, coeffs, residuals, thresholds, null_order = _taylor_from_weights(
-        acfs, weights, last_slot, tol
-    )
-    return TaylorReport(max_order, lags, coeffs, residuals, thresholds, null_order)
+    return _train_taylor(train, max_order, tol)[1]
 
 
-def _unit_circle(count: int) -> np.ndarray:
-    if count < 1:
+def _power_spectra(ccm: Ccm, z_count: int) -> np.ndarray:
+    """|X_k(z)|^2 for every code k at z_count unit-circle points, shape (Z, K)."""
+    if z_count < 1:
         raise ValueError("need at least one sample point")
-    return np.exp(2j * np.pi * np.arange(count) / count)
-
-
-def _power_spectra(ccm: Ccm, zs: np.ndarray) -> np.ndarray:
-    """|X_k(z)|^2 for every code k at every sample z, shape (len(zs), K)."""
+    zs = np.exp(2j * np.pi * np.arange(z_count) / z_count)
     return np.column_stack(
         [
             np.abs([ztransform_eval(ccm.code(k), z) for z in zs]) ** 2
@@ -263,16 +275,36 @@ def _power_spectra(ccm: Ccm, zs: np.ndarray) -> np.ndarray:
     )
 
 
+def _zsamples(spectra: np.ndarray, weights_m: list[int]) -> np.ndarray:
+    # One matrix-vector product per order: a single product over all orders
+    # rounds differently and shifts the printed residuals.
+    return spectra @ np.array(weights_m, dtype=float)
+
+
 def zdomain_samples(train: PulseTrain, order: int, z_count: int = 64) -> np.ndarray:
     """C_m(z) = sum_n (n+d)^m |X_{x_n}(z)|^2 at z_count unit-circle points.
 
     Real-valued by construction.  Works for any train; PTM-ordered trains
     make this constant in z for m up to the train order.
     """
-    zs = _unit_circle(z_count)
-    spectra = _power_spectra(train.ccm, zs)
-    weights = _slot_weights(train, order)[order]
-    return spectra @ weights
+    weights = [power_sum(slots, order) for slots in train.slots_by_code()]
+    return _zsamples(_power_spectra(train.ccm, z_count), weights)
+
+
+def _zdomain_residuals(
+    spectra: np.ndarray, weights: list[list[int]], ccm: Ccm
+) -> np.ndarray:
+    """max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)) for every order m.
+
+    W_0(m) is code 0's exact weight, which for a PTM-ordered train is the
+    common block power sum P_m of its PTM partition.
+    """
+    residuals = np.empty(len(weights))
+    for m, row in enumerate(weights):
+        target = ccm.length * ccm.count * row[0]
+        samples = _zsamples(spectra, row)
+        residuals[m] = np.max(np.abs(samples - target)) / max(1.0, target)
+    return residuals
 
 
 def zdomain_coeff_check(
@@ -289,18 +321,8 @@ def zdomain_coeff_check(
         raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
     if not train.is_ptm_ordered():
         raise ValueError("reference check requires a PTM-ordered, zero-delay train")
-    k = train.ccm.count
-    n = train.ccm.length
-    block0 = [i for i in range(train.length) if train.indices[i] == 0]
-    zs = _unit_circle(z_count)
-    spectra = _power_spectra(train.ccm, zs)
-    weights = _slot_weights(train, max_order)
-    residuals = np.empty(max_order + 1)
-    for m in range(max_order + 1):
-        samples = spectra @ weights[m]
-        target = n * k * power_sum(block0, m)
-        residuals[m] = np.max(np.abs(samples - target)) / max(1.0, target)
-    return residuals
+    weights = _exact_weights(train.slots_by_code(), max_order)
+    return _zdomain_residuals(_power_spectra(train.ccm, z_count), weights, train.ccm)
 
 
 @dataclass(frozen=True)
@@ -312,6 +334,31 @@ class EquivalenceResult:
     z_domain_constant: bool
     time_residual: float
     z_deviation: float
+
+
+def _order_check(
+    report: TaylorReport,
+    order: int,
+    spectra: np.ndarray,
+    weights: list[list[int]],
+    code_length: int,
+) -> EquivalenceResult:
+    """Both order-m verdicts from a report, its weights and the spectra.
+
+    Raises DomainMismatchError when the two verdicts disagree.
+    """
+    time_residual = float(report.max_sidelobe_residual[order])
+    threshold = float(report.thresholds[order])
+    time_null = time_residual <= threshold
+
+    samples = _zsamples(spectra, weights[order])
+    z_dev = float(np.max(np.abs(samples - samples.mean())))
+    # The deviation polynomial has 2(N-1) coefficient terms of size |c_m(k)|.
+    z_constant = z_dev <= 2 * max(1, code_length - 1) * threshold
+
+    if time_null != z_constant:
+        raise DomainMismatchError(order, time_residual, z_dev)
+    return EquivalenceResult(order, time_null, z_constant, time_residual, z_dev)
 
 
 def equivalence_check(
@@ -328,19 +375,9 @@ def equivalence_check(
     verdicts must agree; if they do not, a DomainMismatchError is raised
     rather than returning a half-trusted answer.
     """
-    report = taylor_coeffs(train, order, tol)
-    time_residual = float(report.max_sidelobe_residual[order])
-    threshold = float(report.thresholds[order])
-    time_null = time_residual <= threshold
-
-    samples = zdomain_samples(train, order, z_count)
-    z_dev = float(np.max(np.abs(samples - samples.mean())))
-    # The deviation polynomial has 2(N-1) coefficient terms of size |c_m(k)|.
-    z_constant = z_dev <= 2 * max(1, train.ccm.length - 1) * threshold
-
-    if time_null != z_constant:
-        raise DomainMismatchError(order, time_residual, z_dev)
-    return EquivalenceResult(order, time_null, z_constant, time_residual, z_dev)
+    weights, report = _train_taylor(train, order, tol)
+    spectra = _power_spectra(train.ccm, z_count)
+    return _order_check(report, order, spectra, weights, train.ccm.length)
 
 
 @dataclass(frozen=True)

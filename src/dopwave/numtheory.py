@@ -320,9 +320,6 @@ class WeightTable:
     p: int
     rows: np.ndarray
 
-    def weight(self, i: int, n: int) -> int:
-        return int(self.rows[i, digit_sum_mod(n, self.p)])
-
 
 def weight_table(p: int) -> WeightTable:
     """Build the 2^(p-1) x p sign matrix of weight sequences."""

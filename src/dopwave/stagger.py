@@ -15,11 +15,17 @@ partition spans fewer slots than K^(M+1).
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .codes import Ccm
-from .doppler import NULL_TOL, _taylor_from_weights, code_acfs
-from .numtheory import EspPartition, esp_search, power_sum, ptm_partition
+from .doppler import (
+    NULL_TOL,
+    TaylorReport,
+    _exact_weights,
+    _taylor_from_weights,
+    build_ptm_train,
+    code_acfs,
+    taylor_coeffs,
+)
+from .numtheory import EspPartition, ptm_partition
 
 __all__ = [
     "Lane",
@@ -92,14 +98,13 @@ class StaggerPlan:
     def total_pulses(self) -> int:
         return sum(l.length for l in self.lanes)
 
-    def slot_multiplicities(self) -> list[dict[int, int]]:
-        """Transmission count per code at each slot, derived from the lanes."""
-        table: list[dict[int, int]] = [{} for _ in range(self.horizon)]
+    def slots_by_code(self) -> list[list[int]]:
+        """Slot of every transmitted pulse, grouped by code index."""
+        slots: list[list[int]] = [[] for _ in range(self.ccm.count)]
         for lane in self.lanes:
             for offset, code in enumerate(lane.indices):
-                slot = lane.delay + offset
-                table[slot][code] = table[slot].get(code, 0) + 1
-        return table
+                slots[code].append(lane.delay + offset)
+        return slots
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,32 +204,19 @@ def decompose_to_antennas(
 
 
 @dataclass(frozen=True)
-class CompositeReport:
+class CompositeReport(TaylorReport):
     """Taylor view of the summed ambiguity of all lanes.
 
-    Mirrors the single-train report and adds the schedule costs: total
-    pulses actually transmitted and the slot span of the whole schedule.
+    The single-train report plus the schedule costs: total pulses actually
+    transmitted and the slot span of the whole schedule.
     """
 
-    max_order: int
-    lags: np.ndarray
-    coeffs: np.ndarray
-    max_sidelobe_residual: np.ndarray
-    thresholds: np.ndarray
-    null_order: int
     total_pulses: int
     span: int
 
     def to_json_dict(self) -> dict:
         return {
-            "M": self.max_order,
-            "lags": [int(k) for k in self.lags],
-            "coeffs": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.coeffs
-            ],
-            "maxSidelobeResidual": [float(v) for v in self.max_sidelobe_residual],
-            "thresholds": [float(v) for v in self.thresholds],
-            "nullOrder": self.null_order,
+            **super().to_json_dict(),
             "totalPulses": self.total_pulses,
             "span": self.span,
         }
@@ -240,30 +232,14 @@ def composite_taylor(
     W_c(m); for m up to the partition degree the W_c coincide and the
     off-peak coefficients collapse to complementary-sum residuals.
     """
-    slots_by_code: list[list[int]] = [[] for _ in range(plan.ccm.count)]
-    for lane in plan.lanes:
-        for offset, code in enumerate(lane.indices):
-            slots_by_code[code].append(lane.delay + offset)
-    weights = np.array(
-        [
-            [float(power_sum(slots, m)) for slots in slots_by_code]
-            for m in range(max_order + 1)
-        ]
-    )
-    acfs = code_acfs(plan.ccm)
-    last_slot = max(lane.last_slot for lane in plan.lanes)
-    lags, coeffs, residuals, thresholds, null_order = _taylor_from_weights(
-        acfs, weights, last_slot, tol
-    )
-    return CompositeReport(
-        max_order,
-        lags,
-        coeffs,
-        residuals,
-        thresholds,
-        null_order,
-        plan.total_pulses,
-        plan.span,
+    return _taylor_from_weights(
+        code_acfs(plan.ccm),
+        _exact_weights(plan.slots_by_code(), max_order),
+        max(lane.last_slot for lane in plan.lanes),
+        tol,
+        CompositeReport,
+        total_pulses=plan.total_pulses,
+        span=plan.span,
     )
 
 
@@ -291,25 +267,6 @@ class ScheduleComparison:
         }
 
 
-def _partition_for_degree(ccm: Ccm, degree: int) -> EspPartition:
-    if ccm.count == 2 and degree in _BUILTIN_BLOCKS:
-        return builtin_partition(degree)
-    # Fall back to the PTM split itself; correct for any K, never shorter.
-    size = ccm.count ** (degree + 1)
-    try:
-        candidates = esp_search(range(size), ccm.count, degree, max_solutions=1)
-    except ValueError as exc:
-        raise ValueError(
-            f"no ESP partition of degree {degree} for {ccm.count} blocks "
-            "within search bounds; supply one explicitly"
-        ) from exc
-    if not candidates:
-        raise ValueError(
-            f"no ESP partition of degree {degree} found for {ccm.count} blocks"
-        )
-    return candidates[0]
-
-
 def compare_ptm_vs_stagger(
     ccm: Ccm,
     degree: int,
@@ -320,13 +277,16 @@ def compare_ptm_vs_stagger(
 
     Both schedules are built and verified to reach null order >= degree; the
     comparison reports their spans and pulse counts.  Without an explicit
-    partition, the built-in table covers degrees 2/3/5 for two codes and an
-    exhaustive search over the PTM-sized slot range covers small cases.
+    partition, the built-in table covers degrees 2/3/5 for two codes and the
+    PTM partition covers every other case.
     """
-    from .doppler import build_ptm_train, taylor_coeffs
-
     if partition is None:
-        partition = _partition_for_degree(ccm, degree)
+        if ccm.count == 2 and degree in _BUILTIN_BLOCKS:
+            partition = builtin_partition(degree)
+        else:
+            # The PTM split itself, correct for any K: no partition of its
+            # slot range is shorter, so searching that range gains nothing.
+            partition = ptm_partition(ccm.count, degree).as_esp()
     if len(partition.blocks) != ccm.count:
         raise ValueError("partition block count must match the code count")
     if partition.degree < degree:
@@ -353,7 +313,3 @@ def compare_ptm_vs_stagger(
         stagger_report.null_order,
     )
 
-
-def ptm_partition_as_esp(p: int, degree: int) -> EspPartition:
-    """The PTM partition viewed as an ESP partition (disjoint, gap-free)."""
-    return ptm_partition(p, degree).as_esp()

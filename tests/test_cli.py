@@ -4,13 +4,28 @@ import json
 
 import pytest
 
-from dopwave import cli, codes, doppler, numtheory
+from dopwave import cli, codes, doppler, numtheory, stagger
 
 TRAIN_K2_M3 = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]
 
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def count_calls(monkeypatch, func):
+    """Record each call to `func` under every name a dopwave module binds."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for module in (codes, doppler, numtheory, stagger):
+        for name, value in list(vars(module).items()):
+            if value is func:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture
@@ -128,11 +143,27 @@ class TestVerify:
         assert run("verify", path, 0) == 0
 
     def test_domain_mismatch_exits_4(self, train_file, monkeypatch):
-        def boom(train, order, z_count=64, tol=1e-9):
+        def boom(report, order, spectra, weights, code_length):
             raise doppler.DomainMismatchError(order, 1.0, 0.0)
 
-        monkeypatch.setattr(doppler, "equivalence_check", boom)
+        monkeypatch.setattr(doppler, "_order_check", boom)
         assert run("verify", train_file, 1) == 4
+
+    @pytest.mark.parametrize("kind,size,order", [("golay", 3, 4), ("dft", 3, 2)])
+    def test_builds_each_intermediate_once(
+        self, tmp_path, monkeypatch, kind, size, order
+    ):
+        ccm_path, train_path = tmp_path / "set.json", tmp_path / "train.json"
+        assert run("gen", kind, size, "--out", ccm_path) == 0
+        assert run("ptm", ccm_path, order, "--out", train_path) == 0
+        power_sums = count_calls(monkeypatch, numtheory.power_sum)
+        acfs = count_calls(monkeypatch, codes.acf)
+        z_evals = count_calls(monkeypatch, codes.ztransform_eval)
+        assert run("verify", train_path, order, "--z-samples", 16) == 0
+        k = 2 if kind == "golay" else size
+        assert len(power_sums) == k * (order + 1)
+        assert len(acfs) == k
+        assert len(z_evals) == k * 16
 
 
 class TestSurface:
@@ -211,6 +242,23 @@ class TestStagger:
             json.dump(part.to_json_dict(), fh)
         out = tmp_path / "plan.json"
         assert run("stagger", golay_file, 1, "--partition", ppath, "--out", out) == 0
+
+    def test_partition_from_esp_output(self, tmp_path, capsys):
+        tri, parts = tmp_path / "tri.json", tmp_path / "esp.json"
+        assert run("gen", "dft", 3, "--out", tri) == 0
+        assert run("esp", "0-17", 3, 2, "--max", 2, "--out", parts) == 0
+        out = tmp_path / "plan.json"
+        assert run("stagger", tri, 2, "--partition", parts, "--out", out) == 0
+        first = json.loads(parts.read_text())[0]
+        assert json.loads(out.read_text())["partition"]["blocks"] == first["blocks"]
+        assert "null order" in capsys.readouterr().out
+
+    def test_empty_partition_list_rejected(self, tmp_path, golay_file, capsys):
+        ppath = tmp_path / "none.json"
+        ppath.write_text("[]")
+        out = tmp_path / "plan.json"
+        assert run("stagger", golay_file, 1, "--partition", ppath, "--out", out) == 1
+        assert "lists no partition" in capsys.readouterr().err
 
     def test_partition_below_order_rejected(self, tmp_path, golay_file):
         part = numtheory.EspPartition.from_blocks(((0, 3), (1, 2)), 1)

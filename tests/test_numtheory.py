@@ -252,16 +252,10 @@ class TestWeightTable:
     def test_row_zero_is_all_ones(self, p):
         assert (nt.weight_table(p).rows[0] == 1).all()
 
-    def test_weight_depends_only_on_symbol(self):
-        table = nt.weight_table(3)
-        for n in range(27):
-            v = nt.digit_sum_mod(n, 3)
-            assert table.weight(1, n) == int(table.rows[1, v])
-
     def test_classical_sign_sequence(self):
         # Row 1 at p=2, evaluated along n, is the +/-1 Thue-Morse sequence.
         table = nt.weight_table(2)
-        signs = [table.weight(1, n) for n in range(16)]
+        signs = [table.rows[1, nt.digit_sum_mod(n, 2)] for n in range(16)]
         assert signs == [1 if s == 0 else -1 for s in PTM_P2_16]
 
     def test_bounds(self):

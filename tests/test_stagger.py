@@ -1,14 +1,13 @@
 """Staggered-schedule tests: padding, lane decomposition, composite nulls."""
 
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
-from dopwave import codes, numtheory, stagger
+from dopwave import codes, doppler, numtheory, stagger
 
 PADDED_DEG2 = ((0, 3, 4, 5), (1, 2, 3, 6))
 PADDED_DEG3 = ((0, 3, 4, 5, 6, 7, 8, 11), (1, 2, 3, 5, 6, 8, 9, 10))
@@ -22,21 +21,11 @@ def golay(exponent=3):
     return codes.gen_golay_pair(exponent)
 
 
-def demanded_multiplicities(partition):
-    """Oracle: per-slot code counts straight from the block multisets."""
-    demand = {}
-    for code, block in enumerate(partition.blocks):
-        for slot in block:
-            demand.setdefault(slot, Counter())[code] += 1
-    return demand
-
-
 def assert_plan_realizes_partition(plan):
     """Check the multiplicity contract lane-by-lane against the blocks."""
-    want = demanded_multiplicities(plan.partition)
-    have = plan.slot_multiplicities()
-    for slot in range(plan.horizon):
-        assert Counter(have[slot]) == want.get(slot, Counter())
+    slots = plan.slots_by_code()
+    for code, block in enumerate(plan.partition.blocks):
+        assert sorted(slots[code]) == list(block)
     for lane in plan.lanes:
         assert lane.length >= 1  # contiguity: lanes carry no internal gaps
 
@@ -134,7 +123,7 @@ class TestDecompose:
     def test_gapless_partition_gives_single_ptm_lane(self):
         # A disjoint gap-free partition demands one code per slot, so the
         # sweep emits one lane carrying the PTM train itself.
-        part = stagger.ptm_partition_as_esp(2, 2)
+        part = numtheory.ptm_partition(2, 2).as_esp()
         plan = stagger.decompose_to_antennas(part, golay())
         assert len(plan.lanes) == 1
         assert plan.lanes[0].indices == tuple(numtheory.ptm_sequence(2, 8))
@@ -228,6 +217,28 @@ class TestCompositeTaylor:
         for m in range(degree + 1):
             assert report.max_sidelobe_residual[m] <= 1e-9 * ccm.length * horizon**m
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        stn.sampled_from(
+            [golay(1), golay(2), golay(3), codes.gen_dft_set(3)]
+        ),
+        stn.integers(1, 3),
+    )
+    def test_one_lane_plan_matches_ptm_train(self, ccm, degree):
+        # The single lane of a gap-free PTM partition is the PTM train, and
+        # both go through one pipeline, so the reports agree exactly.
+        plan = stagger.decompose_to_antennas(
+            numtheory.ptm_partition(ccm.count, degree).as_esp(), ccm
+        )
+        composite = stagger.composite_taylor(plan, degree)
+        single = doppler.taylor_coeffs(doppler.build_ptm_train(ccm, degree), degree)
+        assert np.array_equal(composite.coeffs, single.coeffs)
+        assert np.array_equal(
+            composite.max_sidelobe_residual, single.max_sidelobe_residual
+        )
+        assert np.array_equal(composite.thresholds, single.thresholds)
+        assert composite.null_order == single.null_order
+
     def test_report_json(self):
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(stagger.builtin_partition(2)), golay()
@@ -259,9 +270,15 @@ class TestComparison:
         cmp = stagger.compare_ptm_vs_stagger(golay(), 1)
         assert cmp.ptm_span == 4 and cmp.stagger_null_order >= 1
 
-    def test_unavailable_degree_raises(self):
-        with pytest.raises(ValueError):
-            stagger.compare_ptm_vs_stagger(golay(), 6)
+    @pytest.mark.parametrize(
+        "ccm,degree",
+        [(golay(), 4), (golay(), 6), (codes.gen_dft_set(3), 2)],
+        ids=["golay-4", "golay-6", "dft3-2"],
+    )
+    def test_falls_back_to_ptm_split(self, ccm, degree):
+        cmp = stagger.compare_ptm_vs_stagger(ccm, degree)
+        assert cmp.stagger_span == cmp.ptm_span == ccm.count ** (degree + 1)
+        assert cmp.ptm_null_order >= degree and cmp.stagger_null_order >= degree
 
     def test_mismatched_partition_rejected(self):
         part = numtheory.EspPartition.from_blocks(((0, 3), (1, 2)), 1)
