@@ -175,11 +175,11 @@ def cmd_verify(args, config: RunConfig) -> int:
     train, err = _load_train(args.train)
     if err is not None:
         return err
-    # Weights, ACFs and spectra are built once; every verdict below and the
-    # report derive from them.
+    # Spectra (which refuse a z-sample count over the cap before allocating),
+    # weights and ACFs are built once; every verdict and the report use them.
     try:
-        weights, report = doppler._train_taylor(train, args.order, config.tol)
         spectra = doppler._power_spectra(train.ccm, args.z_samples)
+        weights, report = doppler._train_taylor(train, args.order, config.tol)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
 

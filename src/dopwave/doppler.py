@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Ccm, ztransform_eval
-from .codes import acf as _acf
+from .codes import Ccm, code_acfs
+from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
 from .numtheory import power_sum, ptm_sequence
 
 __all__ = [
@@ -151,11 +151,6 @@ def build_cyclic_train(ccm: Ccm, length: int) -> PulseTrain:
     return PulseTrain(ccm, tuple(n % ccm.count for n in range(length)))
 
 
-def code_acfs(ccm: Ccm) -> np.ndarray:
-    """Autocorrelations of all codes, shape (2N-1, K), lag k at row N-1+k."""
-    return np.column_stack([_acf(ccm.code(k)) for k in range(ccm.count)])
-
-
 def _exact_weights(slots_by_code, max_order: int) -> list[list[int]]:
     """Exact integer weights W_c(m) = sum(slot^m) over code c's slots.
 
@@ -263,16 +258,16 @@ def taylor_coeffs(
 
 
 def _power_spectra(ccm: Ccm, z_count: int) -> np.ndarray:
-    """|X_k(z)|^2 for every code k at z_count unit-circle points, shape (Z, K)."""
-    if z_count < 1:
-        raise ValueError("need at least one sample point")
-    zs = np.exp(2j * np.pi * np.arange(z_count) / z_count)
-    return np.column_stack(
-        [
-            np.abs([ztransform_eval(ccm.code(k), z) for z in zs]) ** 2
-            for k in range(ccm.count)
-        ]
-    )
+    """|X_k(z)|^2 for every code k at z_count unit-circle points, shape (Z, K).
+
+    X(z_j) at z_j = exp(2j*pi*j/Z) sees only n mod Z: each code is folded mod
+    Z (zero-padded to a multiple of Z) and one length-Z FFT gives all samples.
+    """
+    if not 1 <= z_count <= MAX_TRAIN_LENGTH:
+        raise ValueError(f"z sample count must be in 1..{MAX_TRAIN_LENGTH}")
+    padded = np.pad(ccm.columns, ((0, -ccm.length % z_count), (0, 0)))
+    folded = padded.reshape(-1, z_count, ccm.count).sum(axis=0)
+    return np.abs(np.fft.fft(folded, axis=0)) ** 2
 
 
 def _zsamples(spectra: np.ndarray, weights_m: list[int]) -> np.ndarray:
@@ -402,11 +397,12 @@ class AmbiguitySurface:
 
     def write_csv(self, path) -> None:
         """Rows theta-major: header theta,k,magnitude; theta to 12 digits."""
+        lag_fields = [f",{int(k)}," for k in self.lags]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("theta,k,magnitude\n")
-            for t, theta in enumerate(self.thetas):
-                for j, k in enumerate(self.lags):
-                    fh.write(f"{theta:.12g},{int(k)},{self.magnitudes[t, j]:.17g}\n")
+            for theta, row in zip(self.thetas.tolist(), self.magnitudes):
+                head, cells = f"{theta:.12g}", zip(lag_fields, row.tolist())
+                fh.write("".join([f"{head}{lag}{v:.17g}\n" for lag, v in cells]))
 
 
 def ambiguity_surface(

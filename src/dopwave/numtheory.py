@@ -103,8 +103,8 @@ class PtmPartition:
         }
 
 
-def ptm_partition(p: int, degree: int) -> PtmPartition:
-    """Build the PTM p-block partition of {0,...,p^(degree+1)-1}."""
+def _ptm_size(p: int, degree: int) -> int:
+    """p^(degree+1), the size of a valid PTM partition."""
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
     if degree < 1:
@@ -112,8 +112,13 @@ def ptm_partition(p: int, degree: int) -> PtmPartition:
     size = p ** (degree + 1)
     if size > MAX_PARTITION_SIZE:
         raise ValueError(f"partition size {size} exceeds cap {MAX_PARTITION_SIZE}")
+    return size
+
+
+def ptm_partition(p: int, degree: int) -> PtmPartition:
+    """Build the PTM p-block partition of {0,...,p^(degree+1)-1}."""
     blocks = [[] for _ in range(p)]
-    for n, symbol in enumerate(ptm_sequence(p, size)):
+    for n, symbol in enumerate(ptm_sequence(p, _ptm_size(p, degree))):
         blocks[symbol].append(n)
     return PtmPartition(p, degree, tuple(tuple(b) for b in blocks))
 
@@ -145,7 +150,8 @@ def prouhet_sum(p: int, degree: int, m: int) -> int:
             "this power sum",
             stacklevel=2,
         )
-    return power_sum(ptm_partition(p, degree).blocks[0], m)
+    symbols = ptm_sequence(p, _ptm_size(p, degree))
+    return power_sum((n for n, s in enumerate(symbols) if s == 0), m)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,13 @@ class TestGen:
         ccm = codes.Ccm.from_json_dict(json.loads(path.read_text()))
         assert ccm == codes.gen_golay_pair(4)
 
+    def test_long_golay_round_trip(self, tmp_path):
+        path = tmp_path / "pair.json"
+        assert run("gen", "golay", 16, "--out", path) == 0
+        ccm = codes.Ccm.from_json_dict(json.loads(path.read_text()))
+        assert ccm == codes.gen_golay_pair(16)
+        assert codes.validate_ccm_exact(ccm).is_ccm
+
 
 class TestPtm:
     def test_builds_expected_train(self, tmp_path, golay_file, capsys):
@@ -149,6 +156,14 @@ class TestVerify:
         monkeypatch.setattr(doppler, "_order_check", boom)
         assert run("verify", train_file, 1) == 4
 
+    @pytest.mark.parametrize("z_samples", [0, doppler.MAX_TRAIN_LENGTH + 1])
+    def test_z_samples_out_of_range_is_usage_error(
+        self, train_file, monkeypatch, z_samples
+    ):
+        weights = count_calls(monkeypatch, numtheory.power_sum)
+        assert run("verify", train_file, 1, "--z-samples", z_samples) == 2
+        assert not weights  # refused before any verification work
+
     @pytest.mark.parametrize("kind,size,order", [("golay", 3, 4), ("dft", 3, 2)])
     def test_builds_each_intermediate_once(
         self, tmp_path, monkeypatch, kind, size, order
@@ -158,12 +173,12 @@ class TestVerify:
         assert run("ptm", ccm_path, order, "--out", train_path) == 0
         power_sums = count_calls(monkeypatch, numtheory.power_sum)
         acfs = count_calls(monkeypatch, codes.acf)
-        z_evals = count_calls(monkeypatch, codes.ztransform_eval)
+        spectra = count_calls(monkeypatch, doppler._power_spectra)
         assert run("verify", train_path, order, "--z-samples", 16) == 0
         k = 2 if kind == "golay" else size
         assert len(power_sums) == k * (order + 1)
         assert len(acfs) == k
-        assert len(z_evals) == k * 16
+        assert len(spectra) == 1
 
 
 class TestSurface:

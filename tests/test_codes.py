@@ -19,6 +19,19 @@ def naive_ztransform(x, z):
     return sum(v * z ** (-n) for n, v in enumerate(x))
 
 
+def naive_acf(code):
+    """Oracle: ACF(k) = vdot(x[k:], x[:N-k]) lag by lag, mirrored by conjugation."""
+    x = np.asarray(code, dtype=complex)
+    n = x.size
+    positive = np.array([np.vdot(x[k:], x[: n - k]) for k in range(n)])
+    return np.concatenate([np.conj(positive[:0:-1]), positive])
+
+
+def random_phase_set(seed, order, n, k):
+    phases = np.random.default_rng(seed).integers(0, order, (n, k))
+    return codes.Ccm.from_phases(phases, order)
+
+
 class TestAcf:
     def test_all_ones_pair(self):
         assert np.allclose(codes.acf([1, 1]), [1, 2, 1])
@@ -47,6 +60,41 @@ class TestAcf:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             codes.acf([])
+
+    @settings(max_examples=60, deadline=None)
+    @given(stn.integers(2, 8), stn.integers(1, 512), stn.integers(0, 2**32 - 1))
+    def test_fft_matches_direct_sum(self, order, n, seed):
+        x = random_phase_set(seed, order, n, 1).code(0)
+        assert np.max(np.abs(codes.acf(x) - naive_acf(x))) <= 1e-9 * n
+
+
+class TestCodeAcfs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stn.sampled_from([1, 2, 4]),
+        stn.integers(1, 512),
+        stn.integers(1, 4),
+        stn.integers(0, 2**32 - 1),
+    )
+    def test_exact_orders_equal_direct_sum(self, order, n, k, seed):
+        ccm = random_phase_set(seed, order, n, k)
+        direct = np.column_stack([naive_acf(ccm.code(c)) for c in range(k)])
+        assert np.array_equal(codes.code_acfs(ccm), direct)
+
+    def test_golay_pair_equals_direct_sum(self):
+        ccm = codes.gen_golay_pair(10)
+        direct = np.column_stack([naive_acf(ccm.code(c)) for c in range(2)])
+        assert np.array_equal(codes.code_acfs(ccm), direct)
+
+    def test_rounding_residual_guard(self, monkeypatch):
+        monkeypatch.setattr(codes, "acf", lambda code: naive_acf(code) + 0.3)
+        with pytest.raises(ArithmeticError):
+            codes.code_acfs(codes.gen_golay_pair(3))
+
+    def test_other_orders_stay_float(self):
+        ccm = codes.gen_dft_set(3)
+        direct = np.column_stack([naive_acf(ccm.code(c)) for c in range(3)])
+        assert np.allclose(codes.code_acfs(ccm), direct, rtol=0, atol=1e-12)
 
 
 class TestValidateCcm:
@@ -129,6 +177,17 @@ class TestExactValidation:
     def test_quaternary_set_exact(self):
         result = codes.validate_ccm_exact(codes.gen_dft_set(4))
         assert result.is_ccm and result.worst_sidelobe_sq == 0
+
+    def test_long_golay_pair_exact(self):
+        result = codes.validate_ccm_exact(codes.gen_golay_pair(16))
+        assert result.is_ccm and result.worst_sidelobe_sq == 0
+
+    def test_worst_sidelobe_is_exact_square(self):
+        # Two all-ones codes of length 3: summed ACF (2, 4, 6, 4, 2).
+        ones = codes.Ccm.from_phases(np.zeros((3, 2), dtype=np.int64), 1)
+        result = codes.validate_ccm_exact(ones)
+        assert not result.is_ccm and result.worst_sidelobe_sq == 16
+        assert type(result.worst_sidelobe_sq) is int
 
     def test_corrupted_phases_detected(self):
         good = codes.gen_golay_pair(2)

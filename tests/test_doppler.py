@@ -1,6 +1,7 @@
 """Pulse-train ambiguity, Taylor-coefficient nulls, and surface tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,34 @@ class TestZDomain:
             assert abs(samples[t] - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
+class TestPowerSpectra:
+    @pytest.mark.parametrize(
+        "n,z_count",
+        [(64, 16), (64, 64), (16, 64), (64, 24), (5, 3), (3, 7), (1, 1)],
+    )
+    def test_matches_horner_evaluation(self, n, z_count):
+        phases = np.random.default_rng(n * 100 + z_count).integers(0, 6, (n, 3))
+        ccm = codes.Ccm.from_phases(phases, 6)
+        spectra = doppler._power_spectra(ccm, z_count)
+        assert spectra.shape == (z_count, 3)
+        zs = np.exp(2j * np.pi * np.arange(z_count) / z_count)
+        for k in range(3):
+            direct = np.abs([codes.ztransform_eval(ccm.code(k), z) for z in zs]) ** 2
+            assert np.max(np.abs(spectra[:, k] - direct)) <= 1e-10 * n * n
+
+    def test_sample_count_bounds(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                doppler._power_spectra(golay(), doppler.MAX_TRAIN_LENGTH + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before the Z x K arrays exist
+        with pytest.raises(ValueError):
+            doppler._power_spectra(golay(), 0)
+
+
 class TestEquivalence:
     def test_ptm_agrees_true(self):
         train = doppler.build_ptm_train(golay(), 2)
@@ -312,6 +341,22 @@ class TestSurface:
         surface2.write_csv(path2)
         theta_text = path2.read_text().splitlines()[1].split(",")[0]
         assert theta_text == f"{third:.12g}"
+
+    def test_csv_bytes_match_per_cell_formatter(self, tmp_path):
+        # Theta crosses zero and lags run from -(N-1) to N-1.
+        train = doppler.build_cyclic_train(codes.gen_dft_set(3), 7)
+        surface = doppler.ambiguity_surface(train, -0.3, 0.2, 11)
+        assert surface.thetas.min() < 0 < surface.thetas.max()
+        assert surface.lags.min() < 0 < surface.lags.max()
+        expected = ["theta,k,magnitude\n"]
+        for t, theta in enumerate(surface.thetas):
+            for j, k in enumerate(surface.lags):
+                expected.append(
+                    f"{theta:.12g},{int(k)},{surface.magnitudes[t, j]:.17g}\n"
+                )
+        path = tmp_path / "surface.csv"
+        surface.write_csv(path)
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
 
     def test_sidelobe_slope_tracks_null_order(self):
         # Leading surviving term is order M+1, so |g| ~ theta^(M+1).

@@ -154,6 +154,25 @@ class TestPowerSums:
         with pytest.warns(UserWarning):
             nt.prouhet_sum(2, 3, 4)
 
+    def test_prouhet_sum_reads_block_zero_without_the_partition(self, monkeypatch):
+        expected = {
+            (p, d, m): nt.power_sum(nt.ptm_partition(p, d).blocks[0], m)
+            for p, d in ((2, 3), (3, 2), (5, 1))
+            for m in range(d + 1)
+        }
+
+        def no_partition(*args):
+            raise AssertionError("prouhet_sum built the whole partition")
+
+        monkeypatch.setattr(nt, "ptm_partition", no_partition)
+        for (p, d, m), value in expected.items():
+            assert nt.prouhet_sum(p, d, m) == value
+
+    @pytest.mark.parametrize("p,degree", [(1, 2), (2, 0), (2, 40)])
+    def test_prouhet_sum_bounds(self, p, degree):
+        with pytest.raises(ValueError):
+            nt.prouhet_sum(p, degree, 0)
+
 
 class TestEspCheck:
     @pytest.mark.parametrize(
