@@ -83,9 +83,13 @@ def parse_universe(spec: str) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError(f"descending range {token!r}")
-            values.update(range(lo, hi + 1))
         else:
-            values.add(int(token))
+            lo = hi = int(token)
+        # Refuse an oversized universe before expanding the range.
+        cap = numtheory.MAX_SEARCH_UNIVERSE
+        if len(values) + hi - lo + 1 - sum(lo <= v <= hi for v in values) > cap:
+            raise ValueError(f"universe exceeds {cap} slots")
+        values.update(range(lo, hi + 1))
     return sorted(values)
 
 
@@ -310,9 +314,9 @@ def cmd_stagger(args, config: RunConfig) -> int:
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(partition), ccm, args.antenna_cap
         )
+        report = stagger.composite_taylor(plan, args.order, config.tol)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
-    report = stagger.composite_taylor(plan, args.order, config.tol)
     try:
         _write_json(config.out, plan.to_json_dict())
         if args.report:

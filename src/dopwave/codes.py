@@ -124,14 +124,10 @@ class Ccm:
     def to_json_dict(self) -> dict:
         data = {"N": self.length, "K": self.count, "phaseOrder": self.phase_order}
         if self.phases is not None:
-            data["phases"] = [
-                [int(v) for v in self.phases[:, k]] for k in range(self.count)
-            ]
+            data["phases"] = self.phases.T.tolist()
         else:
-            data["columns"] = [
-                [[float(v.real), float(v.imag)] for v in self.columns[:, k]]
-                for k in range(self.count)
-            ]
+            cols = self.columns.T
+            data["columns"] = np.stack([cols.real, cols.imag], -1).tolist()
         return data
 
     @classmethod

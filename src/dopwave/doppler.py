@@ -12,9 +12,11 @@ in whole pulses.  Expanding about theta = 0 gives Taylor coefficients
 
 and, in the z-domain, C_m(z) = sum_n (n+d)^m * |X_n(z)|^2.  PTM-ordered
 trains of length K^(M+1) drive c_m(k) to zero at every non-zero lag for all
-m <= M, which is what the null-order report measures.  Coefficients are
-always computed from exact integer slot weights grouped per code; numerical
-differentiation of g is never used here.
+m <= M, which is what the null-order report measures.  Every path reads a
+schedule only through its slots grouped per code (`slots_by_code()`):
+g = sum_c S_c(theta) * ACF_c(k) with S_c(theta) = sum of exp(1j*theta*s)
+over code c's slots, and the coefficients use exact integer weights
+W_c(m) = sum of s^m; numerical differentiation of g is never used here.
 """
 
 import math
@@ -48,6 +50,12 @@ MAX_TRAIN_LENGTH = 1 << 20
 
 # Taylor orders above this cap are almost certainly a unit error upstream.
 MAX_TAYLOR_ORDER = 32
+
+# Phase factors exp(1j*theta*s) held at once (at least one theta row).
+PHASE_BLOCK = 1 << 18
+
+# Surfaces over theta_steps * max(L, 2N-1) cells are refused up front.
+MAX_SURFACE_CELLS = 1 << 24
 
 # Scale-aware null test: coefficient m "vanishes" when its worst off-peak
 # magnitude is at most NULL_TOL * N * max(1, last_slot)^m.  Raw weights grow
@@ -158,10 +166,27 @@ def _exact_weights(slots_by_code, max_order: int) -> list[list[int]]:
     integer cancellation between slots of the same code exact; callers
     convert to float only where the weights meet the ACFs or spectra.
     """
+    if not 0 <= max_order <= MAX_TAYLOR_ORDER:
+        raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
     return [
         [power_sum(slots, m) for slots in slots_by_code]
         for m in range(max_order + 1)
     ]
+
+
+def _slot_phase_sums(slots_by_code, thetas: np.ndarray) -> np.ndarray:
+    """S_c(theta) = sum of exp(1j*theta*s) over code c's slots, shape (T, K).
+
+    Theta is taken in blocks of at most PHASE_BLOCK phase factors per code.
+    """
+    sums = np.empty((thetas.size, len(slots_by_code)), dtype=complex)
+    for c, slots in enumerate(slots_by_code):
+        slots = 1j * np.asarray(slots, dtype=float)
+        rows = max(1, PHASE_BLOCK // max(1, slots.size))
+        for lo in range(0, thetas.size, rows):
+            phase = np.outer(thetas[lo : lo + rows], slots)
+            sums[lo : lo + rows, c] = np.exp(phase, out=phase).sum(axis=1)
+    return sums
 
 
 def ambiguity(train: PulseTrain, lag: int, theta: float) -> complex:
@@ -169,10 +194,8 @@ def ambiguity(train: PulseTrain, lag: int, theta: float) -> complex:
     n = train.ccm.length
     if abs(lag) > n - 1:
         raise ValueError(f"lag {lag} out of range for length-{n} codes")
-    row = code_acfs(train.ccm)[n - 1 + lag, :]
-    per_pulse = row[list(train.indices)]
-    slots = np.arange(train.length) + train.delay
-    return complex(np.sum(per_pulse * np.exp(1j * theta * slots)))
+    sums = _slot_phase_sums(train.slots_by_code(), np.array([float(theta)]))[0]
+    return complex(sums @ code_acfs(train.ccm)[n - 1 + lag, :])
 
 
 @dataclass(frozen=True)
@@ -195,38 +218,23 @@ class TaylorReport:
     def to_json_dict(self) -> dict:
         return {
             "M": self.max_order,
-            "lags": [int(k) for k in self.lags],
-            "coeffs": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.coeffs
-            ],
-            "maxSidelobeResidual": [float(v) for v in self.max_sidelobe_residual],
-            "thresholds": [float(v) for v in self.thresholds],
+            "lags": self.lags.tolist(),
+            "coeffs": np.stack([self.coeffs.real, self.coeffs.imag], -1).tolist(),
+            "maxSidelobeResidual": self.max_sidelobe_residual.tolist(),
+            "thresholds": self.thresholds.tolist(),
             "nullOrder": self.null_order,
         }
 
 
 def _taylor_from_weights(
-    acfs: np.ndarray,
-    weights: list[list[int]],
-    last_slot: int,
-    tol: float,
-    report=TaylorReport,
-    **extra,
-):
-    """Shared coefficient pipeline for single trains and composite plans.
-
-    c_m(k) = sum_c W_c(m) * ACF_c(k); `report` is the report class and
-    `extra` its fields beyond the TaylorReport ones.
-    """
+    acfs: np.ndarray, weights: list[list[int]], last_slot: int, tol: float
+) -> TaylorReport:
+    """Shared coefficient pipeline: c_m(k) = sum_c W_c(m) * ACF_c(k)."""
     code_length = (acfs.shape[0] + 1) // 2
     max_order = len(weights) - 1
     coeffs = np.array(weights, dtype=float) @ acfs.T
-    center = code_length - 1
-    if acfs.shape[0] > 1:
-        off_peak = np.abs(np.delete(coeffs, center, axis=1))
-        residuals = off_peak.max(axis=1)
-    else:
-        residuals = np.zeros(max_order + 1)
+    off_peak = np.abs(np.delete(coeffs, code_length - 1, axis=1))
+    residuals = off_peak.max(axis=1, initial=0.0)  # N = 1 has no off-peak lag
     base = float(max(1, last_slot))
     thresholds = tol * code_length * base ** np.arange(max_order + 1)
     null_order = -1
@@ -235,18 +243,18 @@ def _taylor_from_weights(
             break
         null_order = m
     lags = np.arange(1 - code_length, code_length)
-    return report(
-        max_order, lags, coeffs, residuals, thresholds, null_order, **extra
-    )
+    return TaylorReport(max_order, lags, coeffs, residuals, thresholds, null_order)
 
 
-def _train_taylor(train: PulseTrain, max_order: int, tol: float):
-    """Exact weights of the train and the Taylor report built from them."""
-    if not 0 <= max_order <= MAX_TAYLOR_ORDER:
-        raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
-    weights = _exact_weights(train.slots_by_code(), max_order)
-    last_slot = train.length - 1 + train.delay
-    report = _taylor_from_weights(code_acfs(train.ccm), weights, last_slot, tol)
+def _train_taylor(schedule, max_order: int, tol: float):
+    """Exact weights of a train or staggered plan and its Taylor report.
+
+    Needs only `.ccm` and `.slots_by_code()`; thresholds use the last slot.
+    """
+    slots_by_code = schedule.slots_by_code()
+    weights = _exact_weights(slots_by_code, max_order)
+    last_slot = max(max(slots) for slots in slots_by_code if slots)
+    report = _taylor_from_weights(code_acfs(schedule.ccm), weights, last_slot, tol)
     return weights, report
 
 
@@ -312,8 +320,6 @@ def zdomain_coeff_check(
     the prediction is exact through the train order; entry m of the result
     is max_z |C_m(z) - N*K*P_m| / max(1, N*K*P_m).
     """
-    if not 0 <= max_order <= MAX_TAYLOR_ORDER:
-        raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
     if not train.is_ptm_ordered():
         raise ValueError("reference check requires a PTM-ordered, zero-delay train")
     weights = _exact_weights(train.slots_by_code(), max_order)
@@ -391,9 +397,7 @@ class AmbiguitySurface:
     def sidelobe_peaks(self) -> np.ndarray:
         """Worst off-peak magnitude at each theta sample."""
         center = (self.lags.size - 1) // 2
-        if self.lags.size == 1:
-            return np.zeros(self.thetas.size)
-        return np.delete(self.magnitudes, center, axis=1).max(axis=1)
+        return np.delete(self.magnitudes, center, axis=1).max(axis=1, initial=0.0)
 
     def write_csv(self, path) -> None:
         """Rows theta-major: header theta,k,magnitude; theta to 12 digits."""
@@ -410,21 +414,21 @@ def ambiguity_surface(
 ) -> AmbiguitySurface:
     """Sample |g| over every lag and a uniform theta interval.
 
-    The grid is computed by direct summation of the defining series (one
-    matrix product), never from Taylor data, so surfaces remain an
-    independent view of the train.
+    The grid is a direct sum of the defining series, never Taylor data, so
+    surfaces remain an independent view of the train.  Grouped by code, it
+    is S @ ACF^T with S from _slot_phase_sums.  More than MAX_SURFACE_CELLS
+    theta_steps * max(L, 2N-1) cells raise ValueError before allocating.
     """
     if theta_steps < 2:
         raise ValueError(f"need at least 2 theta steps, got {theta_steps}")
     if not math.isfinite(theta_min) or not math.isfinite(theta_max):
         raise ValueError("theta bounds must be finite")
-    thetas = np.linspace(theta_min, theta_max, theta_steps)
-    acfs = code_acfs(train.ccm)
-    per_pulse = acfs[:, list(train.indices)]
-    slots = np.arange(train.length) + train.delay
-    phase = np.exp(1j * np.outer(thetas, slots))
-    grid = phase @ per_pulse.T
     n = train.ccm.length
+    cells = theta_steps * max(train.length, 2 * n - 1)
+    if cells > MAX_SURFACE_CELLS:
+        raise ValueError(f"surface needs {cells} cells, cap {MAX_SURFACE_CELLS}")
+    thetas = np.linspace(theta_min, theta_max, theta_steps)
+    grid = _slot_phase_sums(train.slots_by_code(), thetas) @ code_acfs(train.ccm).T
     description = (
         f"L={train.length} K={train.ccm.count} N={n} delay={train.delay}"
     )

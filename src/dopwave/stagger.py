@@ -16,13 +16,12 @@ partition spans fewer slots than K^(M+1).
 from dataclasses import dataclass
 
 from .codes import Ccm
+from .codes import code_acfs  # noqa: F401  (bench/test_bench.py traces this binding)
 from .doppler import (
     NULL_TOL,
     TaylorReport,
-    _exact_weights,
-    _taylor_from_weights,
+    _train_taylor,
     build_ptm_train,
-    code_acfs,
     taylor_coeffs,
 )
 from .numtheory import EspPartition, ptm_partition
@@ -232,15 +231,8 @@ def composite_taylor(
     W_c(m); for m up to the partition degree the W_c coincide and the
     off-peak coefficients collapse to complementary-sum residuals.
     """
-    return _taylor_from_weights(
-        code_acfs(plan.ccm),
-        _exact_weights(plan.slots_by_code(), max_order),
-        max(lane.last_slot for lane in plan.lanes),
-        tol,
-        CompositeReport,
-        total_pulses=plan.total_pulses,
-        span=plan.span,
-    )
+    report = vars(_train_taylor(plan, max_order, tol)[1])
+    return CompositeReport(**report, total_pulses=plan.total_pulses, span=plan.span)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests; commands run in-process via cli.main."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -200,6 +201,21 @@ class TestSurface:
     def test_bad_steps_is_usage_error(self, tmp_path, train_file):
         assert run("surface", train_file, -0.1, 0.1, 1, "--out", tmp_path / "s") == 2
 
+    def test_over_cell_cap_is_usage_error(self, tmp_path, train_file, capsys):
+        # N = 8 and L = 16, so one step more than the cap allows is refused.
+        steps = doppler.MAX_SURFACE_CELLS // 16 + 1
+        out = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            code = run("surface", train_file, -0.1, 0.1, steps, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20  # refused before the theta grid exists
+        assert "cells" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEsp:
     def test_finds_known_partition(self, tmp_path):
@@ -226,6 +242,28 @@ class TestEsp:
 
     def test_bad_universe_spec(self):
         assert run("esp", "5-2", 2, 1) == 2
+
+    def test_oversized_universe_refused_while_parsing(self, capsys):
+        tracemalloc.start()
+        try:
+            code = run("esp", "0-999999", 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20  # the range is never expanded
+        assert "universe exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec,size", [("0-29", 30), ("0-20,5-25", 26), ("0-29,3,7", 30)]
+    )
+    def test_universe_at_cap_parses(self, spec, size):
+        assert len(cli.parse_universe(spec)) == size
+
+    @pytest.mark.parametrize("spec", ["0-30", "0-20,10-30", "0-29,30"])
+    def test_universe_over_cap_rejected(self, spec):
+        with pytest.raises(ValueError, match="universe exceeds"):
+            cli.parse_universe(spec)
 
 
 class TestStagger:
@@ -267,6 +305,14 @@ class TestStagger:
         first = json.loads(parts.read_text())[0]
         assert json.loads(out.read_text())["partition"]["blocks"] == first["blocks"]
         assert "null order" in capsys.readouterr().out
+
+    def test_negative_order_is_usage_error(self, tmp_path, golay_file, capsys):
+        part = numtheory.EspPartition.from_blocks(((0, 3), (1, 2)), 1)
+        ppath = tmp_path / "part.json"
+        ppath.write_text(json.dumps(part.to_json_dict()))
+        out = tmp_path / "plan.json"
+        assert run("stagger", golay_file, -1, "--partition", ppath, "--out", out) == 2
+        assert "max_order" in capsys.readouterr().err
 
     def test_empty_partition_list_rejected(self, tmp_path, golay_file, capsys):
         ppath = tmp_path / "none.json"

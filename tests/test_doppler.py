@@ -2,9 +2,12 @@
 
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
 
 from dopwave import codes, doppler
 
@@ -39,6 +42,15 @@ def finite_difference_derivative(train, lag, order, step):
     else:
         raise ValueError("oracle supports orders 1 and 2")
     return deriv / 1j**order
+
+
+def naive_surface(train, thetas):
+    """Oracle: |g| summed pulse by pulse, one ACF column and phase per pulse."""
+    acfs = doppler.code_acfs(train.ccm)
+    per_pulse = acfs[:, list(train.indices)]
+    slots = np.arange(train.length) + train.delay
+    phase = np.exp(1j * np.outer(thetas, slots))
+    return np.abs(phase @ per_pulse.T)
 
 
 def fitted_sidelobe_slope(train, theta_lo, theta_hi, samples=25):
@@ -357,6 +369,49 @@ class TestSurface:
         path = tmp_path / "surface.csv"
         surface.write_csv(path)
         assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+    @pytest.mark.parametrize("block", [doppler.PHASE_BLOCK, 5])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stn.integers(2, 4),
+        stn.integers(1, 16),
+        stn.integers(1, 64),
+        stn.integers(0, 5),
+        stn.floats(-4.0, 4.0),
+        stn.floats(0.0, 2.0),
+        stn.integers(2, 40),
+        stn.integers(0, 2**32 - 1),
+    )
+    def test_grouped_surface_matches_per_pulse_sum(
+        self, block, k, n, length, delay, lo, width, steps, seed
+    ):
+        # block = 5 forces many theta blocks per code (and one row per block
+        # once a code has more than five slots).
+        rng = np.random.default_rng(seed)
+        ccm = codes.Ccm.from_phases(rng.integers(0, 4, (n, k)), 4)
+        indices = tuple(int(i) for i in rng.integers(0, k, length))
+        train = doppler.PulseTrain(ccm, indices, delay=delay)
+        with mock.patch.object(doppler, "PHASE_BLOCK", block):
+            surface = doppler.ambiguity_surface(train, lo, lo + width, steps)
+            t, lag = int(rng.integers(steps)), int(rng.integers(1 - n, n))
+            sample = doppler.ambiguity(train, lag, surface.thetas[t])
+        expected = naive_surface(train, surface.thetas)
+        bound = 1e-9 * n * length
+        assert np.max(np.abs(surface.magnitudes - expected)) <= bound
+        assert abs(abs(sample) - expected[t, n - 1 + lag]) <= bound
+
+    def test_memory_independent_of_theta_by_length(self):
+        # L = 4096 pulses and 1001 thetas: the per-pulse sum holds a
+        # 1001 x 4096 phase matrix (62.6 MiB) and a 31 x 4096 ACF matrix.
+        train = doppler.build_ptm_train(golay(4), 11)
+        assert train.length == 4096
+        tracemalloc.start()
+        try:
+            doppler.ambiguity_surface(train, -0.1, 0.1, 1001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_sidelobe_slope_tracks_null_order(self):
         # Leading surviving term is order M+1, so |g| ~ theta^(M+1).

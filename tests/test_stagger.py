@@ -239,6 +239,14 @@ class TestCompositeTaylor:
         assert np.array_equal(composite.thresholds, single.thresholds)
         assert composite.null_order == single.null_order
 
+    @pytest.mark.parametrize("order", [-1, doppler.MAX_TAYLOR_ORDER + 1])
+    def test_order_out_of_range(self, order):
+        plan = stagger.decompose_to_antennas(
+            stagger.pad_partition(stagger.builtin_partition(2)), golay()
+        )
+        with pytest.raises(ValueError):
+            stagger.composite_taylor(plan, order)
+
     def test_report_json(self):
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(stagger.builtin_partition(2)), golay()
