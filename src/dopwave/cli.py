@@ -9,17 +9,19 @@ Subcommands::
     esp      search equal-power-sum partitions of a slot universe
     stagger  build a staggered multi-antenna schedule and report its nulls
 
-Human-readable summaries go to stdout, diagnostics to stderr, structured
-artifacts to files (JSON; CSV for surfaces).  Exit codes: 0 success /
-verified, 1 verification failed, 2 usage error, 3 I/O error, 4 internal
-inconsistency between the two verification domains.
+Human-readable summaries go to stdout, structured artifacts to files (JSON;
+CSV for surfaces).  Every failure past argument parsing prints one
+``error: ...`` line on stderr and picks the exit code: 1 verification
+failed, 2 usage error, 3 I/O error, 4 internal inconsistency between the two
+verification domains; 0 is success / verified.  ``--seed`` is accepted and
+has no effect: every command is deterministic.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import codes, doppler, numtheory, stagger
 
@@ -30,45 +32,55 @@ EXIT_IO = 3
 EXIT_MISMATCH = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by every command."""
+class CliError(Exception):
+    """A failure and its exit code; `main` prints it and returns the code."""
 
-    command: str
-    tol: float
-    seed: int
-    out: str | None
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+@contextlib.contextmanager
+def _exits(code: int, prefix: str = "", errors=ValueError):
+    """Exit with `code` when the block raises one of `errors`."""
+    try:
+        yield
+    except errors as exc:
+        raise CliError(code, f"{prefix}{exc}") from None
 
 
-def _precheck_outputs(*paths) -> int | None:
+def _precheck_outputs(*paths) -> None:
     """Fail fast when an output location cannot work, before computing."""
     for path in paths:
         if path is None:
             continue
         parent = os.path.dirname(os.path.abspath(str(path)))
         if not os.path.isdir(parent):
-            return _fail(EXIT_IO, f"output directory does not exist: {parent}")
-    return None
+            raise CliError(EXIT_IO, f"output directory does not exist: {parent}")
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_json(path: str, what: str, parse, invalid=None):
+    """parse(the JSON in path); a file that cannot be read or decoded exits 3.
+
+    A file that parse refuses exits with `invalid`, an (exit code, message)
+    pair; the default is (3, "malformed <what> <path>").
+    """
+    code, message = invalid or (EXIT_IO, f"malformed {what} {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        return parse(data)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(EXIT_IO, f"cannot read {what} {path}: {exc}") from None
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise CliError(code, f"{message}: {exc}") from None
 
 
 def _write_json(path: str, data) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    with _exits(EXIT_IO, f"cannot write {path}: ", OSError):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
 
 
 def parse_universe(spec: str) -> list[int]:
@@ -93,99 +105,69 @@ def parse_universe(spec: str) -> list[int]:
     return sorted(values)
 
 
-def _load_ccm_checked(path: str, tol: float):
-    """Load a code-set file and insist it is complementary.
-
-    Returns (ccm, None) or (None, exit_code) with the failure already
-    reported on stderr.
-    """
-    try:
-        ccm = codes.Ccm.from_json_dict(_load_json(path))
-    except (OSError, json.JSONDecodeError) as exc:
-        return None, _fail(EXIT_IO, f"cannot read code set {path}: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
-        return None, _fail(EXIT_IO, f"malformed code set {path}: {exc}")
+def _read_ccm(path: str, tol: float) -> codes.Ccm:
+    """Read a code-set file and insist it is complementary."""
+    ccm = _read_json(path, "code set", codes.Ccm.from_json_dict)
     check = codes.validate_ccm(ccm, tol)
     if not check.is_ccm:
-        return None, _fail(
+        raise CliError(
             EXIT_VERIFY_FAILED,
             f"code set is not complementary: worst sidelobe sum "
             f"{check.worst_sidelobe:.6e}, peak error {check.peak_error:.6e}",
         )
-    return ccm, None
+    return ccm
 
 
-def _load_train(path: str):
-    try:
-        return doppler.PulseTrain.from_json_dict(_load_json(path)), None
-    except (OSError, json.JSONDecodeError) as exc:
-        return None, _fail(EXIT_IO, f"cannot read train {path}: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
-        return None, _fail(EXIT_IO, f"malformed train {path}: {exc}")
+def _first_partition(data) -> numtheory.EspPartition:
+    if isinstance(data, list):  # as written by `esp --out`
+        if not data:
+            raise ValueError("the file lists no partition")
+        data = data[0]
+    return numtheory.EspPartition.from_json_dict(data)
 
 
-def cmd_gen(args, config: RunConfig) -> int:
-    err = _precheck_outputs(config.out)
-    if err is not None:
-        return err
+def cmd_gen(args) -> int:
+    _precheck_outputs(args.out)
     if args.kind == "golay":
         if not 1 <= args.size <= 20:
-            return _fail(EXIT_USAGE, "golay exponent must be in 1..20")
+            raise CliError(EXIT_USAGE, "golay exponent must be in 1..20")
         ccm = codes.gen_golay_pair(args.size)
     else:
         if not 2 <= args.size <= 64:
-            return _fail(EXIT_USAGE, "dft size must be in 2..64")
+            raise CliError(EXIT_USAGE, "dft size must be in 2..64")
         ccm = codes.gen_dft_set(args.size)
-    check = codes.validate_ccm(ccm, config.tol)
+    check = codes.validate_ccm(ccm, args.tol)
     if not check.is_ccm:
-        return _fail(
+        raise CliError(
             EXIT_VERIFY_FAILED,
             f"generated set failed validation: worst {check.worst_sidelobe:.3e}",
         )
-    try:
-        _write_json(config.out, ccm.to_json_dict())
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {config.out}: {exc}")
+    _write_json(args.out, ccm.to_json_dict())
     print(
         f"wrote {args.kind} set N={ccm.length} K={ccm.count} "
-        f"worst sidelobe {check.worst_sidelobe:.3e} -> {config.out}"
+        f"worst sidelobe {check.worst_sidelobe:.3e} -> {args.out}"
     )
     return EXIT_OK
 
 
-def cmd_ptm(args, config: RunConfig) -> int:
-    err = _precheck_outputs(config.out)
-    if err is not None:
-        return err
-    ccm, err = _load_ccm_checked(args.ccm, config.tol)
-    if err is not None:
-        return err
-    try:
+def cmd_ptm(args) -> int:
+    _precheck_outputs(args.out)
+    ccm = _read_ccm(args.ccm, args.tol)
+    with _exits(EXIT_USAGE):
         train = doppler.build_ptm_train(ccm, args.order)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        _write_json(config.out, train.to_json_dict())
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {config.out}: {exc}")
+    _write_json(args.out, train.to_json_dict())
     print(f"L={train.length} K={ccm.count} M={args.order}")
     return EXIT_OK
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    err = _precheck_outputs(config.out)
-    if err is not None:
-        return err
-    train, err = _load_train(args.train)
-    if err is not None:
-        return err
+def cmd_verify(args) -> int:
+    _precheck_outputs(args.out)
+    train = _read_json(args.train, "train", doppler.PulseTrain.from_json_dict)
     # Spectra (which refuse a z-sample count over the cap before allocating),
     # weights and ACFs are built once; every verdict and the report use them.
-    try:
+    with _exits(EXIT_USAGE):
         spectra = doppler._power_spectra(train.ccm, args.z_samples)
-        weights, report = doppler._train_taylor(train, args.order, config.tol)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+        weights, report = doppler._train_taylor(train, args.order, args.tol)
 
     if train.is_ptm_ordered():
         z_residuals = doppler._zdomain_residuals(spectra, weights, train.ccm)
@@ -193,11 +175,9 @@ def cmd_verify(args, config: RunConfig) -> int:
         z_residuals = None
         print("z-domain reference check skipped (train is not PTM-ordered)")
 
-    try:
-        for m in range(args.order + 1):
-            doppler._order_check(report, m, spectra, weights, train.ccm.length)
-    except doppler.DomainMismatchError as exc:
-        return _fail(EXIT_MISMATCH, str(exc))
+    # A DomainMismatchError here exits 4 (see `main`).
+    for m in range(args.order + 1):
+        doppler._order_check(report, m, spectra, weights, train.ccm.length)
 
     for m in range(args.order + 1):
         line = (
@@ -209,59 +189,37 @@ def cmd_verify(args, config: RunConfig) -> int:
         print(line)
     print(f"null order {report.null_order} (required {args.order})")
 
-    if config.out:
-        try:
-            _write_json(config.out, report.to_json_dict())
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write {config.out}: {exc}")
+    if args.out:
+        _write_json(args.out, report.to_json_dict())
     return EXIT_OK if report.null_order >= args.order else EXIT_VERIFY_FAILED
 
 
-def cmd_surface(args, config: RunConfig) -> int:
-    err = _precheck_outputs(config.out)
-    if err is not None:
-        return err
-    train, err = _load_train(args.train)
-    if err is not None:
-        return err
-    try:
+def cmd_surface(args) -> int:
+    _precheck_outputs(args.out)
+    train = _read_json(args.train, "train", doppler.PulseTrain.from_json_dict)
+    with _exits(EXIT_USAGE):
         surface = doppler.ambiguity_surface(
             train, args.theta_min, args.theta_max, args.steps
         )
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        surface.write_csv(config.out)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {config.out}: {exc}")
+    with _exits(EXIT_IO, f"cannot write {args.out}: ", OSError):
+        surface.write_csv(args.out)
     print(
         f"wrote {surface.thetas.size}x{surface.lags.size} surface "
-        f"({surface.description}) -> {config.out}"
+        f"({surface.description}) -> {args.out}"
     )
     return EXIT_OK
 
 
-def cmd_esp(args, config: RunConfig) -> int:
-    err = _precheck_outputs(config.out)
-    if err is not None:
-        return err
-    try:
+def cmd_esp(args) -> int:
+    _precheck_outputs(args.out)
+    with _exits(EXIT_USAGE, "bad universe spec: "):
         universe = parse_universe(args.universe)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, f"bad universe spec: {exc}")
-    try:
-        partitions = numtheory.esp_search(
-            universe, args.blocks, args.order, args.max
-        )
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    with _exits(EXIT_USAGE):
+        partitions = numtheory.esp_search(universe, args.blocks, args.order, args.max)
     payload = [p.to_json_dict() for p in partitions]
-    if config.out:
-        try:
-            _write_json(config.out, payload)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write {config.out}: {exc}")
-        print(f"found {len(partitions)} partition(s) -> {config.out}")
+    if args.out:
+        _write_json(args.out, payload)
+        print(f"found {len(partitions)} partition(s) -> {args.out}")
     else:
         json.dump(payload, sys.stdout, indent=2)
         print()
@@ -269,60 +227,41 @@ def cmd_esp(args, config: RunConfig) -> int:
     return EXIT_OK if partitions else EXIT_VERIFY_FAILED
 
 
-def cmd_stagger(args, config: RunConfig) -> int:
-    err = _precheck_outputs(config.out, args.report)
-    if err is not None:
-        return err
-    ccm, err = _load_ccm_checked(args.ccm, config.tol)
-    if err is not None:
-        return err
+def cmd_stagger(args) -> int:
+    _precheck_outputs(args.out, args.report)
+    ccm = _read_ccm(args.ccm, args.tol)
     if args.partition:
-        try:
-            data = _load_json(args.partition)
-            if isinstance(data, list):  # as written by `esp --out`
-                if not data:
-                    raise ValueError("the file lists no partition")
-                data = data[0]
-            partition = numtheory.EspPartition.from_json_dict(data)
-        except (OSError, json.JSONDecodeError) as exc:
-            return _fail(EXIT_IO, f"cannot read partition {args.partition}: {exc}")
-        except (ValueError, KeyError, TypeError) as exc:
-            return _fail(
-                EXIT_VERIFY_FAILED, f"partition file failed validation: {exc}"
-            )
+        partition = _read_json(
+            args.partition, "partition", _first_partition,
+            (EXIT_VERIFY_FAILED, "partition file failed validation"),
+        )
         if partition.degree < args.order:
-            return _fail(
+            raise CliError(
                 EXIT_VERIFY_FAILED,
                 f"partition degree {partition.degree} is below M={args.order}",
             )
     else:
-        try:
-            partition = stagger.builtin_partition(args.order)
-        except KeyError:
-            return _fail(
+        if args.order not in stagger._BUILTIN_BLOCKS:
+            raise CliError(
                 EXIT_USAGE,
                 f"no built-in partition of degree {args.order}; "
                 "pass --partition FILE",
             )
         if ccm.count != 2:
-            return _fail(
+            raise CliError(
                 EXIT_USAGE,
                 "built-in partitions are two-block; pass --partition FILE "
                 f"for K={ccm.count}",
             )
-    try:
+        partition = stagger.builtin_partition(args.order)
+    with _exits(EXIT_USAGE):
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(partition), ccm, args.antenna_cap
         )
-        report = stagger.composite_taylor(plan, args.order, config.tol)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        _write_json(config.out, plan.to_json_dict())
-        if args.report:
-            _write_json(args.report, report.to_json_dict())
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write output: {exc}")
+        report = stagger.composite_taylor(plan, args.order, args.tol)
+    _write_json(args.out, plan.to_json_dict())
+    if args.report:
+        _write_json(args.report, report.to_json_dict())
     print(
         f"lanes={len(plan.lanes)} span={report.span} pulses={report.total_pulses} "
         f"null order {report.null_order} (required {args.order})"
@@ -339,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=codes.CCM_TOL, help="verification tolerance"
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="seed recorded in the run config"
+        "--seed", type=int, default=0, help="accepted; no effect (deterministic)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -402,17 +341,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help.
         return int(exc.code or 0)
     try:
-        config = RunConfig(
-            args.command, args.tol, args.seed, getattr(args, "out", None)
-        )
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    return _HANDLERS[args.command](args, config)
-
-
-def main_entry() -> None:
-    sys.exit(main())
+        if args.tol <= 0:
+            raise CliError(EXIT_USAGE, "tolerance must be positive")
+        return _HANDLERS[args.command](args)
+    except doppler.DomainMismatchError as exc:
+        error = CliError(EXIT_MISMATCH, str(exc))
+    except CliError as exc:
+        error = exc
+    print(f"error: {error}", file=sys.stderr)
+    return error.code
 
 
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

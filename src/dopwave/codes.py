@@ -13,8 +13,11 @@ validated in exact Gaussian-integer arithmetic.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+from .numtheory import _json_ints
 
 __all__ = [
     "Ccm",
@@ -132,17 +135,21 @@ class Ccm:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Ccm":
+        if not isinstance(data, dict):
+            raise TypeError("a code set is a JSON object")
         order = data.get("phaseOrder")
         if order is not None:
+            _json_ints(chain([order], *data["phases"]), "phaseOrder and phases")
             phases = np.array(data["phases"], dtype=np.int64).T
-            ccm = cls.from_phases(phases, int(order))
+            ccm = cls.from_phases(phases, order)
         else:
             cols = np.array(
                 [[complex(re, im) for re, im in col] for col in data["columns"]],
                 dtype=complex,
             ).T
             ccm = cls(cols)
-        if ccm.length != int(data["N"]) or ccm.count != int(data["K"]):
+        _json_ints([data["N"], data["K"]], "N and K")
+        if ccm.length != data["N"] or ccm.count != data["K"]:
             raise ValueError("declared N/K do not match the stored codes")
         return ccm
 

@@ -21,12 +21,13 @@ W_c(m) = sum of s^m; numerical differentiation of g is never used here.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .codes import Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
-from .numtheory import power_sum, ptm_sequence
+from .numtheory import _capped_power, _json_ints, power_sum, ptm_sequence
 
 __all__ = [
     "PulseTrain",
@@ -125,11 +126,10 @@ class PulseTrain:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PulseTrain":
-        return cls(
-            Ccm.from_json_dict(data["ccm"]),
-            tuple(data["indices"]),
-            int(data.get("delay", 0)),
-        )
+        ccm = Ccm.from_json_dict(data["ccm"])
+        indices, delay = data["indices"], data.get("delay", 0)
+        _json_ints(chain(indices, [delay]), "indices and delay")
+        return cls(ccm, tuple(indices), delay)
 
 
 def build_ptm_train(ccm: Ccm, order: int) -> PulseTrain:
@@ -141,9 +141,7 @@ def build_ptm_train(ccm: Ccm, order: int) -> PulseTrain:
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    length = ccm.count ** (order + 1)
-    if length > MAX_TRAIN_LENGTH:
-        raise ValueError(f"train length {length} exceeds cap {MAX_TRAIN_LENGTH}")
+    length = _capped_power(ccm.count, order + 1, MAX_TRAIN_LENGTH, "train length")
     return PulseTrain(ccm, tuple(ptm_sequence(ccm.count, length)))
 
 

@@ -12,6 +12,7 @@ a transform is applied to complex data.
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +40,16 @@ MAX_PARTITION_SIZE = 1 << 22
 
 # Default cap on the universe handed to the exhaustive ESP search.
 MAX_SEARCH_UNIVERSE = 30
+
+
+def _json_ints(values, what: str) -> None:
+    """Refuse JSON values that are not integers.
+
+    json.load gives floats, strings and bools for them, which int() and
+    numpy would silently truncate or coerce.
+    """
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{what} must be integers")
 
 
 def digit_sum_mod(n: int, p: int) -> int:
@@ -103,16 +114,27 @@ class PtmPartition:
         }
 
 
+def _capped_power(base: int, exponent: int, cap: int, what: str) -> int:
+    """base**exponent, refused with ValueError when it exceeds `cap`.
+
+    For base >= 2 any exponent past cap's bit length already exceeds the cap,
+    so a huge exponent is refused without building the power.
+    """
+    if base >= 2 and exponent > cap.bit_length():
+        raise ValueError(f"{what} {base}^{exponent} exceeds cap {cap}")
+    size = base ** exponent
+    if size > cap:
+        raise ValueError(f"{what} {size} exceeds cap {cap}")
+    return size
+
+
 def _ptm_size(p: int, degree: int) -> int:
     """p^(degree+1), the size of a valid PTM partition."""
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
-    size = p ** (degree + 1)
-    if size > MAX_PARTITION_SIZE:
-        raise ValueError(f"partition size {size} exceeds cap {MAX_PARTITION_SIZE}")
-    return size
+    return _capped_power(p, degree + 1, MAX_PARTITION_SIZE, "partition size")
 
 
 def ptm_partition(p: int, degree: int) -> PtmPartition:
@@ -218,7 +240,8 @@ class EspPartition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EspPartition":
-        return cls.from_blocks(data["blocks"], int(data["M"]))
+        _json_ints(chain(*data["blocks"], [data["M"]]), "block slots and M")
+        return cls.from_blocks(data["blocks"], data["M"])
 
 
 def esp_search(
@@ -237,7 +260,10 @@ def esp_search(
     breaking block-permutation symmetry by only opening block j after block
     j-1 is non-empty; in particular the minimum element always lands in
     block 0.  Output order is the lexicographic assignment order, so results
-    are deterministic.
+    are deterministic.  A degree of at least the block size q returns []
+    without searching: power sums m = 1..q of q values fix the values
+    (Newton's identities), so such blocks would coincide, yet they are
+    disjoint.
     """
     elems = sorted(universe)
     if len(set(elems)) != len(elems):
@@ -260,6 +286,8 @@ def esp_search(
         raise ValueError("max_solutions must be positive when given")
 
     quota = count // p
+    if degree >= quota:
+        return []
     targets = []
     for m in range(1, degree + 1):
         total = power_sum(elems, m)
@@ -406,9 +434,7 @@ def sidelobe_split_check(values, degree: int) -> SidelobeSplitReport:
         raise ValueError("expected a 1-D array of scalars")
     p = len(a)
     table = weight_table(p)
-    size = p ** (degree + 1)
-    if size > MAX_PARTITION_SIZE:
-        raise ValueError(f"range size {size} exceeds cap {MAX_PARTITION_SIZE}")
+    size = _capped_power(p, degree + 1, MAX_PARTITION_SIZE, "range size")
 
     b = table.rows @ a
     # S(n) depends on n only through its PTM symbol.

@@ -14,6 +14,7 @@ partition spans fewer slots than K^(M+1).
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .codes import Ccm
 from .codes import code_acfs  # noqa: F401  (bench/test_bench.py traces this binding)
@@ -24,7 +25,7 @@ from .doppler import (
     build_ptm_train,
     taylor_coeffs,
 )
-from .numtheory import EspPartition, ptm_partition
+from .numtheory import EspPartition, _json_ints, ptm_partition
 
 __all__ = [
     "Lane",
@@ -117,13 +118,14 @@ class StaggerPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict, ccm: Ccm) -> "StaggerPlan":
+        lanes = data["lanes"]
+        lane_ints = ([l["delay"], *l["indices"]] for l in lanes)
+        _json_ints(chain([data["D"], data["M"]], *lane_ints), "D, M and lanes")
         return cls(
             ccm,
-            int(data["D"]),
-            int(data["M"]),
-            tuple(
-                Lane(int(l["delay"]), tuple(l["indices"])) for l in data["lanes"]
-            ),
+            data["D"],
+            data["M"],
+            tuple(Lane(l["delay"], tuple(l["indices"])) for l in lanes),
             EspPartition.from_json_dict(data["partition"]),
         )
 

@@ -357,3 +357,240 @@ class TestTopLevel:
         run("gen", "dft", 4, "--out", a)
         run("--seed", 7, "gen", "dft", 4, "--out", b)
         assert a.read_text() == b.read_text()
+
+
+class TestRefusals:
+    def test_huge_ptm_order_refused_before_the_power(
+        self, tmp_path, golay_file, capsys
+    ):
+        tracemalloc.start()
+        try:
+            code = run("ptm", golay_file, 10**8, "--out", tmp_path / "t.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20  # 2^(10^8 + 1) alone would take 12.5 MB
+        assert "exceeds cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("degree", [12, 13, 100000])
+    def test_esp_degree_at_block_size_is_not_searched(
+        self, monkeypatch, capsys, degree
+    ):
+        # Blocks of 12 cannot share power sums up to degree 12 or more.
+        power_sum, calls = numtheory.power_sum, []
+
+        def bounded(values, m):
+            calls.append(m)
+            assert len(calls) <= 3, "esp searched a degree with no solution"
+            return power_sum(values, m)
+
+        monkeypatch.setattr(numtheory, "power_sum", bounded)
+        assert run("esp", "0-23", 2, degree) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == []
+        assert "found 0" in captured.err
+        assert not calls
+
+    @pytest.mark.parametrize("field", ["indices", "delay", "phases", "blocks"])
+    def test_non_integer_json_refused(self, tmp_path, train_file, capsys, field):
+        train = json.loads(train_file.read_text())
+        ccm = json.loads(train_file.read_text())["ccm"]
+        ccm["phases"][0][0] += 0.5  # int() would truncate it back
+        partition = {"p": 2, "M": 1, "blocks": [[0, 3.9], [1, 2]]}
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        command, data, code, prefix = {
+            "indices": ("verify", {**train, "indices": [0, 1.7, "1", True]}, 3,
+                        "malformed train"),
+            "delay": ("verify", {**train, "delay": 2.9}, 3, "malformed train"),
+            "phases": ("ptm", ccm, 3, "malformed code set"),
+            "blocks": ("stagger", partition, 1, "partition file failed validation"),
+        }[field]
+        bad.write_text(json.dumps(data))
+        argv = {
+            "verify": ("verify", bad, 3, "--out", out),
+            "ptm": ("ptm", bad, 3, "--out", out),
+            "stagger": ("stagger", tmp_path / "pair.json", 1, "--partition", bad,
+                        "--out", out),
+        }[command]
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}") and "must be integers" in err
+        assert not out.exists()
+
+
+NO_FILE = "[Errno 2] No such file or directory"
+IS_DIR = "[Errno 21] Is a directory"
+BAD_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+# argv, exit code and the one stderr line of each failure; "{t}" stands for
+# the test directory, which holds the files the `error_inputs` fixture writes.
+ERROR_CASES = [
+    pytest.param("gen golay 0 --out {t}/x.json", 2, "golay exponent must be in 1..20",
+                 id="gen-golay-low"),
+    pytest.param("gen golay 21 --out {t}/x.json", 2, "golay exponent must be in 1..20",
+                 id="gen-golay-high"),
+    pytest.param("gen dft 1 --out {t}/x.json", 2, "dft size must be in 2..64",
+                 id="gen-dft-low"),
+    pytest.param("gen dft 65 --out {t}/x.json", 2, "dft size must be in 2..64",
+                 id="gen-dft-high"),
+    pytest.param("gen golay 3 --out {t}/no/x.json", 3,
+                 "output directory does not exist: {t}/no", id="gen-no-dir"),
+    pytest.param("gen golay 3 --out {t}", 3, f"cannot write {{t}}: {IS_DIR}: '{{t}}'",
+                 id="gen-write"),
+    pytest.param("ptm {t}/absent.json 3 --out {t}/x.json", 3,
+                 f"cannot read code set {{t}}/absent.json: {NO_FILE}: '{{t}}/absent.json'",
+                 id="ptm-missing"),
+    pytest.param("ptm {t}/broken.json 3 --out {t}/x.json", 3,
+                 f"cannot read code set {{t}}/broken.json: {BAD_JSON}", id="ptm-bad-json"),
+    pytest.param("ptm {t}/empty.json 3 --out {t}/x.json", 3,
+                 "malformed code set {t}/empty.json: 'columns'", id="ptm-malformed"),
+    pytest.param("ptm {t}/list.json 3 --out {t}/x.json", 3,
+                 "malformed code set {t}/list.json: a code set is a JSON object",
+                 id="ptm-not-object"),
+    pytest.param("ptm {t}/flat.json 3 --out {t}/x.json", 1,
+                 "code set is not complementary: worst sidelobe sum 2.000000e+00, "
+                 "peak error 0.000000e+00", id="ptm-not-complementary"),
+    pytest.param("ptm {t}/pair.json 0 --out {t}/x.json", 2,
+                 "order must be positive, got 0", id="ptm-order-zero"),
+    pytest.param("ptm {t}/pair.json 20 --out {t}/x.json", 2,
+                 "train length 2097152 exceeds cap 1048576", id="ptm-over-cap"),
+    pytest.param("ptm {t}/pair.json 100000000 --out {t}/x.json", 2,
+                 "train length 2^100000001 exceeds cap 1048576", id="ptm-huge-order"),
+    pytest.param("ptm {t}/pair.json 3 --out {t}/no/x.json", 3,
+                 "output directory does not exist: {t}/no", id="ptm-no-dir"),
+    pytest.param("ptm {t}/pair.json 3 --out {t}", 3,
+                 f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="ptm-write"),
+    pytest.param("verify {t}/absent.json 3", 3,
+                 f"cannot read train {{t}}/absent.json: {NO_FILE}: '{{t}}/absent.json'",
+                 id="verify-missing"),
+    pytest.param("verify {t}/broken.json 3", 3,
+                 f"cannot read train {{t}}/broken.json: {BAD_JSON}", id="verify-bad-json"),
+    pytest.param("verify {t}/pair.json 3", 3, "malformed train {t}/pair.json: 'ccm'",
+                 id="verify-malformed"),
+    pytest.param("verify {t}/train.json 33", 2, "max_order must be in 0..32",
+                 id="verify-order"),
+    pytest.param("verify {t}/train.json 3 --z-samples 0", 2,
+                 "z sample count must be in 1..1048576", id="verify-z-samples"),
+    pytest.param("verify {t}/train.json 3 --out {t}/no/r.json", 3,
+                 "output directory does not exist: {t}/no", id="verify-no-dir"),
+    pytest.param("verify {t}/train.json 3 --out {t}", 3,
+                 f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="verify-write"),
+    pytest.param("surface {t}/train.json -0.1 0.1 1 --out {t}/s.csv", 2,
+                 "need at least 2 theta steps, got 1", id="surface-steps"),
+    pytest.param("surface {t}/train.json -0.1 0.1 1048577 --out {t}/s.csv", 2,
+                 "surface needs 16777232 cells, cap 16777216", id="surface-cells"),
+    pytest.param("surface {t}/absent.json -0.1 0.1 5 --out {t}/s.csv", 3,
+                 f"cannot read train {{t}}/absent.json: {NO_FILE}: '{{t}}/absent.json'",
+                 id="surface-missing"),
+    pytest.param("surface {t}/train.json -0.1 0.1 5 --out {t}/no/s.csv", 3,
+                 "output directory does not exist: {t}/no", id="surface-no-dir"),
+    pytest.param("surface {t}/train.json -0.1 0.1 5 --out {t}", 3,
+                 f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="surface-write"),
+    pytest.param("esp 5-2 2 1", 2, "bad universe spec: descending range '5-2'",
+                 id="esp-descending"),
+    pytest.param("esp 0-30 2 1", 2, "bad universe spec: universe exceeds 30 slots",
+                 id="esp-universe-cap"),
+    pytest.param("esp a 2 1", 2,
+                 "bad universe spec: invalid literal for int() with base 10: 'a'",
+                 id="esp-not-a-number"),
+    pytest.param("esp 0-3,,5 2 1", 2, "bad universe spec: empty universe token",
+                 id="esp-empty-token"),
+    pytest.param("esp 0-7 1 1", 2, "block count must be at least 2, got 1",
+                 id="esp-blocks"),
+    pytest.param("esp 0-7 2 0", 2, "degree must be positive, got 0", id="esp-degree"),
+    pytest.param("esp 0-6 2 1", 2, "universe size 7 is not divisible by 2 blocks",
+                 id="esp-indivisible"),
+    pytest.param("esp 0-7 2 1 --max 0", 2, "max_solutions must be positive when given",
+                 id="esp-max"),
+    pytest.param("esp 0-7 2 1 --out {t}/no/p.json", 3,
+                 "output directory does not exist: {t}/no", id="esp-no-dir"),
+    pytest.param("esp 0-7 2 1 --out {t}", 3, f"cannot write {{t}}: {IS_DIR}: '{{t}}'",
+                 id="esp-write"),
+    pytest.param("stagger {t}/pair.json 4 --out {t}/p.json", 2,
+                 "no built-in partition of degree 4; pass --partition FILE",
+                 id="stagger-no-builtin"),
+    pytest.param("stagger {t}/tri.json 2 --out {t}/p.json", 2,
+                 "built-in partitions are two-block; pass --partition FILE for K=3",
+                 id="stagger-builtin-k3"),
+    pytest.param("stagger {t}/absent.json 2 --out {t}/p.json", 3,
+                 f"cannot read code set {{t}}/absent.json: {NO_FILE}: '{{t}}/absent.json'",
+                 id="stagger-missing-set"),
+    pytest.param("stagger {t}/pair.json 2 --partition {t}/absent.json --out {t}/p.json", 3,
+                 f"cannot read partition {{t}}/absent.json: {NO_FILE}: '{{t}}/absent.json'",
+                 id="stagger-missing-partition"),
+    pytest.param("stagger {t}/pair.json 2 --partition {t}/broken.json --out {t}/p.json", 3,
+                 f"cannot read partition {{t}}/broken.json: {BAD_JSON}",
+                 id="stagger-bad-json"),
+    pytest.param("stagger {t}/pair.json 2 --partition {t}/empty.json --out {t}/p.json", 1,
+                 "partition file failed validation: 'blocks'", id="stagger-malformed"),
+    pytest.param("stagger {t}/pair.json 2 --partition {t}/none.json --out {t}/p.json", 1,
+                 "partition file failed validation: the file lists no partition",
+                 id="stagger-empty-list"),
+    pytest.param("stagger {t}/pair.json 3 --partition {t}/part1.json --out {t}/p.json", 1,
+                 "partition degree 1 is below M=3", id="stagger-low-degree"),
+    pytest.param("stagger {t}/pair.json -1 --partition {t}/part1.json --out {t}/p.json", 2,
+                 "max_order must be in 0..32", id="stagger-order"),
+    pytest.param("stagger {t}/pair.json 2 --antenna-cap 0 --out {t}/p.json", 2,
+                 "slot demand 2 exceeds antenna cap 0", id="stagger-antenna-cap"),
+    pytest.param("stagger {t}/pair.json 2 --out {t}/no/p.json", 3,
+                 "output directory does not exist: {t}/no", id="stagger-no-dir"),
+    pytest.param("stagger {t}/pair.json 2 --out {t}/p.json --report {t}/no/r.json", 3,
+                 "output directory does not exist: {t}/no", id="stagger-no-report-dir"),
+    pytest.param("stagger {t}/pair.json 2 --out {t}", 3,
+                 f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="stagger-write"),
+    pytest.param("stagger {t}/pair.json 2 --out {t}/p.json --report {t}", 3,
+                 f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="stagger-write-report"),
+    pytest.param("--tol -1 gen golay 2 --out {t}/x.json", 2, "tolerance must be positive",
+                 id="tol-negative"),
+    pytest.param("--tol 0 esp 0-7 2 1", 2, "tolerance must be positive", id="tol-zero"),
+]
+
+
+@pytest.fixture
+def error_inputs(tmp_path, golay_file, train_file):
+    assert run("gen", "dft", 3, "--out", tmp_path / "tri.json") == 0
+    part = numtheory.EspPartition.from_blocks(((0, 3), (1, 2)), 1)
+    files = {
+        "broken.json": "{",
+        "empty.json": "{}",
+        "list.json": "[1]",
+        "none.json": "[]",
+        "part1.json": json.dumps(part.to_json_dict()),
+        "flat.json": json.dumps(
+            {"N": 2, "K": 2, "phaseOrder": None, "columns": [[[1, 0], [1, 0]]] * 2}
+        ),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv,code,line", ERROR_CASES)
+def test_each_failure_prints_one_error_line(error_inputs, capsys, argv, code, line):
+    capsys.readouterr()  # drop the fixture commands' output
+    t = str(error_inputs)
+    assert run(*argv.format(t=t).split()) == code
+    assert capsys.readouterr().err == f"error: {line.format(t=t)}\n"
+
+
+def test_domain_mismatch_prints_one_error_line(train_file, monkeypatch, capsys):
+    def boom(report, order, spectra, weights, code_length):
+        raise doppler.DomainMismatchError(order, 1.0, 0.0)
+
+    monkeypatch.setattr(doppler, "_order_check", boom)
+    assert run("verify", train_file, 1) == 4
+    assert capsys.readouterr().err == (
+        "error: order-0 null verdicts disagree: delay-domain residual "
+        "1.000e+00, z-domain deviation 0.000e+00\n"
+    )
+
+
+def test_failed_generator_prints_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        codes, "validate_ccm", lambda ccm, tol: codes.CcmValidation(False, 0.5, 0.0)
+    )
+    assert run("gen", "golay", 3, "--out", tmp_path / "x.json") == 1
+    assert capsys.readouterr().err == (
+        "error: generated set failed validation: worst 5.000e-01\n"
+    )

@@ -295,6 +295,25 @@ class TestCcmSerialization:
         with pytest.raises(ValueError):
             codes.Ccm.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("N", 2.0),
+            ("K", "2"),
+            ("phaseOrder", 2.5),
+            ("phases", [[0, 0.0], [0, 1]]),
+            ("phases", [[0, 0], [0, True]]),
+        ],
+    )
+    def test_non_integers_refused(self, key, value):
+        data = {**codes.gen_golay_pair(1).to_json_dict(), key: value}
+        with pytest.raises(ValueError, match="must be integers"):
+            codes.Ccm.from_json_dict(data)
+
+    def test_non_object_refused(self):
+        with pytest.raises(TypeError, match="JSON object"):
+            codes.Ccm.from_json_dict([1])
+
     def test_construction_guards(self):
         with pytest.raises(ValueError):
             codes.Ccm(np.array([[0.5], [1.0]]))  # not unimodular

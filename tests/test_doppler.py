@@ -99,6 +99,10 @@ class TestTrainConstruction:
         with pytest.raises(ValueError):
             doppler.build_ptm_train(golay(), 31)
 
+    def test_huge_order_refused_before_the_power(self):
+        with pytest.raises(ValueError, match=r"train length 64\^100000001 exceeds cap"):
+            doppler.build_ptm_train(codes.gen_dft_set(64), 10**8)
+
 
 class TestAmbiguity:
     def test_zero_doppler_peak(self):
@@ -430,3 +434,12 @@ class TestTrainSerialization:
             back = doppler.PulseTrain.from_json_dict(json.load(fh))
         assert back == train
         assert back.ccm == train.ccm
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("indices", [0, 1.0]), ("indices", [0, True]), ("delay", 2.9), ("delay", "2")],
+    )
+    def test_non_integers_refused(self, key, value):
+        data = {**doppler.PulseTrain(golay(), (0, 1)).to_json_dict(), key: value}
+        with pytest.raises(ValueError, match="must be integers"):
+            doppler.PulseTrain.from_json_dict(data)

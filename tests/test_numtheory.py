@@ -122,6 +122,13 @@ class TestPtmPartition:
         with pytest.raises(ValueError):
             nt.ptm_partition(2, 40)
 
+    @pytest.mark.parametrize("p", [2, 64])
+    def test_huge_degree_refused_before_the_power(self, p):
+        with pytest.raises(ValueError, match=rf"size {p}\^100000001 exceeds cap"):
+            nt.ptm_partition(p, 10**8)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            nt.prouhet_sum(p, 10**8, 1)
+
     def test_json_dict(self):
         data = nt.ptm_partition(2, 3).to_json_dict()
         assert data["p"] == 2 and data["M"] == 3
@@ -237,6 +244,35 @@ class TestEspSearch:
             nt.esp_search(range(32), 2, 2)
         # Override is accepted (kept tiny so the run stays instant).
         assert nt.esp_search(range(4), 2, 1, max_universe=50)
+
+    @pytest.mark.parametrize(
+        "universe,p,degree", [(range(24), 2, 12), (range(9), 3, 3), (range(24), 2, 10**5)]
+    )
+    def test_degree_at_block_size_returns_empty_without_work(
+        self, monkeypatch, universe, p, degree
+    ):
+        def refuse(values, m):
+            raise AssertionError("power sums computed for an impossible degree")
+
+        monkeypatch.setattr(nt, "power_sum", refuse)
+        assert nt.esp_search(universe, p, degree) == []
+
+    def test_degree_below_block_size_still_searched(self):
+        # Blocks of 8 out of 0..15 share power sums up to degree 3 (PTM split).
+        found = nt.esp_search(range(16), 2, 3)
+        assert [p.blocks for p in found] == [nt.ptm_partition(2, 3).blocks]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"M": 1, "blocks": [[0, 3.0], [1, 2]]},
+            {"M": True, "blocks": [[0, 3], [1, 2]]},
+            {"M": 1, "blocks": [[0, "3"], [1, 2]]},
+        ],
+    )
+    def test_json_reader_refuses_non_integers(self, data):
+        with pytest.raises(ValueError, match="must be integers"):
+            nt.EspPartition.from_json_dict(data)
 
     def test_rejects_indivisible_universe(self):
         with pytest.raises(ValueError):

@@ -305,6 +305,23 @@ class TestPlanSerialization:
         assert back == plan
         assert back.to_json_dict() == plan.to_json_dict()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"D": 7.0},
+            {"M": "2"},
+            {"lanes": [{"delay": 0.5, "indices": [0, 1, 1, 0]}]},
+            {"lanes": [{"delay": 0, "indices": [0, 1.0, 1, 0]}]},
+        ],
+    )
+    def test_non_integers_refused(self, edit):
+        ccm = golay()
+        plan = stagger.decompose_to_antennas(
+            stagger.pad_partition(stagger.builtin_partition(2)), ccm
+        )
+        with pytest.raises(ValueError, match="must be integers"):
+            stagger.StaggerPlan.from_json_dict({**plan.to_json_dict(), **edit}, ccm)
+
     def test_json_shape(self):
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(stagger.builtin_partition(2)), golay()
