@@ -79,8 +79,7 @@ def _read_json(path: str, what: str, parse, invalid=None):
 def _write_json(path: str, data) -> None:
     with _exits(EXIT_IO, f"cannot write {path}: ", OSError):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(data) + "\n")
 
 
 def parse_universe(spec: str) -> list[int]:
@@ -221,8 +220,7 @@ def cmd_esp(args) -> int:
         _write_json(args.out, payload)
         print(f"found {len(partitions)} partition(s) -> {args.out}")
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        print(json.dumps(payload))
         print(f"found {len(partitions)} partition(s)", file=sys.stderr)
     return EXIT_OK if partitions else EXIT_VERIFY_FAILED
 

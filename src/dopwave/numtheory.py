@@ -13,6 +13,7 @@ a transform is applied to complex data.
 import warnings
 from dataclasses import dataclass
 from itertools import chain
+from operator import add, le, sub
 
 import numpy as np
 
@@ -40,6 +41,9 @@ MAX_PARTITION_SIZE = 1 << 22
 
 # Default cap on the universe handed to the exhaustive ESP search.
 MAX_SEARCH_UNIVERSE = 30
+
+# Nodes an ESP search may visit before it is refused with ValueError.
+MAX_SEARCH_NODES = 10**6
 
 
 def _json_ints(values, what: str) -> None:
@@ -255,15 +259,17 @@ def esp_search(
     """Exhaustively enumerate equal-size ESP partitions of a universe.
 
     Depth-first assignment of the sorted universe into p blocks of size
-    |universe|/p, pruning on partial power sums (all elements are
-    non-negative, so partial sums never exceed the per-block targets) and
-    breaking block-permutation symmetry by only opening block j after block
-    j-1 is non-empty; in particular the minimum element always lands in
-    block 0.  Output order is the lexicographic assignment order, so results
-    are deterministic.  A degree of at least the block size q returns []
-    without searching: power sums m = 1..q of q values fix the values
-    (Newton's identities), so such blocks would coincide, yet they are
-    disjoint.
+    q = |universe|/p; block j opens only after block j-1, so the minimum
+    lands in block 0.  After each placement, every block's deficit (target
+    minus partial m-th power sum, m = 1..degree) must lie between the sums
+    of the r smallest and of the r largest remaining m-th powers, r being
+    its free places (prefix sums; O(p*degree) per node); a full block must
+    meet its targets exactly.  This cuts only subtrees without a solution,
+    so the output is every solution in lexicographic assignment order.  A
+    degree of at least q returns [] unsearched: power sums m = 1..q of q
+    values fix the values (Newton's identities), yet the blocks are
+    disjoint.  Past MAX_SEARCH_NODES nodes the search raises ValueError
+    rather than return a partial list.
     """
     elems = sorted(universe)
     if len(set(elems)) != len(elems):
@@ -288,7 +294,7 @@ def esp_search(
     quota = count // p
     if degree >= quota:
         return []
-    targets = []
+    targets = [quota]
     for m in range(1, degree + 1):
         total = power_sum(elems, m)
         if total % p:
@@ -296,44 +302,64 @@ def esp_search(
         targets.append(total // p)
 
     powers = [[e ** m for m in range(degree + 1)] for e in elems]
+    prefix = [[0] * (degree + 1)]
+    for row in powers:
+        prefix.append(list(map(add, prefix[-1], row)))
+
+    def sums(a: int, b: int) -> list[int]:
+        # Power sums of elems[a:b], m = 0..degree.
+        return list(map(sub, prefix[b], prefix[a]))
+
+    # lows[k][r]: the r smallest powers of elems[k:]; highs[r]: the r largest.
+    lows = [
+        [sums(k, k + r) for r in range(min(quota, count - k) + 1)]
+        for k in range(count + 1)
+    ]
+    highs = [sums(count - r, count) for r in range(quota + 1)]
     blocks: list[list[int]] = [[] for _ in range(p)]
-    sums = [[0] * (degree + 1) for _ in range(p)]
+    deficits = [targets] * p  # entry 0 counts the free places
     found: list[EspPartition] = []
+    nodes = 0
+
+    def fits(deficit: list[int], bounds) -> bool:
+        # Enough values remain for the r = deficit[0] free places, and they
+        # can reach the deficit at every m; a full block (r = 0) needs 0.
+        r = deficit[0]
+        return (
+            r < len(bounds)
+            and all(map(le, bounds[r], deficit))
+            and all(map(le, deficit, highs[r]))
+        )
 
     def place(i: int) -> bool:
         # Returns False once enough solutions were collected.
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise ValueError(f"search exceeds the budget of {MAX_SEARCH_NODES} nodes")
         if i == count:
-            found.append(
-                EspPartition(
-                    tuple(tuple(b) for b in blocks),
-                    degree,
-                    tuple(sums[0]),
-                )
-            )
+            solution = tuple(map(tuple, blocks))
+            found.append(EspPartition(solution, degree, tuple(targets)))
             return max_solutions is None or len(found) < max_solutions
-        elem_powers = powers[i]
-        for j in range(p):
+        bounds = lows[i + 1]
+        # A block that cannot fit without elems[i] must take it.
+        stuck = [j for j, d in enumerate(deficits) if not fits(d, bounds)]
+        if len(stuck) > 1:
+            return True
+        for j in stuck or range(p):
             if j and not blocks[j - 1]:
                 break  # opening block j before j-1 only permutes blocks
-            block, block_sums = blocks[j], sums[j]
-            if len(block) == quota:
+            deficit = deficits[j]
+            if not deficit[0]:
                 continue
-            closing = len(block) == quota - 1
-            feasible = True
-            for m in range(1, degree + 1):
-                s = block_sums[m] + elem_powers[m]
-                if s > targets[m - 1] or (closing and s != targets[m - 1]):
-                    feasible = False
-                    break
-            if not feasible:
+            reduced = list(map(sub, deficit, powers[i]))
+            if not fits(reduced, bounds):
                 continue
-            block.append(elems[i])
-            for m in range(degree + 1):
-                block_sums[m] += elem_powers[m]
+            deficits[j] = reduced
+            blocks[j].append(elems[i])
             keep_going = place(i + 1)
-            for m in range(degree + 1):
-                block_sums[m] -= elem_powers[m]
-            block.pop()
+            blocks[j].pop()
+            deficits[j] = deficit
             if not keep_going:
                 return False
         return True

@@ -503,6 +503,8 @@ ERROR_CASES = [
                  id="esp-indivisible"),
     pytest.param("esp 0-7 2 1 --max 0", 2, "max_solutions must be positive when given",
                  id="esp-max"),
+    pytest.param("esp 0-17 3 2", 2, "search exceeds the budget of 1000 nodes",
+                 id="esp-node-budget"),
     pytest.param("esp 0-7 2 1 --out {t}/no/p.json", 3,
                  "output directory does not exist: {t}/no", id="esp-no-dir"),
     pytest.param("esp 0-7 2 1 --out {t}", 3, f"cannot write {{t}}: {IS_DIR}: '{{t}}'",
@@ -547,6 +549,10 @@ ERROR_CASES = [
 ]
 
 
+# Module constants patched for single cases, so a refusal shows on small input.
+CASE_PATCHES = {"esp-node-budget": (numtheory, "MAX_SEARCH_NODES", 1000)}
+
+
 @pytest.fixture
 def error_inputs(tmp_path, golay_file, train_file):
     assert run("gen", "dft", 3, "--out", tmp_path / "tri.json") == 0
@@ -567,8 +573,12 @@ def error_inputs(tmp_path, golay_file, train_file):
 
 
 @pytest.mark.parametrize("argv,code,line", ERROR_CASES)
-def test_each_failure_prints_one_error_line(error_inputs, capsys, argv, code, line):
+def test_each_failure_prints_one_error_line(
+    error_inputs, capsys, monkeypatch, request, argv, code, line
+):
     capsys.readouterr()  # drop the fixture commands' output
+    if request.node.callspec.id in CASE_PATCHES:
+        monkeypatch.setattr(*CASE_PATCHES[request.node.callspec.id])
     t = str(error_inputs)
     assert run(*argv.format(t=t).split()) == code
     assert capsys.readouterr().err == f"error: {line.format(t=t)}\n"

@@ -36,22 +36,37 @@ ESP_DEG3 = ((0, 4, 7, 11), (1, 2, 9, 10))
 ESP_DEG5 = ((0, 5, 6, 16, 17, 22), (1, 2, 10, 12, 20, 21))
 
 
-def brute_force_balanced_splits(universe, degree):
-    """Oracle: all balanced 2-block equal-power-sum splits, 0-block first."""
+def brute_force_balanced_splits(universe, degree, p=2):
+    """Oracle: all equal-size p-block equal-power-sum splits, in search order.
+
+    Block j holds the least value not in blocks 0..j-1 (the search's
+    symmetry break), and the splits are sorted by the block index of each
+    sorted value, which is the order the depth-first search emits them in.
+    """
     elems = sorted(universe)
-    half = len(elems) // 2
-    anchor = elems[0]
-    out = []
-    for combo in itertools.combinations(elems, half):
-        if anchor not in combo:
-            continue
-        rest = tuple(e for e in elems if e not in combo)
+    size = len(elems) // p
+
+    def splits(rest):
+        if not rest:
+            yield ()
+            return
+        for combo in itertools.combinations(rest[1:], size - 1):
+            block = (rest[0], *combo)
+            for tail in splits([e for e in rest if e not in block]):
+                yield (block, *tail)
+
+    def assignment(blocks):
+        return [next(j for j, b in enumerate(blocks) if e in b) for e in elems]
+
+    out = [
+        blocks
+        for blocks in splits(elems)
         if all(
-            sum(e ** m for e in combo) == sum(e ** m for e in rest)
+            len({sum(e ** m for e in b) for b in blocks}) == 1
             for m in range(1, degree + 1)
-        ):
-            out.append((combo, rest))
-    return out
+        )
+    ]
+    return sorted(out, key=assignment)
 
 
 class TestDigitSum:
@@ -277,6 +292,44 @@ class TestEspSearch:
     def test_rejects_indivisible_universe(self):
         with pytest.raises(ValueError):
             nt.esp_search(range(7), 2, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stn.sampled_from([2, 3]),
+        stn.sets(stn.integers(0, 20), min_size=3, max_size=12),
+        stn.integers(1, 3),
+        stn.none() | stn.integers(1, 3),
+    )
+    def test_matches_brute_force_in_order(self, p, values, degree, max_solutions):
+        universe = sorted(values)[: len(values) // p * p]
+        found = nt.esp_search(universe, p, degree, max_solutions)
+        oracle = brute_force_balanced_splits(universe, degree, p)
+        assert [part.blocks for part in found] == oracle[:max_solutions]
+
+    def test_rejects_blocks_that_miss_by_opposite_amounts(self):
+        # 70 three-way splits of these 12 values have one block on target
+        # and the other two off by +d and -d, such as the one below; none
+        # may be reported.
+        universe = (0, 1, 3, 4, 5, 6, 7, 10, 11, 13, 14, 16)
+        near = ((0, 1, 4, 7), (3, 5, 6, 16), (10, 11, 13, 14))
+        sums = [[nt.power_sum(b, m) for m in (1, 2)] for b in near]
+        assert sums == [[12, 66], [30, 326], [48, 586]]  # targets 30, 326
+        assert nt.esp_search(universe, 3, 2) == []
+        assert brute_force_balanced_splits(universe, 2, 3) == []
+
+    def test_bounds_keep_the_node_count_small(self, monkeypatch):
+        # Cutting only on overshoot, this search visits 1,286,428 nodes.
+        monkeypatch.setattr(nt, "MAX_SEARCH_NODES", 200_000)
+        assert nt.esp_search(range(24), 2, 5) == []
+
+    def test_node_budget_is_exact_and_never_truncates(self, monkeypatch):
+        # This search visits exactly 11,901 nodes and finds 9 partitions.
+        monkeypatch.setattr(nt, "MAX_SEARCH_NODES", 11_901)
+        assert len(nt.esp_search(range(18), 3, 2)) == 9
+        monkeypatch.setattr(nt, "MAX_SEARCH_NODES", 11_900)
+        with pytest.raises(ValueError, match="budget of 11900 nodes"):
+            nt.esp_search(range(18), 3, 2)
+        assert len(nt.esp_search(range(18), 3, 2, max_solutions=1)) == 1
 
     @settings(max_examples=25, deadline=None)
     @given(stn.sets(stn.integers(0, 11), min_size=4, max_size=6))
