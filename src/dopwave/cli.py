@@ -162,21 +162,15 @@ def cmd_ptm(args) -> int:
 def cmd_verify(args) -> int:
     _precheck_outputs(args.out)
     train = _read_json(args.train, "train", doppler.PulseTrain.from_json_dict)
-    # Spectra (which refuse a z-sample count over the cap before allocating),
-    # weights and ACFs are built once; every verdict and the report use them.
+    # Refusals exit 2 before any weight; a DomainMismatchError from the
+    # cross-check of any order exits 4 (see `main`).
     with _exits(EXIT_USAGE):
-        spectra = doppler._power_spectra(train.ccm, args.z_samples)
-        weights, report = doppler._train_taylor(train, args.order, args.tol)
-
-    if train.is_ptm_ordered():
-        z_residuals = doppler._zdomain_residuals(spectra, weights, train.ccm)
-    else:
+        report, _, z_residuals = doppler._train_taylor(
+            train, args.order, args.tol, args.z_samples
+        )
+    if not train.is_ptm_ordered():
         z_residuals = None
         print("z-domain reference check skipped (train is not PTM-ordered)")
-
-    # A DomainMismatchError here exits 4 (see `main`).
-    for m in range(args.order + 1):
-        doppler._order_check(report, m, spectra, weights, train.ccm.length)
 
     for m in range(args.order + 1):
         line = (

@@ -224,13 +224,25 @@ class TaylorReport:
         }
 
 
-def _taylor_from_weights(
-    acfs: np.ndarray, weights: list[list[int]], last_slot: int, tol: float
-) -> TaylorReport:
-    """Shared coefficient pipeline: c_m(k) = sum_c W_c(m) * ACF_c(k)."""
-    code_length = (acfs.shape[0] + 1) // 2
-    max_order = len(weights) - 1
-    coeffs = np.array(weights, dtype=float) @ acfs.T
+def _train_taylor(schedule, max_order: int, tol: float, z_count: int = 64):
+    """Taylor report of a train or staggered plan, checked in both domains.
+
+    The one path from a schedule (`.ccm` and `.slots_by_code()`) to a
+    report; thresholds use the last slot.  Spectra come first, so a bad
+    z_count is refused before any weight.  Every order goes through
+    _order_check, which raises DomainMismatchError on a disagreement.
+    Returns the report, the per-order EquivalenceResults and the PTM
+    reference residuals max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)),
+    W_0(m) being code 0's exact weight (P_m for a PTM-ordered train).
+    """
+    ccm = schedule.ccm
+    spectra = _power_spectra(ccm, z_count)
+    slots_by_code = schedule.slots_by_code()
+    weights = _exact_weights(slots_by_code, max_order)
+    last_slot = max(max(slots) for slots in slots_by_code if slots)
+
+    code_length = ccm.length
+    coeffs = np.array(weights, dtype=float) @ code_acfs(ccm).T
     off_peak = np.abs(np.delete(coeffs, code_length - 1, axis=1))
     residuals = off_peak.max(axis=1, initial=0.0)  # N = 1 has no off-peak lag
     base = float(max(1, last_slot))
@@ -241,26 +253,28 @@ def _taylor_from_weights(
             break
         null_order = m
     lags = np.arange(1 - code_length, code_length)
-    return TaylorReport(max_order, lags, coeffs, residuals, thresholds, null_order)
+    report = TaylorReport(max_order, lags, coeffs, residuals, thresholds, null_order)
 
-
-def _train_taylor(schedule, max_order: int, tol: float):
-    """Exact weights of a train or staggered plan and its Taylor report.
-
-    Needs only `.ccm` and `.slots_by_code()`; thresholds use the last slot.
-    """
-    slots_by_code = schedule.slots_by_code()
-    weights = _exact_weights(slots_by_code, max_order)
-    last_slot = max(max(slots) for slots in slots_by_code if slots)
-    report = _taylor_from_weights(code_acfs(schedule.ccm), weights, last_slot, tol)
-    return weights, report
+    checks = [
+        _order_check(report, m, spectra, weights, code_length)
+        for m in range(max_order + 1)
+    ]
+    z_residuals = np.empty(max_order + 1)
+    for m, row in enumerate(weights):
+        target = code_length * ccm.count * row[0]
+        samples = _zsamples(spectra, row)
+        z_residuals[m] = np.max(np.abs(samples - target)) / max(1.0, target)
+    return report, checks, z_residuals
 
 
 def taylor_coeffs(
     train: PulseTrain, max_order: int, tol: float = NULL_TOL
 ) -> TaylorReport:
-    """Taylor coefficients c_0..c_max_order of the train's ambiguity."""
-    return _train_taylor(train, max_order, tol)[1]
+    """Taylor coefficients c_0..c_max_order of the train's ambiguity.
+
+    Raises DomainMismatchError when the two domains disagree at some order.
+    """
+    return _train_taylor(train, max_order, tol)[0]
 
 
 def _power_spectra(ccm: Ccm, z_count: int) -> np.ndarray:
@@ -292,22 +306,6 @@ def zdomain_samples(train: PulseTrain, order: int, z_count: int = 64) -> np.ndar
     return _zsamples(_power_spectra(train.ccm, z_count), weights)
 
 
-def _zdomain_residuals(
-    spectra: np.ndarray, weights: list[list[int]], ccm: Ccm
-) -> np.ndarray:
-    """max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)) for every order m.
-
-    W_0(m) is code 0's exact weight, which for a PTM-ordered train is the
-    common block power sum P_m of its PTM partition.
-    """
-    residuals = np.empty(len(weights))
-    for m, row in enumerate(weights):
-        target = ccm.length * ccm.count * row[0]
-        samples = _zsamples(spectra, row)
-        residuals[m] = np.max(np.abs(samples - target)) / max(1.0, target)
-    return residuals
-
-
 def zdomain_coeff_check(
     train: PulseTrain, max_order: int, z_count: int = 64
 ) -> np.ndarray:
@@ -316,12 +314,12 @@ def zdomain_coeff_check(
     P_m is the common block power sum of the train's own PTM partition
     (block cardinality for m = 0).  Requires a PTM-ordered train, for which
     the prediction is exact through the train order; entry m of the result
-    is max_z |C_m(z) - N*K*P_m| / max(1, N*K*P_m).
+    is max_z |C_m(z) - N*K*P_m| / max(1, N*K*P_m).  Raises
+    DomainMismatchError when the two domains disagree at some order.
     """
     if not train.is_ptm_ordered():
         raise ValueError("reference check requires a PTM-ordered, zero-delay train")
-    weights = _exact_weights(train.slots_by_code(), max_order)
-    return _zdomain_residuals(_power_spectra(train.ccm, z_count), weights, train.ccm)
+    return _train_taylor(train, max_order, NULL_TOL, z_count)[2]
 
 
 @dataclass(frozen=True)
@@ -372,11 +370,10 @@ def equivalence_check(
     z-domain test thresholds the spread of sampled C_m(z) about its mean.  A
     vanished coefficient makes C_m exactly constant and vice versa, so the
     verdicts must agree; if they do not, a DomainMismatchError is raised
-    rather than returning a half-trusted answer.
+    rather than returning a half-trusted answer.  Every order up to `order`
+    is checked, so a disagreement at a lower order raises too.
     """
-    weights, report = _train_taylor(train, order, tol)
-    spectra = _power_spectra(train.ccm, z_count)
-    return _order_check(report, order, spectra, weights, train.ccm.length)
+    return _train_taylor(train, order, tol, z_count)[1][order]
 
 
 @dataclass(frozen=True)
@@ -414,7 +411,8 @@ def ambiguity_surface(
 
     The grid is a direct sum of the defining series, never Taylor data, so
     surfaces remain an independent view of the train.  Grouped by code, it
-    is S @ ACF^T with S from _slot_phase_sums.  More than MAX_SURFACE_CELLS
+    is |S @ ACF^T| with S from _slot_phase_sums, filled into the magnitudes
+    in theta blocks of at most PHASE_BLOCK cells.  More than MAX_SURFACE_CELLS
     theta_steps * max(L, 2N-1) cells raise ValueError before allocating.
     """
     if theta_steps < 2:
@@ -426,8 +424,13 @@ def ambiguity_surface(
     if cells > MAX_SURFACE_CELLS:
         raise ValueError(f"surface needs {cells} cells, cap {MAX_SURFACE_CELLS}")
     thetas = np.linspace(theta_min, theta_max, theta_steps)
-    grid = _slot_phase_sums(train.slots_by_code(), thetas) @ code_acfs(train.ccm).T
+    sums = _slot_phase_sums(train.slots_by_code(), thetas)
+    acfs = code_acfs(train.ccm).T
+    magnitudes = np.empty((theta_steps, 2 * n - 1))
+    rows = max(1, PHASE_BLOCK // (2 * n - 1))
+    for lo in range(0, theta_steps, rows):
+        np.abs(sums[lo : lo + rows] @ acfs, out=magnitudes[lo : lo + rows])
     description = (
         f"L={train.length} K={train.ccm.count} N={n} delay={train.delay}"
     )
-    return AmbiguitySurface(thetas, np.arange(1 - n, n), np.abs(grid), description)
+    return AmbiguitySurface(thetas, np.arange(1 - n, n), magnitudes, description)

@@ -39,7 +39,7 @@ __all__ = [
 # Partition sizes p^(M+1) beyond this are refused rather than silently built.
 MAX_PARTITION_SIZE = 1 << 22
 
-# Default cap on the universe handed to the exhaustive ESP search.
+# Universes larger than this are refused by the exhaustive ESP search.
 MAX_SEARCH_UNIVERSE = 30
 
 # Nodes an ESP search may visit before it is refused with ValueError.
@@ -110,12 +110,7 @@ class PtmPartition:
         return EspPartition(self.blocks, self.degree, self.prouhet_sums())
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "M": self.degree,
-            "blocks": [list(b) for b in self.blocks],
-            "prouhetSums": list(self.prouhet_sums()),
-        }
+        return self.as_esp().to_json_dict()
 
 
 def _capped_power(base: int, exponent: int, cap: int, what: str) -> int:
@@ -253,8 +248,6 @@ def esp_search(
     p: int,
     degree: int,
     max_solutions: int | None = None,
-    *,
-    max_universe: int = MAX_SEARCH_UNIVERSE,
 ) -> list[EspPartition]:
     """Exhaustively enumerate equal-size ESP partitions of a universe.
 
@@ -283,10 +276,9 @@ def esp_search(
     count = len(elems)
     if count == 0 or count % p:
         raise ValueError(f"universe size {count} is not divisible by {p} blocks")
-    if count > max_universe:
+    if count > MAX_SEARCH_UNIVERSE:
         raise ValueError(
-            f"universe size {count} exceeds search bound {max_universe}; "
-            "pass max_universe to override"
+            f"universe size {count} exceeds search bound {MAX_SEARCH_UNIVERSE}"
         )
     if max_solutions is not None and max_solutions < 1:
         raise ValueError("max_solutions must be positive when given")
@@ -460,21 +452,22 @@ def sidelobe_split_check(values, degree: int) -> SidelobeSplitReport:
         raise ValueError("expected a 1-D array of scalars")
     p = len(a)
     table = weight_table(p)
-    size = _capped_power(p, degree + 1, MAX_PARTITION_SIZE, "range size")
+    size = _ptm_size(p, degree)
 
     b = table.rows @ a
-    # S(n) depends on n only through its PTM symbol.
+    # S(n) depends on n only through its PTM symbol; block 0 of the PTM
+    # partition is the n with symbol 0.
     s_by_symbol = table.rows[1:].T.astype(float) @ b[1:]
-    symbols = np.array(ptm_sequence(p, size), dtype=np.intp)
-    s_vals = s_by_symbol[symbols]
+    symbols = ptm_sequence(p, size)
+    s_vals = s_by_symbol[np.array(symbols, dtype=np.intp)]
+    block_zero = [n for n, s in enumerate(symbols) if s == 0]
 
-    partition = ptm_partition(p, degree)
     index_range = np.arange(size, dtype=float)
     n_coeffs = []
     residuals = np.empty(degree)
     for m in range(1, degree + 1):
         lhs = complex(index_range ** m @ s_vals)
-        n_m = (1 << (p - 1)) * power_sum(partition.blocks[0], m) - power_sum(
+        n_m = (1 << (p - 1)) * power_sum(block_zero, m) - power_sum(
             range(size), m
         )
         rhs = n_m * b[0]

@@ -231,9 +231,10 @@ def composite_taylor(
     Lane j's pulse at position n carries weight (n + delay_j)^m, so grouping
     by code gives c_m(k) = sum_c W_c(m) * ACF_c(k) with exact integer
     W_c(m); for m up to the partition degree the W_c coincide and the
-    off-peak coefficients collapse to complementary-sum residuals.
+    off-peak coefficients collapse to complementary-sum residuals.  Raises
+    DomainMismatchError when the two domains disagree at some order.
     """
-    report = vars(_train_taylor(plan, max_order, tol)[1])
+    report = vars(_train_taylor(plan, max_order, tol)[0])
     return CompositeReport(**report, total_pulses=plan.total_pulses, span=plan.span)
 
 
@@ -272,7 +273,8 @@ def compare_ptm_vs_stagger(
     Both schedules are built and verified to reach null order >= degree; the
     comparison reports their spans and pulse counts.  Without an explicit
     partition, the built-in table covers degrees 2/3/5 for two codes and the
-    PTM partition covers every other case.
+    PTM partition covers every other case.  Both reports are cross-checked
+    in the z domain, so a disagreement raises DomainMismatchError.
     """
     if partition is None:
         if ccm.count == 2 and degree in _BUILTIN_BLOCKS:

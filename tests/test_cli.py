@@ -332,6 +332,11 @@ class TestStagger:
             == 1
         )
 
+    def test_builds_each_intermediate_once(self, tmp_path, golay_file, monkeypatch):
+        spectra = count_calls(monkeypatch, doppler._power_spectra)
+        assert run("stagger", golay_file, 2, "--out", tmp_path / "plan.json") == 0
+        assert len(spectra) == 1
+
     def test_plan_round_trip(self, tmp_path, golay_file):
         from dopwave import stagger as st
 
@@ -594,6 +599,24 @@ def test_domain_mismatch_prints_one_error_line(train_file, monkeypatch, capsys):
         "error: order-0 null verdicts disagree: delay-domain residual "
         "1.000e+00, z-domain deviation 0.000e+00\n"
     )
+
+
+def test_stagger_domain_mismatch_prints_one_error_line(
+    tmp_path, golay_file, monkeypatch, capsys
+):
+    def boom(report, order, spectra, weights, code_length):
+        raise doppler.DomainMismatchError(order, 1.0, 0.0)
+
+    monkeypatch.setattr(doppler, "_order_check", boom)
+    capsys.readouterr()  # drop the fixture's output
+    plan = tmp_path / "plan.json"
+    assert run("stagger", golay_file, 2, "--out", plan) == 4
+    assert capsys.readouterr() == (
+        "",
+        "error: order-0 null verdicts disagree: delay-domain residual "
+        "1.000e+00, z-domain deviation 0.000e+00\n",
+    )
+    assert not plan.exists()
 
 
 def test_failed_generator_prints_one_error_line(tmp_path, monkeypatch, capsys):

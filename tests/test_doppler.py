@@ -417,6 +417,19 @@ class TestSurface:
             tracemalloc.stop()
         assert peak < 16 << 20
 
+    def test_magnitudes_filled_without_a_complex_grid(self):
+        # N = 1024 and 512 thetas: the complex grid alone would take twice
+        # the float magnitudes; only one theta block of it may exist at once.
+        train = doppler.build_ptm_train(golay(10), 1)
+        tracemalloc.start()
+        try:
+            surface = doppler.ambiguity_surface(train, -0.1, 0.1, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 16 * doppler.PHASE_BLOCK
+        assert peak < surface.magnitudes.nbytes + block + (1 << 20)
+
     def test_sidelobe_slope_tracks_null_order(self):
         # Leading surviving term is order M+1, so |g| ~ theta^(M+1).
         train = doppler.build_ptm_train(golay(), 1)

@@ -257,8 +257,6 @@ class TestEspSearch:
     def test_search_bound_enforced(self):
         with pytest.raises(ValueError):
             nt.esp_search(range(32), 2, 2)
-        # Override is accepted (kept tiny so the run stays instant).
-        assert nt.esp_search(range(4), 2, 1, max_universe=50)
 
     @pytest.mark.parametrize(
         "universe,p,degree", [(range(24), 2, 12), (range(9), 3, 3), (range(24), 2, 10**5)]
@@ -473,3 +471,22 @@ class TestSidelobeSplit:
         # P_1 = 3, range sum = 6, so N_1 = 2*3 - 6 = 0.
         report = nt.sidelobe_split_check([1.0, -1.0], 1)
         assert report.n_coefficients == (0,)
+
+    def test_builds_the_ptm_sequence_once_without_the_partition(self, monkeypatch):
+        values = [0.3 + 1.0j, -1.2, 0.5j]
+        expected = nt.sidelobe_split_check(values, 3)
+        sequence, lengths = nt.ptm_sequence, []
+
+        def counted(p, length):
+            lengths.append(length)
+            return sequence(p, length)
+
+        def no_partition(*args):
+            raise AssertionError("sidelobe_split_check built the whole partition")
+
+        monkeypatch.setattr(nt, "ptm_sequence", counted)
+        monkeypatch.setattr(nt, "ptm_partition", no_partition)
+        report = nt.sidelobe_split_check(values, 3)
+        assert lengths == [81]
+        assert report.n_coefficients == expected.n_coefficients
+        np.testing.assert_array_equal(report.residuals, expected.residuals)

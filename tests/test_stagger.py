@@ -256,6 +256,31 @@ class TestCompositeTaylor:
         assert data["totalPulses"] == 8 and data["span"] == 7
 
 
+class TestCrossCheck:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: doppler.taylor_coeffs(doppler.build_ptm_train(golay(), 2), 2),
+            lambda: doppler.zdomain_coeff_check(doppler.build_ptm_train(golay(), 2), 2),
+            lambda: stagger.composite_taylor(
+                stagger.decompose_to_antennas(
+                    stagger.pad_partition(stagger.builtin_partition(2)), golay()
+                ),
+                2,
+            ),
+            lambda: stagger.compare_ptm_vs_stagger(golay(), 2),
+        ],
+        ids=["taylor_coeffs", "zdomain_coeff_check", "composite_taylor", "compare"],
+    )
+    def test_every_report_raises_on_a_domain_mismatch(self, monkeypatch, build):
+        def boom(report, order, spectra, weights, code_length):
+            raise doppler.DomainMismatchError(order, 1.0, 0.0)
+
+        monkeypatch.setattr(doppler, "_order_check", boom)
+        with pytest.raises(doppler.DomainMismatchError):
+            build()
+
+
 class TestComparison:
     def test_degree2(self):
         cmp = stagger.compare_ptm_vs_stagger(golay(), 2)
