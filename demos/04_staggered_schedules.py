@@ -2,14 +2,14 @@
 """Shorter transmissions with multiple antennas.
 
 A PTM train of null order M costs K^(M+1) slots on one antenna.  An
-equal-power-sums partition over fewer slots buys the same null order: pad
-its unused slots into every block, then split the per-slot code demand into
-contiguous delayed trains, one per antenna.  The summed ambiguity keeps the
-nulls while the schedule finishes earlier.
+equal-power-sums partition over fewer slots buys the same null order:
+decompose_to_antennas pads its unused slots into every block, then splits
+the per-slot code demand into contiguous delayed trains, one per antenna.
+The summed ambiguity keeps the nulls while the schedule finishes earlier.
 """
 
 from dopwave import compare_ptm_vs_stagger, esp_search, gen_golay_pair
-from dopwave.stagger import builtin_partition, composite_taylor, decompose_to_antennas, pad_partition
+from dopwave.stagger import builtin_partition, composite_taylor, decompose_to_antennas
 
 
 def lane_picture(plan):
@@ -27,9 +27,8 @@ def show_degree(degree):
     part = builtin_partition(degree)
     print(f"--- degree {degree} ---")
     print("  blocks:        ", part.blocks)
-    padded = pad_partition(part)
-    print("  padded blocks: ", padded.blocks)
-    plan = decompose_to_antennas(padded, ccm)
+    plan = decompose_to_antennas(part, ccm)
+    print("  padded blocks: ", plan.partition.blocks)
     print(f"  {len(plan.lanes)} antennas (slot grid, digit = code index):")
     for row in lane_picture(plan):
         print("    ", row)

@@ -247,9 +247,7 @@ def cmd_stagger(args) -> int:
             )
         partition = stagger.builtin_partition(args.order)
     with _exits(EXIT_USAGE):
-        plan = stagger.decompose_to_antennas(
-            stagger.pad_partition(partition), ccm, args.antenna_cap
-        )
+        plan = stagger.decompose_to_antennas(partition, ccm, args.antenna_cap)
         report = stagger.composite_taylor(plan, args.order, args.tol)
     _write_json(args.out, plan.to_json_dict())
     if args.report:

@@ -13,6 +13,7 @@ validated in exact Gaussian-integer arithmetic.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -113,6 +114,25 @@ class Ccm:
     def code(self, k: int) -> np.ndarray:
         return self.columns[:, k]
 
+    @cached_property
+    def acfs(self) -> np.ndarray:
+        """Autocorrelations of all codes, shape (2N-1, K), lag k at row N-1+k.
+
+        Built on first use and kept read-only, like `columns`.  Phase orders
+        1, 2 and 4 give Gaussian-integer ACFs, so the FFT values are rounded
+        to them and equal direct summation exactly.  The residual is 6e-11
+        (N = 2^20 Golay pair) to 2.3e-10 (random quaternary, same N).
+        """
+        out = np.column_stack([acf(self.code(k)) for k in range(self.count)])
+        if self.phase_order in _EXACT_ROOTS:
+            exact = np.round(out)
+            residual = float(np.max(np.abs(out - exact)))
+            if residual >= ROUNDING_LIMIT:
+                raise ArithmeticError(f"FFT ACF rounding residual {residual:.3e}")
+            out = exact + 0.0  # -0.0 from rounding noise would reach reports
+        out.setflags(write=False)
+        return out
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ccm):
             return NotImplemented
@@ -173,20 +193,8 @@ def acf(code) -> np.ndarray:
 
 
 def code_acfs(ccm: Ccm) -> np.ndarray:
-    """Autocorrelations of all codes, shape (2N-1, K), lag k at row N-1+k.
-
-    Phase orders 1, 2 and 4 give Gaussian-integer ACFs, so the FFT values
-    are rounded to them and equal direct summation exactly.  The residual
-    is 6e-11 (N = 2^20 Golay pair) to 2.3e-10 (random quaternary, same N).
-    """
-    out = np.column_stack([acf(ccm.code(k)) for k in range(ccm.count)])
-    if ccm.phase_order in _EXACT_ROOTS:
-        exact = np.round(out)
-        residual = float(np.max(np.abs(out - exact)))
-        if residual >= ROUNDING_LIMIT:
-            raise ArithmeticError(f"FFT ACF rounding residual {residual:.3e}")
-        out = exact + 0.0  # -0.0 from rounding noise would reach reports
-    return out
+    """The set's ACF table `ccm.acfs`, computed once per Ccm."""
+    return ccm.acfs
 
 
 @dataclass(frozen=True)

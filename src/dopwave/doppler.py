@@ -395,42 +395,57 @@ class AmbiguitySurface:
         return np.delete(self.magnitudes, center, axis=1).max(axis=1, initial=0.0)
 
     def write_csv(self, path) -> None:
-        """Rows theta-major: header theta,k,magnitude; theta to 12 digits."""
-        lag_fields = [f",{int(k)}," for k in self.lags]
+        """Rows theta-major: header theta,k,magnitude; theta to 12 digits.
+
+        Each row is formatted and written in chunks of at most PHASE_BLOCK
+        cells; a chunk's lag fields are kept until the next chunk starts
+        elsewhere, so rows of a single chunk share them.
+        """
+        start, lag_fields = None, []
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("theta,k,magnitude\n")
             for theta, row in zip(self.thetas.tolist(), self.magnitudes):
-                head, cells = f"{theta:.12g}", zip(lag_fields, row.tolist())
-                fh.write("".join([f"{head}{lag}{v:.17g}\n" for lag, v in cells]))
+                head = f"{theta:.12g}"
+                for lo in range(0, row.size, PHASE_BLOCK):
+                    hi = lo + PHASE_BLOCK
+                    if lo != start:
+                        start = lo
+                        lag_fields = [f",{k}," for k in self.lags[lo:hi].tolist()]
+                    cells = zip(lag_fields, row[lo:hi].tolist())
+                    fh.write("".join([f"{head}{lag}{v:.17g}\n" for lag, v in cells]))
 
 
 def ambiguity_surface(
-    train: PulseTrain, theta_min: float, theta_max: float, theta_steps: int
+    schedule, theta_min: float, theta_max: float, theta_steps: int
 ) -> AmbiguitySurface:
     """Sample |g| over every lag and a uniform theta interval.
 
-    The grid is a direct sum of the defining series, never Taylor data, so
-    surfaces remain an independent view of the train.  Grouped by code, it
-    is |S @ ACF^T| with S from _slot_phase_sums, filled into the magnitudes
-    in theta blocks of at most PHASE_BLOCK cells.  More than MAX_SURFACE_CELLS
-    theta_steps * max(L, 2N-1) cells raise ValueError before allocating.
+    Any schedule works, a train or a staggered plan: only `.ccm` and
+    `.slots_by_code()` are read.  The grid is a direct sum of the defining
+    series, never Taylor data, so surfaces remain an independent view of
+    the schedule.  Grouped by code, it is |S @ ACF^T| with S from
+    _slot_phase_sums, filled into the magnitudes in theta blocks of at most
+    PHASE_BLOCK cells.  More than MAX_SURFACE_CELLS theta_steps *
+    max(pulses, 2N-1) cells raise ValueError before allocating.  The
+    description names the pulse count L and the first slot as the delay.
     """
     if theta_steps < 2:
         raise ValueError(f"need at least 2 theta steps, got {theta_steps}")
     if not math.isfinite(theta_min) or not math.isfinite(theta_max):
         raise ValueError("theta bounds must be finite")
-    n = train.ccm.length
-    cells = theta_steps * max(train.length, 2 * n - 1)
+    ccm, slots_by_code = schedule.ccm, schedule.slots_by_code()
+    pulses = sum(map(len, slots_by_code))
+    n = ccm.length
+    cells = theta_steps * max(pulses, 2 * n - 1)
     if cells > MAX_SURFACE_CELLS:
         raise ValueError(f"surface needs {cells} cells, cap {MAX_SURFACE_CELLS}")
     thetas = np.linspace(theta_min, theta_max, theta_steps)
-    sums = _slot_phase_sums(train.slots_by_code(), thetas)
-    acfs = code_acfs(train.ccm).T
+    sums = _slot_phase_sums(slots_by_code, thetas)
+    acfs = code_acfs(ccm).T
     magnitudes = np.empty((theta_steps, 2 * n - 1))
     rows = max(1, PHASE_BLOCK // (2 * n - 1))
     for lo in range(0, theta_steps, rows):
         np.abs(sums[lo : lo + rows] @ acfs, out=magnitudes[lo : lo + rows])
-    description = (
-        f"L={train.length} K={train.ccm.count} N={n} delay={train.delay}"
-    )
+    first = min(min(slots) for slots in slots_by_code if slots)
+    description = f"L={pulses} K={ccm.count} N={n} delay={first}"
     return AmbiguitySurface(thetas, np.arange(1 - n, n), magnitudes, description)

@@ -25,7 +25,7 @@ from .doppler import (
     build_ptm_train,
     taylor_coeffs,
 )
-from .numtheory import EspPartition, _json_ints, ptm_partition
+from .numtheory import EspPartition, _json_ints, power_sum, ptm_partition
 
 __all__ = [
     "Lane",
@@ -118,56 +118,65 @@ class StaggerPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict, ccm: Ccm) -> "StaggerPlan":
+        """Read a plan file, refusing one whose lanes do not realise its blocks.
+
+        Every lane needs a non-negative delay, at least one pulse and code
+        indices of the set; M must be the partition degree and D one past
+        its last slot.
+        """
         lanes = data["lanes"]
         lane_ints = ([l["delay"], *l["indices"]] for l in lanes)
         _json_ints(chain([data["D"], data["M"]], *lane_ints), "D, M and lanes")
-        return cls(
+        partition = EspPartition.from_json_dict(data["partition"])
+        plan = cls(
             ccm,
             data["D"],
             data["M"],
             tuple(Lane(l["delay"], tuple(l["indices"])) for l in lanes),
-            EspPartition.from_json_dict(data["partition"]),
+            partition,
         )
+        if not plan.lanes:
+            raise ValueError("a plan needs at least one lane")
+        if any(l.delay < 0 or not l.indices for l in plan.lanes):
+            raise ValueError("every lane needs a non-negative delay and a pulse")
+        if any(not 0 <= c < ccm.count for l in plan.lanes for c in l.indices):
+            raise ValueError("every lane index must address a code of the set")
+        if plan.degree != partition.degree:
+            raise ValueError(f"M={plan.degree} is not the partition degree")
+        if plan.horizon != max(max(b) for b in partition.blocks) + 1:
+            raise ValueError(f"D={plan.horizon} is not one past the last slot")
+        slots = plan.slots_by_code()
+        if [sorted(s) for s in slots] != [list(b) for b in partition.blocks]:
+            raise ValueError("lanes do not realise the partition's blocks")
+        return plan
 
 
-def pad_partition(partition: EspPartition, horizon: int | None = None) -> EspPartition:
-    """Fill every unused slot below the horizon into all blocks.
+def pad_partition(partition: EspPartition) -> EspPartition:
+    """Fill every unused slot below the largest in use into all blocks.
 
     A slot missing from the union of blocks is added to each block, which
-    leaves the pairwise power-sum equalities intact (the same values are
-    added everywhere) but makes the blocks overlap.  The default horizon is
-    one past the largest slot in use.
+    leaves the pairwise power-sum equalities intact but makes the blocks
+    overlap.  The same values join every block, so each common sum grows
+    by the missing slots' power sum; the padded sums are derived from the
+    partition's, not summed again.  Padding a padded partition changes
+    nothing.
     """
-    used = set()
-    for block in partition.blocks:
-        used.update(block)
-    if horizon is None:
-        horizon = max(used) + 1
-    if any(v >= horizon for v in used):
-        raise ValueError("partition uses slots at or beyond the horizon")
-    missing = sorted(set(range(horizon)) - used)
-    padded = [tuple(sorted(block + tuple(missing))) for block in partition.blocks]
-    return EspPartition.from_blocks(padded, partition.degree)
-
-
-def _slot_demands(partition: EspPartition, horizon: int) -> list[list[int]]:
-    """Sorted code multiset demanded at each slot (one entry per block hit)."""
-    demands: list[list[int]] = [[] for _ in range(horizon)]
-    for code, block in enumerate(partition.blocks):
-        for slot in block:
-            demands[slot].append(code)
-    for d in demands:
-        d.sort()
-    return demands
+    used = set(chain.from_iterable(partition.blocks))
+    missing = sorted(set(range(max(used) + 1)) - used)
+    blocks = tuple(tuple(sorted(block + tuple(missing))) for block in partition.blocks)
+    sums = (s + power_sum(missing, m) for m, s in enumerate(partition.prouhet_sums))
+    return EspPartition(blocks, partition.degree, tuple(sums))
 
 
 def decompose_to_antennas(
-    padded: EspPartition,
+    partition: EspPartition,
     ccm: Ccm,
     antenna_cap: int = DEFAULT_ANTENNA_CAP,
 ) -> StaggerPlan:
     """Greedy sweep turning per-slot code demand into contiguous lanes.
 
+    The partition is padded first (pad_partition), so every slot up to the
+    last has demand; an already padded partition gives the same plan.
     Walking the slots in order: open lanes must transmit every slot, so when
     demand shrinks the oldest lanes close (their trains end), and when it
     grows new lanes open at the current slot.  Demand codes are assigned to
@@ -175,16 +184,18 @@ def decompose_to_antennas(
     makes the whole construction deterministic.  The result satisfies the
     per-slot multiplicity contract by construction.
     """
-    if len(padded.blocks) != ccm.count:
+    if len(partition.blocks) != ccm.count:
         raise ValueError(
-            f"partition has {len(padded.blocks)} blocks but the set has "
+            f"partition has {len(partition.blocks)} blocks but the set has "
             f"{ccm.count} codes"
         )
+    padded = pad_partition(partition)
     horizon = max(max(b) for b in padded.blocks) + 1
-    demands = _slot_demands(padded, horizon)
-    if any(not d for d in demands):
-        gap = next(t for t, d in enumerate(demands) if not d)
-        raise ValueError(f"padded blocks leave slot {gap} empty; pad first")
+    # Sorted code multiset demanded at each slot: codes arrive in order.
+    demands: list[list[int]] = [[] for _ in range(horizon)]
+    for code, block in enumerate(padded.blocks):
+        for slot in block:
+            demands[slot].append(code)
     peak = max(len(d) for d in demands)
     if peak > antenna_cap:
         raise ValueError(f"slot demand {peak} exceeds antenna cap {antenna_cap}")
@@ -291,7 +302,7 @@ def compare_ptm_vs_stagger(
     train = build_ptm_train(ccm, degree)
     ptm_report = taylor_coeffs(train, degree)
 
-    plan = decompose_to_antennas(pad_partition(partition), ccm, antenna_cap)
+    plan = decompose_to_antennas(partition, ccm, antenna_cap)
     stagger_report = composite_taylor(plan, degree)
 
     if ptm_report.null_order < degree or stagger_report.null_order < degree:

@@ -334,8 +334,14 @@ class TestStagger:
 
     def test_builds_each_intermediate_once(self, tmp_path, golay_file, monkeypatch):
         spectra = count_calls(monkeypatch, doppler._power_spectra)
+        acfs = count_calls(monkeypatch, codes.acf)
+        sums = count_calls(monkeypatch, numtheory.power_sum)
         assert run("stagger", golay_file, 2, "--out", tmp_path / "plan.json") == 0
         assert len(spectra) == 1
+        assert len(acfs) == 2  # one per code: validation and report share them
+        # Padded sums are derived; the weights come from the lanes' slot lists.
+        padded = stagger.pad_partition(stagger.builtin_partition(2)).blocks
+        assert not [args for args in sums if args[0] in padded]
 
     def test_plan_round_trip(self, tmp_path, golay_file):
         from dopwave import stagger as st

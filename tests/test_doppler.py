@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
-from dopwave import codes, doppler
+from dopwave import codes, doppler, numtheory, stagger
 
 TRAIN_K2_M3 = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]
 TRAIN_K3_M2 = [
@@ -44,13 +44,23 @@ def finite_difference_derivative(train, lag, order, step):
     return deriv / 1j**order
 
 
-def naive_surface(train, thetas):
-    """Oracle: |g| summed pulse by pulse, one ACF column and phase per pulse."""
+def naive_response(train, thetas):
+    """Oracle: g summed pulse by pulse, one ACF column and phase per pulse."""
     acfs = doppler.code_acfs(train.ccm)
     per_pulse = acfs[:, list(train.indices)]
     slots = np.arange(train.length) + train.delay
     phase = np.exp(1j * np.outer(thetas, slots))
-    return np.abs(phase @ per_pulse.T)
+    return phase @ per_pulse.T
+
+
+def naive_surface(train, thetas):
+    return np.abs(naive_response(train, thetas))
+
+
+def naive_plan_surface(plan, thetas):
+    """Oracle: |g| of a staggered plan, its lanes' per-pulse sums added."""
+    lanes = (doppler.PulseTrain(plan.ccm, l.indices, l.delay) for l in plan.lanes)
+    return np.abs(sum(naive_response(lane, thetas) for lane in lanes))
 
 
 def fitted_sidelobe_slope(train, theta_lo, theta_hi, samples=25):
@@ -359,7 +369,8 @@ class TestSurface:
         assert theta_text == f"{third:.12g}"
 
     def test_csv_bytes_match_per_cell_formatter(self, tmp_path):
-        # Theta crosses zero and lags run from -(N-1) to N-1.
+        # Theta crosses zero and lags run from -(N-1) to N-1.  A block of
+        # two cells writes each five-cell row in three chunks.
         train = doppler.build_cyclic_train(codes.gen_dft_set(3), 7)
         surface = doppler.ambiguity_surface(train, -0.3, 0.2, 11)
         assert surface.thetas.min() < 0 < surface.thetas.max()
@@ -370,9 +381,48 @@ class TestSurface:
                 expected.append(
                     f"{theta:.12g},{int(k)},{surface.magnitudes[t, j]:.17g}\n"
                 )
-        path = tmp_path / "surface.csv"
-        surface.write_csv(path)
-        assert path.read_bytes() == "".join(expected).encode("utf-8")
+        for block in (doppler.PHASE_BLOCK, 2):
+            path = tmp_path / f"surface_{block}.csv"
+            with mock.patch.object(doppler, "PHASE_BLOCK", block):
+                surface.write_csv(path)
+            assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+    def test_csv_memory_bounded_by_the_chunk(self, tmp_path):
+        # Rows of 2^16 - 1 cells written in chunks of 2^12: the text, floats
+        # and lag fields of one chunk may exist at once, never a whole row's.
+        n, block = 1 << 15, 1 << 12
+        lags = np.arange(1 - n, n)
+        magnitudes = np.random.default_rng(5).random((2, lags.size)) * n
+        surface = doppler.AmbiguitySurface(np.array([-0.1, 0.1]), lags, magnitudes)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(doppler, "PHASE_BLOCK", block):
+                surface.write_csv(tmp_path / "wide.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * block
+
+    def test_plan_surface_matches_lane_sum(self):
+        ccm = golay()
+        plan = stagger.decompose_to_antennas(stagger.builtin_partition(3), ccm)
+        assert len(plan.lanes) == 4
+        surface = doppler.ambiguity_surface(plan, -0.4, 0.3, 23)
+        expected = naive_plan_surface(plan, surface.thetas)
+        bound = 1e-9 * ccm.length * plan.total_pulses
+        assert np.max(np.abs(surface.magnitudes - expected)) <= bound
+        assert surface.description == "L=16 K=2 N=8 delay=0"
+
+    def test_one_lane_plan_surface_is_its_ptm_train(self):
+        ccm = golay()
+        plan = stagger.decompose_to_antennas(
+            numtheory.ptm_partition(2, 2).as_esp(), ccm
+        )
+        train = doppler.build_ptm_train(ccm, 2)
+        lane = doppler.ambiguity_surface(plan, -0.2, 0.2, 17)
+        single = doppler.ambiguity_surface(train, -0.2, 0.2, 17)
+        assert np.array_equal(lane.magnitudes, single.magnitudes)
+        assert lane.description == single.description
 
     @pytest.mark.parametrize("block", [doppler.PHASE_BLOCK, 5])
     @settings(max_examples=40, deadline=None)

@@ -59,17 +59,39 @@ class TestPadPartition:
         part = numtheory.EspPartition.from_blocks(((0, 3), (1, 2)), 1)
         assert stagger.pad_partition(part).blocks == part.blocks
 
-    def test_explicit_horizon(self):
-        part = stagger.builtin_partition(2)
-        padded = stagger.pad_partition(part, horizon=9)
-        assert padded.blocks == ((0, 3, 4, 5, 7, 8), (1, 2, 3, 6, 7, 8))
-        with pytest.raises(ValueError):
-            stagger.pad_partition(part, horizon=5)
+    def test_pads_up_to_the_last_slot_once(self):
+        for degree in (2, 3, 5):
+            part = stagger.builtin_partition(degree)
+            padded = stagger.pad_partition(part)
+            last = max(max(b) for b in part.blocks)
+            assert set().union(*padded.blocks) == set(range(last + 1))
+            assert stagger.pad_partition(padded) == padded
 
     @pytest.mark.parametrize("degree", [2, 3, 5])
     def test_padding_preserves_degree(self, degree):
+        # The padded sums are derived; esp_check sums the padded blocks.
         padded = stagger.pad_partition(stagger.builtin_partition(degree))
-        assert numtheory.esp_check(padded.blocks, degree).is_esp
+        reference = numtheory.esp_check(padded.blocks, degree)
+        assert reference.is_esp
+        assert padded.prouhet_sums == reference.prouhet_sums
+
+    @pytest.mark.parametrize("p,degree", [(2, 3), (3, 2)])
+    def test_derived_sums_match_for_ptm_splits(self, p, degree):
+        padded = stagger.pad_partition(numtheory.ptm_partition(p, degree).as_esp())
+        reference = numtheory.esp_check(padded.blocks, degree)
+        assert padded.prouhet_sums == reference.prouhet_sums
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        stn.lists(stn.integers(0, 15), min_size=8, max_size=8, unique=True),
+        stn.integers(1, 2),
+    )
+    def test_derived_sums_match_for_searched_partitions(self, universe, degree):
+        for part in numtheory.esp_search(universe, 2, degree):
+            padded = stagger.pad_partition(part)
+            reference = numtheory.esp_check(padded.blocks, degree)
+            assert reference.is_esp
+            assert padded.prouhet_sums == reference.prouhet_sums
 
     def test_fifty_searched_partitions_keep_degree(self):
         rng = np.random.default_rng(99)
@@ -136,11 +158,15 @@ class TestDecompose:
                 codes.gen_dft_set(3),
             )
 
-    def test_gap_detected(self):
+    def test_gap_is_padded(self):
         # Degree-1 blocks {0,5},{2,3} leave slots 1 and 4 empty.
         part = numtheory.EspPartition.from_blocks(((0, 5), (2, 3)), 1)
-        with pytest.raises(ValueError):
-            stagger.decompose_to_antennas(part, golay())
+        plan = stagger.decompose_to_antennas(part, golay())
+        assert plan.partition.blocks == ((0, 1, 4, 5), (1, 2, 3, 4))
+        assert plan == stagger.decompose_to_antennas(
+            stagger.pad_partition(part), golay()
+        )
+        assert_plan_realizes_partition(plan)
 
     def test_antenna_cap(self):
         padded = stagger.pad_partition(stagger.builtin_partition(2))
@@ -345,6 +371,34 @@ class TestPlanSerialization:
             stagger.pad_partition(stagger.builtin_partition(2)), ccm
         )
         with pytest.raises(ValueError, match="must be integers"):
+            stagger.StaggerPlan.from_json_dict({**plan.to_json_dict(), **edit}, ccm)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"lanes": [{"delay": 0, "indices": [0, -1, 1, 0]},
+                        {"delay": 3, "indices": [1, 0, 0, 1]}]}, "address a code"),
+            ({"lanes": [{"delay": 0, "indices": [0, 2, 1, 0]},
+                        {"delay": 3, "indices": [1, 0, 0, 1]}]}, "address a code"),
+            ({"lanes": [{"delay": -1, "indices": [0, 0, 1, 1, 0]},
+                        {"delay": 3, "indices": [1, 0, 0, 1]}]}, "non-negative"),
+            ({"lanes": []}, "at least one lane"),
+            ({"M": 9}, "partition degree"),
+            ({"M": 1}, "partition degree"),
+            ({"D": 9}, "one past the last slot"),
+            ({"lanes": [{"delay": 0, "indices": [0, 1, 1, 0]},
+                        {"delay": 3, "indices": [0, 1, 1, 0]}]}, "realise"),
+            ({"lanes": [{"delay": 0, "indices": [0, 1, 1, 0]}]}, "realise"),
+        ],
+        ids=[
+            "index-minus-one", "index-past-K", "negative-delay", "no-lanes",
+            "M-above", "M-below", "D", "swapped-codes", "missing-lane",
+        ],
+    )
+    def test_inconsistent_plans_refused(self, edit, message):
+        ccm = golay()
+        plan = stagger.decompose_to_antennas(stagger.builtin_partition(2), ccm)
+        with pytest.raises(ValueError, match=message):
             stagger.StaggerPlan.from_json_dict({**plan.to_json_dict(), **edit}, ccm)
 
     def test_json_shape(self):
