@@ -4,7 +4,7 @@ Subcommands::
 
     gen      generate a code set (golay | dft) and write it as JSON
     ptm      build a PTM-ordered pulse train from a code-set file
-    verify   check null orders of a train file in both domains
+    verify   check null orders of a train file in both domains (z at 2N points)
     surface  export an ambiguity-magnitude grid as CSV
     esp      search equal-power-sum partitions of a slot universe
     stagger  build a staggered multi-antenna schedule and report its nulls
@@ -162,24 +162,16 @@ def cmd_ptm(args) -> int:
 def cmd_verify(args) -> int:
     _precheck_outputs(args.out)
     train = _read_json(args.train, "train", doppler.PulseTrain.from_json_dict)
-    # Refusals exit 2 before any weight; a DomainMismatchError from the
-    # cross-check of any order exits 4 (see `main`).
+    # An order outside 0..32 exits 2 before any weight; a DomainMismatchError
+    # from the cross-check of any order exits 4 (see `main`).
     with _exits(EXIT_USAGE):
-        report, _, z_residuals = doppler._train_taylor(
-            train, args.order, args.tol, args.z_samples
-        )
-    if not train.is_ptm_ordered():
-        z_residuals = None
-        print("z-domain reference check skipped (train is not PTM-ordered)")
+        report, _, z_residuals = doppler._train_taylor(train, args.order, args.tol)
 
     for m in range(args.order + 1):
-        line = (
+        print(
             f"m={m} off-peak |c_m| {report.max_sidelobe_residual[m]:.3e} "
-            f"(threshold {report.thresholds[m]:.3e})"
+            f"(threshold {report.thresholds[m]:.3e}) z-residual {z_residuals[m]:.3e}"
         )
-        if z_residuals is not None:
-            line += f" z-residual {z_residuals[m]:.3e}"
-        print(line)
     print(f"null order {report.null_order} (required {args.order})")
 
     if args.out:
@@ -285,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify train null orders")
     verify.add_argument("train", help="train JSON file")
     verify.add_argument("order", type=int, help="required null order M")
-    verify.add_argument("--z-samples", type=int, default=64, dest="z_samples")
     verify.add_argument("--out", help="optional report JSON file")
 
     surface = sub.add_parser("surface", help="export an ambiguity surface CSV")

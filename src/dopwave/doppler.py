@@ -112,8 +112,11 @@ class PulseTrain:
         return slots
 
     def is_ptm_ordered(self) -> bool:
-        """True when slot n carries code digit_sum_mod(n, K) and delay is 0."""
-        if self.delay != 0:
+        """True when slot n carries code digit_sum_mod(n, K) and delay is 0.
+
+        A one-code set has no PTM sequence, so its trains are not ordered.
+        """
+        if self.delay != 0 or self.ccm.count < 2:
             return False
         return list(self.indices) == ptm_sequence(self.ccm.count, self.length)
 
@@ -224,27 +227,27 @@ class TaylorReport:
         }
 
 
-def _train_taylor(schedule, max_order: int, tol: float, z_count: int = 64):
+def _train_taylor(schedule, max_order: int, tol: float, z_count: int | None = None):
     """Taylor report of a train or staggered plan, checked in both domains.
 
     The one path from a schedule (`.ccm` and `.slots_by_code()`) to a
-    report; thresholds use the last slot.  Spectra come first, so a bad
-    z_count is refused before any weight.  Every order goes through
+    report; thresholds use the last slot.  Every order goes through
     _order_check, which raises DomainMismatchError on a disagreement.
-    Returns the report, the per-order EquivalenceResults and the PTM
+    Returns the report, the per-order EquivalenceResults and the
     reference residuals max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)),
     W_0(m) being code 0's exact weight (P_m for a PTM-ordered train).
     """
     ccm = schedule.ccm
-    spectra = _power_spectra(ccm, z_count)
     slots_by_code = schedule.slots_by_code()
     weights = _exact_weights(slots_by_code, max_order)
     last_slot = max(max(slots) for slots in slots_by_code if slots)
 
     code_length = ccm.length
-    coeffs = np.array(weights, dtype=float) @ code_acfs(ccm).T
-    off_peak = np.abs(np.delete(coeffs, code_length - 1, axis=1))
-    residuals = off_peak.max(axis=1, initial=0.0)  # N = 1 has no off-peak lag
+    acfs = code_acfs(ccm)
+    spectra = _power_spectra(ccm, z_count)  # between the ACFs' and coeffs' peaks
+    coeffs = np.array(weights, dtype=float) @ acfs.T
+    # The worst off-peak magnitude per order; N = 1 has no off-peak lag.
+    residuals = np.delete(np.abs(coeffs), code_length - 1, axis=1).max(1, initial=0.0)
     base = float(max(1, last_slot))
     thresholds = tol * code_length * base ** np.arange(max_order + 1)
     null_order = -1
@@ -272,22 +275,28 @@ def taylor_coeffs(
 ) -> TaylorReport:
     """Taylor coefficients c_0..c_max_order of the train's ambiguity.
 
-    Raises DomainMismatchError when the two domains disagree at some order.
+    Checked on the 2N-point z grid; raises DomainMismatchError when the
+    two domains disagree at some order.
     """
     return _train_taylor(train, max_order, tol)[0]
 
 
-def _power_spectra(ccm: Ccm, z_count: int) -> np.ndarray:
-    """|X_k(z)|^2 for every code k at z_count unit-circle points, shape (Z, K).
+def _power_spectra(ccm: Ccm, z_count: int | None = None) -> np.ndarray:
+    """|X_k(z)|^2 for every code k at Z unit-circle points, shape (Z, K).
 
-    X(z_j) at z_j = exp(2j*pi*j/Z) sees only n mod Z: each code is folded mod
-    Z (zero-padded to a multiple of Z) and one length-Z FFT gives all samples.
+    Z is z_count, else 2N, enough for C_m(z)'s 2N-1 coefficients: no alias.
+    X(z_j) at exp(2j*pi*j/Z) sees n mod Z; one length-Z FFT per folded code.
     """
-    if not 1 <= z_count <= MAX_TRAIN_LENGTH:
+    if z_count is None:
+        z_count = 2 * ccm.length
+    elif not 1 <= z_count <= MAX_TRAIN_LENGTH:
         raise ValueError(f"z sample count must be in 1..{MAX_TRAIN_LENGTH}")
-    padded = np.pad(ccm.columns, ((0, -ccm.length % z_count), (0, 0)))
-    folded = padded.reshape(-1, z_count, ccm.count).sum(axis=0)
-    return np.abs(np.fft.fft(folded, axis=0)) ** 2
+    spectra = np.empty((z_count, ccm.count))
+    for k, code in enumerate(ccm.columns.T):
+        if ccm.length > z_count:
+            code = np.pad(code, (0, -ccm.length % z_count)).reshape(-1, z_count).sum(0)
+        np.abs(np.fft.fft(code, z_count), out=spectra[:, k])
+    return np.square(spectra, out=spectra)
 
 
 def _zsamples(spectra: np.ndarray, weights_m: list[int]) -> np.ndarray:
@@ -296,8 +305,10 @@ def _zsamples(spectra: np.ndarray, weights_m: list[int]) -> np.ndarray:
     return spectra @ np.array(weights_m, dtype=float)
 
 
-def zdomain_samples(train: PulseTrain, order: int, z_count: int = 64) -> np.ndarray:
-    """C_m(z) = sum_n (n+d)^m |X_{x_n}(z)|^2 at z_count unit-circle points.
+def zdomain_samples(
+    train: PulseTrain, order: int, z_count: int | None = None
+) -> np.ndarray:
+    """C_m(z) = sum_n (n+d)^m |X_{x_n}(z)|^2 at z_count (else 2N) points.
 
     Real-valued by construction.  Works for any train; PTM-ordered trains
     make this constant in z for m up to the train order.
@@ -307,15 +318,15 @@ def zdomain_samples(train: PulseTrain, order: int, z_count: int = 64) -> np.ndar
 
 
 def zdomain_coeff_check(
-    train: PulseTrain, max_order: int, z_count: int = 64
+    train: PulseTrain, max_order: int, z_count: int | None = None
 ) -> np.ndarray:
     """Relative deviation of C_m(z) from its predicted constant N*K*P_m.
 
     P_m is the common block power sum of the train's own PTM partition
     (block cardinality for m = 0).  Requires a PTM-ordered train, for which
     the prediction is exact through the train order; entry m of the result
-    is max_z |C_m(z) - N*K*P_m| / max(1, N*K*P_m).  Raises
-    DomainMismatchError when the two domains disagree at some order.
+    is max_z |C_m(z) - N*K*P_m| / max(1, N*K*P_m) over z_count (else 2N)
+    points.  Raises DomainMismatchError when the domains disagree.
     """
     if not train.is_ptm_ordered():
         raise ValueError("reference check requires a PTM-ordered, zero-delay train")
@@ -361,17 +372,16 @@ def _order_check(
 def equivalence_check(
     train: PulseTrain,
     order: int,
-    z_count: int = 64,
+    z_count: int | None = None,
     tol: float = NULL_TOL,
 ) -> EquivalenceResult:
     """Cross-validate the order-m null in the delay and z domains.
 
     The delay-domain test thresholds the worst off-peak |c_m(k)|; the
-    z-domain test thresholds the spread of sampled C_m(z) about its mean.  A
+    z-domain test the spread of C_m(z) at z_count (else 2N) points.  A
     vanished coefficient makes C_m exactly constant and vice versa, so the
-    verdicts must agree; if they do not, a DomainMismatchError is raised
-    rather than returning a half-trusted answer.  Every order up to `order`
-    is checked, so a disagreement at a lower order raises too.
+    verdicts must agree, or DomainMismatchError is raised.  Every order up
+    to `order` is checked, so a disagreement at a lower order raises too.
     """
     return _train_taylor(train, order, tol, z_count)[1][order]
 

@@ -239,8 +239,15 @@ class EspPartition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EspPartition":
+        """Rebuild from blocks and M; a declared p or prouhetSums must match."""
         _json_ints(chain(*data["blocks"], [data["M"]]), "block slots and M")
-        return cls.from_blocks(data["blocks"], data["M"])
+        partition = cls.from_blocks(data["blocks"], data["M"])
+        if data.get("p", partition.p) != partition.p:
+            raise ValueError(f"declared p={data['p']} but {partition.p} blocks")
+        sums = list(partition.prouhet_sums)
+        if data.get("prouhetSums", sums) != sums:
+            raise ValueError(f"declared prouhetSums differ from the blocks' {sums}")
+        return partition
 
 
 def esp_search(

@@ -157,13 +157,35 @@ class TestVerify:
         monkeypatch.setattr(doppler, "_order_check", boom)
         assert run("verify", train_file, 1) == 4
 
-    @pytest.mark.parametrize("z_samples", [0, doppler.MAX_TRAIN_LENGTH + 1])
-    def test_z_samples_out_of_range_is_usage_error(
-        self, train_file, monkeypatch, z_samples
+    def test_frank_train_does_not_alias(self, tmp_path, frank_train, capsys):
+        path = tmp_path / "frank.json"
+        path.write_text(json.dumps(frank_train.to_json_dict()))
+        assert run("verify", path, 1) == 1
+        assert "null order -1 (required 1)" in capsys.readouterr().out
+
+    def test_one_code_train_ends_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        ccm = {"N": 1, "K": 1, "phaseOrder": 2, "phases": [[0]]}
+        path.write_text(json.dumps({"ccm": ccm, "indices": [0, 0, 0]}))
+        assert run("verify", path, 3) == 0
+        out, err = capsys.readouterr()
+        lines = [line for line in out.splitlines() if line.startswith("m=")]
+        assert len(lines) == 4 and not err
+
+    def test_every_train_prints_the_reference_residual(
+        self, tmp_path, golay_file, capsys
     ):
-        weights = count_calls(monkeypatch, numtheory.power_sum)
-        assert run("verify", train_file, 1, "--z-samples", z_samples) == 2
-        assert not weights  # refused before any verification work
+        ccm = codes.Ccm.from_json_dict(json.loads(golay_file.read_text()))
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(doppler.build_cyclic_train(ccm, 16).to_json_dict()))
+        assert run("verify", path, 2) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == ["m=0", "m=1", "m=2"]
+        assert all(" z-residual " in line for line in lines[:-1])
+
+    def test_z_samples_option_is_gone(self, train_file, capsys):
+        assert run("verify", train_file, 3, "--z-samples", 16) == 2
+        assert "unrecognized arguments: --z-samples 16" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,size,order", [("golay", 3, 4), ("dft", 3, 2)])
     def test_builds_each_intermediate_once(
@@ -175,7 +197,7 @@ class TestVerify:
         power_sums = count_calls(monkeypatch, numtheory.power_sum)
         acfs = count_calls(monkeypatch, codes.acf)
         spectra = count_calls(monkeypatch, doppler._power_spectra)
-        assert run("verify", train_path, order, "--z-samples", 16) == 0
+        assert run("verify", train_path, order) == 0
         k = 2 if kind == "golay" else size
         assert len(power_sums) == k * (order + 1)
         assert len(acfs) == k
@@ -481,8 +503,6 @@ ERROR_CASES = [
                  id="verify-malformed"),
     pytest.param("verify {t}/train.json 33", 2, "max_order must be in 0..32",
                  id="verify-order"),
-    pytest.param("verify {t}/train.json 3 --z-samples 0", 2,
-                 "z sample count must be in 1..1048576", id="verify-z-samples"),
     pytest.param("verify {t}/train.json 3 --out {t}/no/r.json", 3,
                  "output directory does not exist: {t}/no", id="verify-no-dir"),
     pytest.param("verify {t}/train.json 3 --out {t}", 3,
@@ -540,6 +560,12 @@ ERROR_CASES = [
     pytest.param("stagger {t}/pair.json 2 --partition {t}/none.json --out {t}/p.json", 1,
                  "partition file failed validation: the file lists no partition",
                  id="stagger-empty-list"),
+    pytest.param("stagger {t}/pair.json 1 --partition {t}/p5.json --out {t}/p.json", 1,
+                 "partition file failed validation: declared p=5 but 2 blocks",
+                 id="stagger-declared-p"),
+    pytest.param("stagger {t}/pair.json 1 --partition {t}/sums.json --out {t}/p.json", 1,
+                 "partition file failed validation: declared prouhetSums differ "
+                 "from the blocks' [2, 3]", id="stagger-declared-sums"),
     pytest.param("stagger {t}/pair.json 3 --partition {t}/part1.json --out {t}/p.json", 1,
                  "partition degree 1 is below M=3", id="stagger-low-degree"),
     pytest.param("stagger {t}/pair.json -1 --partition {t}/part1.json --out {t}/p.json", 2,
@@ -574,6 +600,10 @@ def error_inputs(tmp_path, golay_file, train_file):
         "list.json": "[1]",
         "none.json": "[]",
         "part1.json": json.dumps(part.to_json_dict()),
+        "p5.json": json.dumps({"p": 5, "M": 1, "blocks": [[0, 3], [1, 2]],
+                               "prouhetSums": [9, 9]}),
+        "sums.json": json.dumps({"p": 2, "M": 1, "blocks": [[0, 3], [1, 2]],
+                                 "prouhetSums": [9, 9]}),
         "flat.json": json.dumps(
             {"N": 2, "K": 2, "phaseOrder": None, "columns": [[[1, 0], [1, 0]]] * 2}
         ),

@@ -96,6 +96,12 @@ class TestTrainConstruction:
     def test_is_ptm_ordered(self):
         assert doppler.build_ptm_train(golay(), 2).is_ptm_ordered()
         assert not doppler.build_cyclic_train(golay(), 16).is_ptm_ordered()
+        # One code has no PTM sequence: not ordered, and the check refuses.
+        single = codes.Ccm.from_phases(np.zeros((1, 1), dtype=np.int64), 2)
+        train = doppler.PulseTrain(single, (0, 0, 0))
+        assert not train.is_ptm_ordered()
+        with pytest.raises(ValueError, match="requires a PTM-ordered"):
+            doppler.zdomain_coeff_check(train, 1)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -251,14 +257,17 @@ class TestZDomain:
 class TestPowerSpectra:
     @pytest.mark.parametrize(
         "n,z_count",
-        [(64, 16), (64, 64), (16, 64), (64, 24), (5, 3), (3, 7), (1, 1)],
+        [(64, 16), (64, 64), (16, 64), (64, 24), (5, 3), (3, 7), (1, 1), (5, None)],
     )
     def test_matches_horner_evaluation(self, n, z_count):
-        phases = np.random.default_rng(n * 100 + z_count).integers(0, 6, (n, 3))
+        # No count given samples the default grid of 2N points.
+        count = z_count or 2 * n
+        phases = np.random.default_rng(n * 100 + count).integers(0, 6, (n, 3))
         ccm = codes.Ccm.from_phases(phases, 6)
-        spectra = doppler._power_spectra(ccm, z_count)
-        assert spectra.shape == (z_count, 3)
-        zs = np.exp(2j * np.pi * np.arange(z_count) / z_count)
+        given = () if z_count is None else (z_count,)
+        spectra = doppler._power_spectra(ccm, *given)
+        assert spectra.shape == (count, 3)
+        zs = np.exp(2j * np.pi * np.arange(count) / count)
         for k in range(3):
             direct = np.abs([codes.ztransform_eval(ccm.code(k), z) for z in zs]) ** 2
             assert np.max(np.abs(spectra[:, k] - direct)) <= 1e-10 * n * n
@@ -286,6 +295,14 @@ class TestEquivalence:
         train = doppler.build_cyclic_train(golay(), 16)
         result = doppler.equivalence_check(train, 1)
         assert not result.time_domain_null and not result.z_domain_constant
+
+    def test_default_grid_does_not_alias(self, frank_train):
+        result = doppler.equivalence_check(frank_train, 0)
+        assert not result.time_domain_null and not result.z_domain_constant
+        # An explicit 64-point grid is the Frank code's own DFT grid: C_0
+        # looks constant there, so the domains disagree.
+        with pytest.raises(doppler.DomainMismatchError):
+            doppler.equivalence_check(frank_train, 0, 64)
 
     def test_zero_order_with_equal_multiplicity(self):
         train = doppler.build_cyclic_train(codes.gen_dft_set(3), 27)

@@ -287,6 +287,22 @@ class TestEspSearch:
         with pytest.raises(ValueError, match="must be integers"):
             nt.EspPartition.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "declared,message",
+        [
+            ({"p": 3}, "declared p=3 but 2 blocks"),
+            ({"prouhetSums": [2, 4]}, r"declared prouhetSums differ .* \[2, 3\]"),
+        ],
+        ids=["p", "prouhetSums"],
+    )
+    def test_json_reader_refuses_contradicting_declarations(self, declared, message):
+        data = nt.EspPartition.from_blocks(((0, 3), (1, 2)), 1).to_json_dict()
+        assert nt.EspPartition.from_json_dict(data).p == 2
+        del data["prouhetSums"]  # optional: a file may leave the sums out
+        assert nt.EspPartition.from_json_dict(data).prouhet_sums == (2, 3)
+        with pytest.raises(ValueError, match=message):
+            nt.EspPartition.from_json_dict({**data, **declared})
+
     def test_rejects_indivisible_universe(self):
         with pytest.raises(ValueError):
             nt.esp_search(range(7), 2, 1)
