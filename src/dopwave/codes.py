@@ -115,21 +115,33 @@ class Ccm:
         return self.columns[:, k]
 
     @cached_property
+    def spectra(self) -> np.ndarray:
+        """|FFT(x_k, 2N)|^2 per code, (2N, K): `acfs`' source, z-domain spectra."""
+        out = np.empty((2 * self.length, self.count))
+        for k in range(self.count):  # C order: z-sample products round by layout
+            np.abs(np.fft.fft(self.code(k), 2 * self.length), out=out[:, k])
+        np.square(out, out=out)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def acfs(self) -> np.ndarray:
         """Autocorrelations of all codes, shape (2N-1, K), lag k at row N-1+k.
 
-        Built on first use and kept read-only, like `columns`.  Phase orders
-        1, 2 and 4 give Gaussian-integer ACFs, so the FFT values are rounded
-        to them and equal direct summation exactly.  The residual is 6e-11
-        (N = 2^20 Golay pair) to 2.3e-10 (random quaternary, same N).
+        Built on first use from `spectra` and kept read-only, like `columns`.
+        Phase orders 1, 2 and 4 give Gaussian-integer ACFs, so the FFT values
+        are rounded to them and equal direct summation exactly.  The residual
+        is 6e-11 (N = 2^20 Golay pair) to 2.3e-10 (random quaternary, same N).
         """
-        out = np.column_stack([acf(self.code(k)) for k in range(self.count)])
-        if self.phase_order in _EXACT_ROOTS:
-            exact = np.round(out)
-            residual = float(np.max(np.abs(out - exact)))
-            if residual >= ROUNDING_LIMIT:
-                raise ArithmeticError(f"FFT ACF rounding residual {residual:.3e}")
-            out = exact + 0.0  # -0.0 from rounding noise would reach reports
+        out = np.empty((2 * self.length - 1, self.count), dtype=complex)
+        for k in range(self.count):
+            column = _acf_from_spectrum(self.code(k), self.spectra[:, k], out[:, k])
+            if self.phase_order in _EXACT_ROOTS:
+                exact = np.round(column)
+                residual = float(np.max(np.abs(column - exact)))
+                if residual >= ROUNDING_LIMIT:
+                    raise ArithmeticError(f"FFT ACF rounding residual {residual:.3e}")
+                np.add(exact, 0.0, out=column)  # -0.0 from rounding would reach reports
         out.setflags(write=False)
         return out
 
@@ -186,10 +198,17 @@ def acf(code) -> np.ndarray:
     x = np.asarray(code, dtype=complex)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("code must be a non-empty 1-D array")
+    spectrum = np.abs(np.fft.fft(x, 2 * x.size)) ** 2
+    return _acf_from_spectrum(x, spectrum, np.empty(2 * x.size - 1, dtype=complex))
+
+
+def _acf_from_spectrum(x, spectrum, out) -> np.ndarray:
+    """acf(x) into `out` from its length-2N power spectrum |FFT(x, 2N)|^2."""
     n = x.size
-    positive = np.conj(np.fft.ifft(np.abs(np.fft.fft(x, 2 * n)) ** 2)[:n])
+    positive = np.conj(np.fft.ifft(spectrum)[:n], out=out[n - 1 :])
     positive[0] = np.vdot(x, x)
-    return np.concatenate([np.conj(positive[:0:-1]), positive])
+    np.conj(positive[:0:-1], out=out[: n - 1])
+    return out
 
 
 def code_acfs(ccm: Ccm) -> np.ndarray:
@@ -255,14 +274,10 @@ def gen_golay_pair(exponent: int) -> Ccm:
     """
     if not 1 <= exponent <= 20:
         raise ValueError(f"exponent must be in 1..20, got {exponent}")
-    a, b = [1], [1]
+    a = b = np.zeros(1, dtype=np.int64)  # phase 0 is +1, phase 1 is -1
     for _ in range(exponent):
-        a, b = a + b, a + [-v for v in b]
-    phases = np.array(
-        [[0 if v > 0 else 1 for v in a], [0 if v > 0 else 1 for v in b]],
-        dtype=np.int64,
-    ).T
-    return Ccm.from_phases(phases, 2)
+        a, b = np.concatenate([a, b]), np.concatenate([a, 1 - b])
+    return Ccm.from_phases(np.stack([a, b], axis=1), 2)
 
 
 def gen_dft_set(count: int) -> Ccm:

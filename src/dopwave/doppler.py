@@ -13,7 +13,7 @@ in whole pulses.  Expanding about theta = 0 gives Taylor coefficients
 and, in the z-domain, C_m(z) = sum_n (n+d)^m * |X_n(z)|^2.  PTM-ordered
 trains of length K^(M+1) drive c_m(k) to zero at every non-zero lag for all
 m <= M, which is what the null-order report measures.  Every path reads a
-schedule only through its slots grouped per code (`slots_by_code()`):
+schedule through its slots grouped per code (`slots_by_code()`):
 g = sum_c S_c(theta) * ACF_c(k) with S_c(theta) = sum of exp(1j*theta*s)
 over code c's slots, and the coefficients use exact integer weights
 W_c(m) = sum of s^m; numerical differentiation of g is never used here.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .codes import Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
-from .numtheory import _capped_power, _json_ints, power_sum, ptm_sequence
+from .numtheory import _capped_power, _json_ints, _ptm_array, _ptm_weights, power_sum
 
 __all__ = [
     "PulseTrain",
@@ -91,25 +91,29 @@ class PulseTrain:
     delay: int = 0
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if not idx:
+        idx = np.asarray(self.indices)
+        if idx.ndim != 1 or not idx.size:
             raise ValueError("train must contain at least one pulse")
-        if any(i < 0 or i >= self.ccm.count for i in idx):
-            raise ValueError("every index must address a code of the set")
-        if self.delay < 0:
-            raise ValueError("delay must be non-negative")
-        object.__setattr__(self, "indices", idx)
+        if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= self.ccm.count:
+            raise ValueError("every index must be an integer code of the set")
+        # Keeps slots int64 and every weight W_c(32) a finite float.
+        if not 0 <= self.delay <= MAX_TRAIN_LENGTH:
+            raise ValueError(f"delay must be in 0..{MAX_TRAIN_LENGTH}")
+        object.__setattr__(self, "indices", tuple(idx.tolist()))
 
     @property
     def length(self) -> int:
         return len(self.indices)
 
+    @property
+    def last_slot(self) -> int:
+        return self.delay + self.length - 1
+
     def slots_by_code(self) -> list[list[int]]:
         """Slot n + delay of every pulse, grouped by code index."""
-        slots: list[list[int]] = [[] for _ in range(self.ccm.count)]
-        for n, c in enumerate(self.indices):
-            slots[c].append(n + self.delay)
-        return slots
+        idx = np.asarray(self.indices)
+        slots = (np.flatnonzero(idx == c) + self.delay for c in range(self.ccm.count))
+        return [s.tolist() for s in slots]
 
     def is_ptm_ordered(self) -> bool:
         """True when slot n carries code digit_sum_mod(n, K) and delay is 0.
@@ -118,7 +122,7 @@ class PulseTrain:
         """
         if self.delay != 0 or self.ccm.count < 2:
             return False
-        return list(self.indices) == ptm_sequence(self.ccm.count, self.length)
+        return np.array_equal(self.indices, _ptm_array(self.ccm.count, self.length))
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,7 +149,7 @@ def build_ptm_train(ccm: Ccm, order: int) -> PulseTrain:
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     length = _capped_power(ccm.count, order + 1, MAX_TRAIN_LENGTH, "train length")
-    return PulseTrain(ccm, tuple(ptm_sequence(ccm.count, length)))
+    return PulseTrain(ccm, _ptm_array(ccm.count, length))
 
 
 def build_cyclic_train(ccm: Ccm, length: int) -> PulseTrain:
@@ -157,22 +161,27 @@ def build_cyclic_train(ccm: Ccm, length: int) -> PulseTrain:
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
-    return PulseTrain(ccm, tuple(n % ccm.count for n in range(length)))
+    return PulseTrain(ccm, np.arange(length) % ccm.count)
 
 
-def _exact_weights(slots_by_code, max_order: int) -> list[list[int]]:
+def _exact_weights(schedule, max_order: int, min_order: int = 0) -> list[list[int]]:
     """Exact integer weights W_c(m) = sum(slot^m) over code c's slots.
 
-    Row m, column c; one power sum per (code, order).  Grouping keeps the
-    integer cancellation between slots of the same code exact; callers
-    convert to float only where the weights meet the ACFs or spectra.
+    Row m - min_order, column c, m = min_order..max_order.  A PTM train of
+    length L = K^J takes the digit DP (_ptm_weights) unless its J*K^2 row
+    shifts outnumber the L pulses; every other schedule takes one power sum
+    per (code, order).
     """
     if not 0 <= max_order <= MAX_TAYLOR_ORDER:
         raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
-    return [
-        [power_sum(slots, m) for slots in slots_by_code]
-        for m in range(max_order + 1)
-    ]
+    count = schedule.ccm.count
+    if isinstance(schedule, PulseTrain) and count >= 2:
+        levels = round(math.log(schedule.length, count))
+        full = count**levels == schedule.length >= levels * count * count
+        if full and schedule.is_ptm_ordered():
+            return _ptm_weights(count, levels, max_order)[min_order:]
+    slots_by_code, orders = schedule.slots_by_code(), range(min_order, max_order + 1)
+    return [[power_sum(slots, m) for slots in slots_by_code] for m in orders]
 
 
 def _slot_phase_sums(slots_by_code, thetas: np.ndarray) -> np.ndarray:
@@ -230,25 +239,23 @@ class TaylorReport:
 def _train_taylor(schedule, max_order: int, tol: float, z_count: int | None = None):
     """Taylor report of a train or staggered plan, checked in both domains.
 
-    The one path from a schedule (`.ccm` and `.slots_by_code()`) to a
-    report; thresholds use the last slot.  Every order goes through
+    The one path from a schedule (`.ccm`, `.last_slot`, _exact_weights) to
+    a report; thresholds use the last slot.  Every order goes through
     _order_check, which raises DomainMismatchError on a disagreement.
     Returns the report, the per-order EquivalenceResults and the
     reference residuals max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)),
     W_0(m) being code 0's exact weight (P_m for a PTM-ordered train).
     """
     ccm = schedule.ccm
-    slots_by_code = schedule.slots_by_code()
-    weights = _exact_weights(slots_by_code, max_order)
-    last_slot = max(max(slots) for slots in slots_by_code if slots)
+    weights = _exact_weights(schedule, max_order)
 
     code_length = ccm.length
     acfs = code_acfs(ccm)
-    spectra = _power_spectra(ccm, z_count)  # between the ACFs' and coeffs' peaks
+    spectra = _power_spectra(ccm, z_count)
     coeffs = np.array(weights, dtype=float) @ acfs.T
     # The worst off-peak magnitude per order; N = 1 has no off-peak lag.
     residuals = np.delete(np.abs(coeffs), code_length - 1, axis=1).max(1, initial=0.0)
-    base = float(max(1, last_slot))
+    base = float(max(1, schedule.last_slot))
     thresholds = tol * code_length * base ** np.arange(max_order + 1)
     null_order = -1
     for m in range(max_order + 1):
@@ -284,12 +291,12 @@ def taylor_coeffs(
 def _power_spectra(ccm: Ccm, z_count: int | None = None) -> np.ndarray:
     """|X_k(z)|^2 for every code k at Z unit-circle points, shape (Z, K).
 
-    Z is z_count, else 2N, enough for C_m(z)'s 2N-1 coefficients: no alias.
-    X(z_j) at exp(2j*pi*j/Z) sees n mod Z; one length-Z FFT per folded code.
+    Z is z_count, else 2N (`ccm.spectra`): enough for C_m(z)'s 2N-1 coefficients,
+    no alias.  X(z_j) at exp(2j*pi*j/Z) sees n mod Z; one length-Z FFT per folded code.
     """
     if z_count is None:
-        z_count = 2 * ccm.length
-    elif not 1 <= z_count <= MAX_TRAIN_LENGTH:
+        return ccm.spectra
+    if not 1 <= z_count <= MAX_TRAIN_LENGTH:
         raise ValueError(f"z sample count must be in 1..{MAX_TRAIN_LENGTH}")
     spectra = np.empty((z_count, ccm.count))
     for k, code in enumerate(ccm.columns.T):
@@ -313,7 +320,7 @@ def zdomain_samples(
     Real-valued by construction.  Works for any train; PTM-ordered trains
     make this constant in z for m up to the train order.
     """
-    weights = [power_sum(slots, order) for slots in train.slots_by_code()]
+    weights = _exact_weights(train, order, order)[0]
     return _zsamples(_power_spectra(train.ccm, z_count), weights)
 
 

@@ -13,7 +13,8 @@ a transform is applied to complex data.
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from operator import add, le, sub
+from math import comb
+from operator import add, le, mul, sub
 
 import numpy as np
 
@@ -73,6 +74,35 @@ def digit_sum_mod(n: int, p: int) -> int:
     return total % p
 
 
+def _ptm_array(p: int, length: int) -> np.ndarray:
+    """First `length` PTM symbols mod p: t[d*p^j + r] = (t[r] + d) mod p, r < p^j."""
+    if p < 2:
+        raise ValueError(f"base must be at least 2, got {p}")
+    seq = np.zeros(1, dtype=np.int64)
+    while seq.size < length:
+        digits = np.arange(min(p, -(-length // seq.size)))[:, None]
+        seq = ((seq + digits) % p).ravel()
+    return seq[:length]
+
+
+def _ptm_weights(p: int, levels: int, max_order: int) -> list[list[int]]:
+    """W[m][c] = sum of n^m over n < p^levels of PTM symbol c, exact: level j
+    moves the n < p^j of symbol c to d*p^j + n, of symbol (c+d) mod p."""
+    orders = range(max_order + 1)
+    sums = [[int(c == m == 0) for m in orders] for c in range(p)]  # n = 0 alone
+    for j in range(levels):
+        new = [[0] * len(orders) for _ in range(p)]
+        for d in range(p):
+            a = d * p**j  # (a + n)^m = sum_i C(m, i) a^(m-i) n^i
+            rows = [[comb(m, i) * a ** (m - i) for i in range(m + 1)] for m in orders]
+            for c, row in enumerate(sums):
+                if row[0]:  # symbol c has slots below p^j
+                    for m, coeffs in enumerate(rows):
+                        new[(c + d) % p][m] += sum(map(mul, coeffs, row))
+        sums = new
+    return [list(col) for col in zip(*sums)]
+
+
 def ptm_sequence(p: int, length: int) -> list[int]:
     """First `length` terms of the mod-p PTM sequence.
 
@@ -81,7 +111,7 @@ def ptm_sequence(p: int, length: int) -> list[int]:
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
-    return [digit_sum_mod(n, p) for n in range(length)]
+    return _ptm_array(p, length).tolist()
 
 
 @dataclass(frozen=True)
@@ -138,10 +168,9 @@ def _ptm_size(p: int, degree: int) -> int:
 
 def ptm_partition(p: int, degree: int) -> PtmPartition:
     """Build the PTM p-block partition of {0,...,p^(degree+1)-1}."""
-    blocks = [[] for _ in range(p)]
-    for n, symbol in enumerate(ptm_sequence(p, _ptm_size(p, degree))):
-        blocks[symbol].append(n)
-    return PtmPartition(p, degree, tuple(tuple(b) for b in blocks))
+    symbols = _ptm_array(p, _ptm_size(p, degree))
+    blocks = (tuple(np.flatnonzero(symbols == c).tolist()) for c in range(p))
+    return PtmPartition(p, degree, tuple(blocks))
 
 
 def power_sum(values, m: int) -> int:
@@ -171,8 +200,8 @@ def prouhet_sum(p: int, degree: int, m: int) -> int:
             "this power sum",
             stacklevel=2,
         )
-    symbols = ptm_sequence(p, _ptm_size(p, degree))
-    return power_sum((n for n, s in enumerate(symbols) if s == 0), m)
+    _ptm_size(p, degree)  # refuses a bad base or degree and oversized partitions
+    return _ptm_weights(p, degree + 1, m)[m][0]
 
 
 @dataclass(frozen=True)
@@ -462,21 +491,18 @@ def sidelobe_split_check(values, degree: int) -> SidelobeSplitReport:
     size = _ptm_size(p, degree)
 
     b = table.rows @ a
-    # S(n) depends on n only through its PTM symbol; block 0 of the PTM
-    # partition is the n with symbol 0.
+    # S(n) depends on n only through its PTM symbol; P_m is the weight of
+    # symbol 0 and the range sum that of all symbols together.
     s_by_symbol = table.rows[1:].T.astype(float) @ b[1:]
-    symbols = ptm_sequence(p, size)
-    s_vals = s_by_symbol[np.array(symbols, dtype=np.intp)]
-    block_zero = [n for n, s in enumerate(symbols) if s == 0]
+    s_vals = s_by_symbol[np.array(ptm_sequence(p, size), dtype=np.intp)]
+    weights = _ptm_weights(p, degree + 1, degree)
 
     index_range = np.arange(size, dtype=float)
     n_coeffs = []
     residuals = np.empty(degree)
     for m in range(1, degree + 1):
         lhs = complex(index_range ** m @ s_vals)
-        n_m = (1 << (p - 1)) * power_sum(block_zero, m) - power_sum(
-            range(size), m
-        )
+        n_m = (1 << (p - 1)) * weights[m][0] - sum(weights[m])
         rhs = n_m * b[0]
         residuals[m - 1] = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
         n_coeffs.append(n_m)

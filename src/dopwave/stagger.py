@@ -88,11 +88,13 @@ class StaggerPlan:
     partition: EspPartition
 
     @property
+    def last_slot(self) -> int:
+        return max(l.last_slot for l in self.lanes)
+
+    @property
     def span(self) -> int:
         """Slots from the first transmitted pulse to the last, inclusive."""
-        return max(l.last_slot for l in self.lanes) + 1 - min(
-            l.delay for l in self.lanes
-        )
+        return self.last_slot + 1 - min(l.delay for l in self.lanes)
 
     @property
     def total_pulses(self) -> int:

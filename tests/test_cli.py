@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from dopwave import cli, codes, doppler, numtheory, stagger
@@ -26,6 +27,18 @@ def count_calls(monkeypatch, func):
         for name, value in list(vars(module).items()):
             if value is func:
                 monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_ffts(monkeypatch):
+    """Record the codes each forward FFT transforms (columns of a 2-D input)."""
+    calls, fft = [], np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        calls.append(1 if np.ndim(a) == 1 else np.shape(a)[1])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
     return calls
 
 
@@ -195,13 +208,29 @@ class TestVerify:
         assert run("gen", kind, size, "--out", ccm_path) == 0
         assert run("ptm", ccm_path, order, "--out", train_path) == 0
         power_sums = count_calls(monkeypatch, numtheory.power_sum)
-        acfs = count_calls(monkeypatch, codes.acf)
+        ffts = count_ffts(monkeypatch)
         spectra = count_calls(monkeypatch, doppler._power_spectra)
         assert run("verify", train_path, order) == 0
         k = 2 if kind == "golay" else size
-        assert len(power_sums) == k * (order + 1)
-        assert len(acfs) == k
+        assert not power_sums  # PTM weights come from the digits
+        assert sum(ffts) == k  # one spectrum per code: ACFs and z domain share it
         assert len(spectra) == 1
+
+    @pytest.mark.parametrize("kind,size,order", [("golay", 3, 4), ("dft", 3, 2)])
+    def test_cyclic_train_sums_powers_per_code_and_order(
+        self, tmp_path, monkeypatch, kind, size, order
+    ):
+        ccm_path, train_path = tmp_path / "set.json", tmp_path / "train.json"
+        assert run("gen", kind, size, "--out", ccm_path) == 0
+        ccm = codes.Ccm.from_json_dict(json.loads(ccm_path.read_text()))
+        train = doppler.build_cyclic_train(ccm, ccm.count ** (order + 1))
+        train_path.write_text(json.dumps(train.to_json_dict()))
+        power_sums = count_calls(monkeypatch, numtheory.power_sum)
+        ffts = count_ffts(monkeypatch)
+        assert run("verify", train_path, order) == 1
+        assert len(power_sums) == ccm.count * (order + 1)
+        assert all(type(v) is int for args in power_sums for v in args[0])
+        assert sum(ffts) == ccm.count
 
 
 class TestSurface:
@@ -356,11 +385,11 @@ class TestStagger:
 
     def test_builds_each_intermediate_once(self, tmp_path, golay_file, monkeypatch):
         spectra = count_calls(monkeypatch, doppler._power_spectra)
-        acfs = count_calls(monkeypatch, codes.acf)
+        ffts = count_ffts(monkeypatch)
         sums = count_calls(monkeypatch, numtheory.power_sum)
         assert run("stagger", golay_file, 2, "--out", tmp_path / "plan.json") == 0
         assert len(spectra) == 1
-        assert len(acfs) == 2  # one per code: validation and report share them
+        assert sum(ffts) == 2  # one per code: validation, report and z domain share them
         # Padded sums are derived; the weights come from the lanes' slot lists.
         padded = stagger.pad_partition(stagger.builtin_partition(2)).blocks
         assert not [args for args in sums if args[0] in padded]

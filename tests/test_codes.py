@@ -87,7 +87,7 @@ class TestCodeAcfs:
         assert np.array_equal(codes.code_acfs(ccm), direct)
 
     def test_rounding_residual_guard(self, monkeypatch):
-        monkeypatch.setattr(codes, "acf", lambda code: naive_acf(code) + 0.3)
+        monkeypatch.setattr(codes, "_acf_from_spectrum", lambda x, _, out: naive_acf(x) + 0.3)
         with pytest.raises(ArithmeticError):
             codes.code_acfs(codes.gen_golay_pair(3))
 

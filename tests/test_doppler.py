@@ -111,6 +111,19 @@ class TestTrainConstruction:
         with pytest.raises(ValueError):
             doppler.PulseTrain(golay(), (0,), delay=-1)
 
+    def test_non_integer_indices_and_far_delays_refused(self):
+        with pytest.raises(ValueError, match="integer code"):
+            doppler.PulseTrain(golay(), (0, 1.0))
+        with pytest.raises(ValueError, match="integer code"):
+            doppler.PulseTrain(golay(), ("0", "1"))
+        with pytest.raises(ValueError, match="delay"):
+            doppler.PulseTrain(golay(), (0,), delay=doppler.MAX_TRAIN_LENGTH + 1)
+        train = doppler.PulseTrain(golay(), np.array([0, 1, 1], dtype=np.uint8), 3)
+        assert train.indices == (0, 1, 1)
+        assert all(type(i) is int for i in train.indices)
+        assert train.slots_by_code() == [[3], [4, 5]]
+        assert all(type(s) is int for slots in train.slots_by_code() for s in slots)
+
     def test_length_cap(self):
         with pytest.raises(ValueError):
             doppler.build_ptm_train(golay(), 31)
@@ -118,6 +131,64 @@ class TestTrainConstruction:
     def test_huge_order_refused_before_the_power(self):
         with pytest.raises(ValueError, match=r"train length 64\^100000001 exceeds cap"):
             doppler.build_ptm_train(codes.gen_dft_set(64), 10**8)
+
+
+class TestExactWeights:
+    """Full PTM trains take the digit DP; every other schedule sums powers."""
+
+    @staticmethod
+    def direct(schedule, max_order):
+        slots = schedule.slots_by_code()
+        return [[numtheory.power_sum(s, m) for s in slots] for m in range(max_order + 1)]
+
+    @staticmethod
+    def counted_power_sums():
+        return mock.patch.object(doppler, "power_sum", wraps=numtheory.power_sum)
+
+    @settings(max_examples=30, deadline=None)
+    @given(stn.data())
+    def test_ptm_trains_take_the_digits(self, data):
+        count = data.draw(stn.integers(2, 5))
+        levels = data.draw(stn.integers(1, int(np.log(4096) / np.log(count) + 1e-9)))
+        max_order = data.draw(stn.integers(0, 32))
+        ccm, length = codes.gen_dft_set(count), count**levels
+        train = doppler.PulseTrain(ccm, numtheory.ptm_sequence(count, length))
+        expected = self.direct(train, max_order)
+        with self.counted_power_sums() as power_sum:
+            weights = doppler._exact_weights(train, max_order)
+            samples = doppler.zdomain_samples(train, max_order)
+        assert weights == expected
+        # Only short trains over many codes (J*K^2 > L) sum their powers.
+        assert power_sum.called == (levels * count**2 > length)
+        spectra = doppler._power_spectra(ccm)
+        np.testing.assert_array_equal(
+            samples, spectra @ np.array(expected[max_order], dtype=float)
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ccm: doppler.build_cyclic_train(ccm, 16),
+            lambda ccm: doppler.PulseTrain(ccm, numtheory.ptm_sequence(2, 16), 3),
+            lambda ccm: doppler.PulseTrain(ccm, numtheory.ptm_sequence(2, 24)),
+        ],
+        ids=["cyclic", "delayed", "not-K^J"],
+    )
+    def test_other_trains_sum_powers(self, make):
+        train, max_order = make(golay()), 4
+        expected = self.direct(train, max_order)
+        with self.counted_power_sums() as power_sum:
+            assert doppler._exact_weights(train, max_order) == expected
+        assert power_sum.call_count == 2 * (max_order + 1)
+        values = [v for call in power_sum.call_args_list for v in call.args[0]]
+        assert values and all(type(v) is int for v in values)
+
+    def test_many_codes_over_few_levels_sum_powers(self):
+        # J*K^2 > L: K^2 products per level would outgrow the L powers.
+        train = doppler.build_ptm_train(codes.gen_dft_set(16), 1)
+        with self.counted_power_sums() as power_sum:
+            assert doppler._exact_weights(train, 3) == self.direct(train, 3)
+        assert power_sum.call_count == 16 * 4
 
 
 class TestAmbiguity:

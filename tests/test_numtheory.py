@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +103,51 @@ class TestPtmSequence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             nt.ptm_sequence(2, 0)
+
+
+class TestPtmKernel:
+    """The private numpy sequence and digit-DP weights against the oracles."""
+
+    @given(stn.integers(2, 5), stn.integers(1, 4096))
+    def test_sequence_matches_digit_sums(self, p, length):
+        expected = [nt.digit_sum_mod(n, p) for n in range(length)]
+        assert nt._ptm_array(p, length).tolist() == expected
+        assert nt.ptm_sequence(p, length) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(stn.data())
+    def test_weights_match_power_sums(self, data):
+        p = data.draw(stn.integers(2, 5))
+        levels = data.draw(stn.integers(1, int(np.log(4096) / np.log(p) + 1e-9)))
+        max_order = data.draw(stn.integers(0, 32))
+        blocks = [[] for _ in range(p)]
+        for n in range(p**levels):
+            blocks[nt.digit_sum_mod(n, p)].append(n)
+        expected = [[nt.power_sum(b, m) for b in blocks] for m in range(max_order + 1)]
+        assert nt._ptm_weights(p, levels, max_order) == expected
+
+    def test_weights_at_the_train_cap_are_exact_ints(self):
+        length, degree = 1 << 20, 19
+        weights = nt._ptm_weights(2, 20, 32)
+        assert all(type(w) is int for row in weights for w in row)
+        assert sum(weights[0]) == length
+        assert sum(weights[1]) == length * (length - 1) // 2
+        assert sum(weights[2]) == (length - 1) * length * (2 * length - 1) // 6
+        assert all(row[0] == row[1] for row in weights[: degree + 1])
+        assert weights[degree + 1][0] != weights[degree + 1][1]
+
+    def test_size_cap_partition_and_sum_are_fast(self):
+        start = time.perf_counter()
+        part = nt.ptm_partition(2, 21)
+        assert time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        total = nt.prouhet_sum(2, 21, 5)
+        assert time.perf_counter() - start < 1.0
+        assert len(part.blocks[0]) == 1 << 21
+        # Degree 21 >= 5: both blocks share the fifth power sum, half the
+        # range's, which is s^2 (s+1)^2 (2s^2 + 2s - 1) / 12 up to s (Faulhaber).
+        s = (1 << 22) - 1
+        assert 2 * total == s**2 * (s + 1) ** 2 * (2 * s**2 + 2 * s - 1) // 12
 
 
 class TestPtmPartition:
