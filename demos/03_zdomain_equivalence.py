@@ -27,7 +27,7 @@ def main():
     n, k = pair.length, pair.count
 
     print("--- PTM train, z-domain constants ---")
-    residuals = zdomain_coeff_check(train, 3, 64)
+    residuals = zdomain_coeff_check(train, 3)
     part = ptm_partition(k, 3)
     for m in range(4):
         target = n * k * power_sum(part.blocks[0], m)
@@ -35,8 +35,8 @@ def main():
 
     print("\n--- sampled C_1(z) for the cyclic control ---")
     cyclic = build_cyclic_train(pair, 16)
-    samples = zdomain_samples(cyclic, 1, 8)
-    print("  C_1 at 8 unit-circle points:", np.round(samples, 2))
+    samples = zdomain_samples(cyclic, 1)
+    print(f"  C_1 at the 2N = {2 * n} grid points:", np.round(samples, 2))
     print("  spread:", f"{samples.max() - samples.min():.2f} (not constant)")
 
     print("\n--- cross-domain agreement ---")

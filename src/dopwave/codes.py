@@ -79,7 +79,8 @@ class Ccm:
         cols = np.array(self.columns, dtype=complex)
         if cols.ndim != 2 or cols.shape[0] < 1 or cols.shape[1] < 1:
             raise ValueError("columns must form a non-empty 2-D matrix")
-        if np.max(np.abs(np.abs(cols) - 1.0)) > UNIT_TOL:
+        # Written so that a NaN entry fails too.
+        if not np.max(np.abs(np.abs(cols) - 1.0)) <= UNIT_TOL:
             raise ValueError("all entries must have unit magnitude")
         if (self.phases is None) != (self.phase_order is None):
             raise ValueError("phase_order and phases must be given together")

@@ -20,6 +20,7 @@ W_c(m) = sum of s^m; numerical differentiation of g is never used here.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -96,10 +97,15 @@ class PulseTrain:
             raise ValueError("train must contain at least one pulse")
         if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= self.ccm.count:
             raise ValueError("every index must be an integer code of the set")
+        try:
+            delay = operator.index(self.delay)
+        except TypeError:
+            raise ValueError("delay must be an integer") from None
         # Keeps slots int64 and every weight W_c(32) a finite float.
-        if not 0 <= self.delay <= MAX_TRAIN_LENGTH:
+        if not 0 <= delay <= MAX_TRAIN_LENGTH:
             raise ValueError(f"delay must be in 0..{MAX_TRAIN_LENGTH}")
         object.__setattr__(self, "indices", tuple(idx.tolist()))
+        object.__setattr__(self, "delay", delay)
 
     @property
     def length(self) -> int:
@@ -215,7 +221,7 @@ class TaylorReport:
     coeffs[m] is c_m over all lags (lag k at column N-1+k); c_0 is the plain
     summed autocorrelation of the train.  max_sidelobe_residual[m] is the
     worst off-peak magnitude of c_m, and null_order is the largest m such
-    that every coefficient up to m stays below its scale-aware threshold.
+    that every coefficient up to m is within its scale-aware threshold.
     """
 
     max_order: int
@@ -236,44 +242,39 @@ class TaylorReport:
         }
 
 
-def _train_taylor(schedule, max_order: int, tol: float, z_count: int | None = None):
+def _train_taylor(schedule, max_order: int, tol: float):
     """Taylor report of a train or staggered plan, checked in both domains.
 
     The one path from a schedule (`.ccm`, `.last_slot`, _exact_weights) to
-    a report; thresholds use the last slot.  Every order goes through
-    _order_check, which raises DomainMismatchError on a disagreement.
-    Returns the report, the per-order EquivalenceResults and the
-    reference residuals max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)),
-    W_0(m) being code 0's exact weight (P_m for a PTM-ordered train).
+    a report; thresholds use the last slot.  Each order's C_m(z) is sampled
+    once on the code set's 2N grid (`ccm.spectra`) and goes through
+    _order_check, which raises DomainMismatchError on a disagreement; the
+    null order is the last of the leading delay-domain nulls.  Returns the
+    report, the per-order EquivalenceResults and the reference residuals
+    max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)), W_0(m) being code
+    0's exact weight (P_m for a PTM-ordered train).
     """
     ccm = schedule.ccm
     weights = _exact_weights(schedule, max_order)
 
     code_length = ccm.length
-    acfs = code_acfs(ccm)
-    spectra = _power_spectra(ccm, z_count)
-    coeffs = np.array(weights, dtype=float) @ acfs.T
+    coeffs = np.array(weights, dtype=float) @ code_acfs(ccm).T
     # The worst off-peak magnitude per order; N = 1 has no off-peak lag.
     residuals = np.delete(np.abs(coeffs), code_length - 1, axis=1).max(1, initial=0.0)
     base = float(max(1, schedule.last_slot))
     thresholds = tol * code_length * base ** np.arange(max_order + 1)
-    null_order = -1
-    for m in range(max_order + 1):
-        if residuals[m] > thresholds[m]:
-            break
-        null_order = m
+
+    checks, z_residuals = [], np.empty(max_order + 1)
+    for m, row in enumerate(weights):
+        samples = _zsamples(ccm.spectra, row)
+        residual, threshold = float(residuals[m]), float(thresholds[m])
+        checks.append(_order_check(m, residual, threshold, samples, code_length))
+        target = code_length * ccm.count * row[0]
+        z_residuals[m] = np.max(np.abs(samples - target)) / max(1.0, target)
+    nulls = [check.time_domain_null for check in checks]
+    null_order = (nulls + [False]).index(False) - 1
     lags = np.arange(1 - code_length, code_length)
     report = TaylorReport(max_order, lags, coeffs, residuals, thresholds, null_order)
-
-    checks = [
-        _order_check(report, m, spectra, weights, code_length)
-        for m in range(max_order + 1)
-    ]
-    z_residuals = np.empty(max_order + 1)
-    for m, row in enumerate(weights):
-        target = code_length * ccm.count * row[0]
-        samples = _zsamples(spectra, row)
-        z_residuals[m] = np.max(np.abs(samples - target)) / max(1.0, target)
     return report, checks, z_residuals
 
 
@@ -288,56 +289,35 @@ def taylor_coeffs(
     return _train_taylor(train, max_order, tol)[0]
 
 
-def _power_spectra(ccm: Ccm, z_count: int | None = None) -> np.ndarray:
-    """|X_k(z)|^2 for every code k at Z unit-circle points, shape (Z, K).
-
-    Z is z_count, else 2N (`ccm.spectra`): enough for C_m(z)'s 2N-1 coefficients,
-    no alias.  X(z_j) at exp(2j*pi*j/Z) sees n mod Z; one length-Z FFT per folded code.
-    """
-    if z_count is None:
-        return ccm.spectra
-    if not 1 <= z_count <= MAX_TRAIN_LENGTH:
-        raise ValueError(f"z sample count must be in 1..{MAX_TRAIN_LENGTH}")
-    spectra = np.empty((z_count, ccm.count))
-    for k, code in enumerate(ccm.columns.T):
-        if ccm.length > z_count:
-            code = np.pad(code, (0, -ccm.length % z_count)).reshape(-1, z_count).sum(0)
-        np.abs(np.fft.fft(code, z_count), out=spectra[:, k])
-    return np.square(spectra, out=spectra)
-
-
 def _zsamples(spectra: np.ndarray, weights_m: list[int]) -> np.ndarray:
     # One matrix-vector product per order: a single product over all orders
     # rounds differently and shifts the printed residuals.
     return spectra @ np.array(weights_m, dtype=float)
 
 
-def zdomain_samples(
-    train: PulseTrain, order: int, z_count: int | None = None
-) -> np.ndarray:
-    """C_m(z) = sum_n (n+d)^m |X_{x_n}(z)|^2 at z_count (else 2N) points.
+def zdomain_samples(train: PulseTrain, order: int) -> np.ndarray:
+    """C_m(z) = sum_n (n+d)^m |X_{x_n}(z)|^2 at the 2N points exp(1j*pi*j/N).
 
-    Real-valued by construction.  Works for any train; PTM-ordered trains
-    make this constant in z for m up to the train order.
+    Real-valued by construction; 2N samples hold C_m's 2N-1 coefficients
+    without alias.  Works for any train; PTM-ordered trains make this
+    constant in z for m up to the train order.
     """
     weights = _exact_weights(train, order, order)[0]
-    return _zsamples(_power_spectra(train.ccm, z_count), weights)
+    return _zsamples(train.ccm.spectra, weights)
 
 
-def zdomain_coeff_check(
-    train: PulseTrain, max_order: int, z_count: int | None = None
-) -> np.ndarray:
+def zdomain_coeff_check(train: PulseTrain, max_order: int) -> np.ndarray:
     """Relative deviation of C_m(z) from its predicted constant N*K*P_m.
 
     P_m is the common block power sum of the train's own PTM partition
     (block cardinality for m = 0).  Requires a PTM-ordered train, for which
     the prediction is exact through the train order; entry m of the result
-    is max_z |C_m(z) - N*K*P_m| / max(1, N*K*P_m) over z_count (else 2N)
-    points.  Raises DomainMismatchError when the domains disagree.
+    is max_z |C_m(z) - N*K*P_m| / max(1, N*K*P_m) over the 2N grid.
+    Raises DomainMismatchError when the domains disagree.
     """
     if not train.is_ptm_ordered():
         raise ValueError("reference check requires a PTM-ordered, zero-delay train")
-    return _train_taylor(train, max_order, NULL_TOL, z_count)[2]
+    return _train_taylor(train, max_order, NULL_TOL)[2]
 
 
 @dataclass(frozen=True)
@@ -352,21 +332,18 @@ class EquivalenceResult:
 
 
 def _order_check(
-    report: TaylorReport,
     order: int,
-    spectra: np.ndarray,
-    weights: list[list[int]],
+    time_residual: float,
+    threshold: float,
+    samples: np.ndarray,
     code_length: int,
 ) -> EquivalenceResult:
-    """Both order-m verdicts from a report, its weights and the spectra.
+    """Both order-m verdicts from the off-peak residual and C_m(z) samples.
 
-    Raises DomainMismatchError when the two verdicts disagree.
+    A NaN residual or sample fails its test.  Raises DomainMismatchError
+    when the two verdicts disagree.
     """
-    time_residual = float(report.max_sidelobe_residual[order])
-    threshold = float(report.thresholds[order])
     time_null = time_residual <= threshold
-
-    samples = _zsamples(spectra, weights[order])
     z_dev = float(np.max(np.abs(samples - samples.mean())))
     # The deviation polynomial has 2(N-1) coefficient terms of size |c_m(k)|.
     z_constant = z_dev <= 2 * max(1, code_length - 1) * threshold
@@ -377,20 +354,17 @@ def _order_check(
 
 
 def equivalence_check(
-    train: PulseTrain,
-    order: int,
-    z_count: int | None = None,
-    tol: float = NULL_TOL,
+    train: PulseTrain, order: int, tol: float = NULL_TOL
 ) -> EquivalenceResult:
     """Cross-validate the order-m null in the delay and z domains.
 
     The delay-domain test thresholds the worst off-peak |c_m(k)|; the
-    z-domain test the spread of C_m(z) at z_count (else 2N) points.  A
-    vanished coefficient makes C_m exactly constant and vice versa, so the
-    verdicts must agree, or DomainMismatchError is raised.  Every order up
-    to `order` is checked, so a disagreement at a lower order raises too.
+    z-domain test the spread of C_m(z) on the 2N grid.  A vanished
+    coefficient makes C_m exactly constant and vice versa, so the verdicts
+    must agree, or DomainMismatchError is raised.  Every order up to
+    `order` is checked, so a disagreement at a lower order raises too.
     """
-    return _train_taylor(train, order, tol, z_count)[1][order]
+    return _train_taylor(train, order, tol)[1][order]
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ class TestVerify:
         assert run("verify", path, 0) == 0
 
     def test_domain_mismatch_exits_4(self, train_file, monkeypatch):
-        def boom(report, order, spectra, weights, code_length):
+        def boom(order, time_residual, threshold, samples, code_length):
             raise doppler.DomainMismatchError(order, 1.0, 0.0)
 
         monkeypatch.setattr(doppler, "_order_check", boom)
@@ -209,12 +209,12 @@ class TestVerify:
         assert run("ptm", ccm_path, order, "--out", train_path) == 0
         power_sums = count_calls(monkeypatch, numtheory.power_sum)
         ffts = count_ffts(monkeypatch)
-        spectra = count_calls(monkeypatch, doppler._power_spectra)
+        zsamples = count_calls(monkeypatch, doppler._zsamples)
         assert run("verify", train_path, order) == 0
         k = 2 if kind == "golay" else size
         assert not power_sums  # PTM weights come from the digits
         assert sum(ffts) == k  # one spectrum per code: ACFs and z domain share it
-        assert len(spectra) == 1
+        assert len(zsamples) == order + 1  # each order's C_m(z) sampled once
 
     @pytest.mark.parametrize("kind,size,order", [("golay", 3, 4), ("dft", 3, 2)])
     def test_cyclic_train_sums_powers_per_code_and_order(
@@ -384,11 +384,11 @@ class TestStagger:
         )
 
     def test_builds_each_intermediate_once(self, tmp_path, golay_file, monkeypatch):
-        spectra = count_calls(monkeypatch, doppler._power_spectra)
+        zsamples = count_calls(monkeypatch, doppler._zsamples)
         ffts = count_ffts(monkeypatch)
         sums = count_calls(monkeypatch, numtheory.power_sum)
         assert run("stagger", golay_file, 2, "--out", tmp_path / "plan.json") == 0
-        assert len(spectra) == 1
+        assert len(zsamples) == 3  # orders 0..2, each sampled once
         assert sum(ffts) == 2  # one per code: validation, report and z domain share them
         # Padded sums are derived; the weights come from the lanes' slot lists.
         padded = stagger.pad_partition(stagger.builtin_partition(2)).blocks
@@ -530,6 +530,9 @@ ERROR_CASES = [
                  f"cannot read train {{t}}/broken.json: {BAD_JSON}", id="verify-bad-json"),
     pytest.param("verify {t}/pair.json 3", 3, "malformed train {t}/pair.json: 'ccm'",
                  id="verify-malformed"),
+    pytest.param("verify {t}/nan.json 1", 3,
+                 "malformed train {t}/nan.json: all entries must have unit magnitude",
+                 id="verify-nan-entry"),
     pytest.param("verify {t}/train.json 33", 2, "max_order must be in 0..32",
                  id="verify-order"),
     pytest.param("verify {t}/train.json 3 --out {t}/no/r.json", 3,
@@ -543,6 +546,9 @@ ERROR_CASES = [
     pytest.param("surface {t}/absent.json -0.1 0.1 5 --out {t}/s.csv", 3,
                  f"cannot read train {{t}}/absent.json: {NO_FILE}: '{{t}}/absent.json'",
                  id="surface-missing"),
+    pytest.param("surface {t}/nan.json -0.1 0.1 5 --out {t}/s.csv", 3,
+                 "malformed train {t}/nan.json: all entries must have unit magnitude",
+                 id="surface-nan-entry"),
     pytest.param("surface {t}/train.json -0.1 0.1 5 --out {t}/no/s.csv", 3,
                  "output directory does not exist: {t}/no", id="surface-no-dir"),
     pytest.param("surface {t}/train.json -0.1 0.1 5 --out {t}", 3,
@@ -633,6 +639,12 @@ def error_inputs(tmp_path, golay_file, train_file):
                                "prouhetSums": [9, 9]}),
         "sums.json": json.dumps({"p": 2, "M": 1, "blocks": [[0, 3], [1, 2]],
                                  "prouhetSums": [9, 9]}),
+        # json.load reads the bare NaN that json.dumps writes for float("nan").
+        "nan.json": json.dumps({
+            "ccm": {"N": 2, "K": 2, "columns": [[[float("nan"), 0], [1, 0]],
+                                                [[1, 0], [-1, 0]]]},
+            "indices": [0, 1, 1, 0],
+        }),
         "flat.json": json.dumps(
             {"N": 2, "K": 2, "phaseOrder": None, "columns": [[[1, 0], [1, 0]]] * 2}
         ),
@@ -655,7 +667,7 @@ def test_each_failure_prints_one_error_line(
 
 
 def test_domain_mismatch_prints_one_error_line(train_file, monkeypatch, capsys):
-    def boom(report, order, spectra, weights, code_length):
+    def boom(order, time_residual, threshold, samples, code_length):
         raise doppler.DomainMismatchError(order, 1.0, 0.0)
 
     monkeypatch.setattr(doppler, "_order_check", boom)
@@ -669,7 +681,7 @@ def test_domain_mismatch_prints_one_error_line(train_file, monkeypatch, capsys):
 def test_stagger_domain_mismatch_prints_one_error_line(
     tmp_path, golay_file, monkeypatch, capsys
 ):
-    def boom(report, order, spectra, weights, code_length):
+    def boom(order, time_residual, threshold, samples, code_length):
         raise doppler.DomainMismatchError(order, 1.0, 0.0)
 
     monkeypatch.setattr(doppler, "_order_check", boom)

@@ -325,3 +325,9 @@ class TestCcmSerialization:
                 phase_order=2,
                 phases=np.array([[1], [1]]),  # says -1, entries are +1
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan)])
+    def test_non_finite_entries_refused(self, bad):
+        cols = np.array([[bad, 1], [1, -1]], dtype=complex)
+        with pytest.raises(ValueError, match="unit magnitude"):
+            codes.Ccm(cols)

@@ -124,6 +124,21 @@ class TestTrainConstruction:
         assert train.slots_by_code() == [[3], [4, 5]]
         assert all(type(s) is int for slots in train.slots_by_code() for s in slots)
 
+    @pytest.mark.parametrize(
+        "delay", [1.5, np.float64(2.0), "2", None],
+        ids=["float", "float64", "str", "none"],
+    )
+    def test_non_integer_delay_refused(self, delay):
+        with pytest.raises(ValueError, match="delay must be an integer"):
+            doppler.PulseTrain(golay(), (0, 1), delay)
+
+    @pytest.mark.parametrize("delay", [np.int64(2), np.uint8(2)], ids=["int64", "uint8"])
+    def test_integer_delay_stored_as_python_int(self, delay):
+        train = doppler.PulseTrain(golay(), (0, 1), delay)
+        assert type(train.delay) is int and train.delay == 2
+        data = json.loads(json.dumps(train.to_json_dict()))
+        assert doppler.PulseTrain.from_json_dict(data).delay == 2
+
     def test_length_cap(self):
         with pytest.raises(ValueError):
             doppler.build_ptm_train(golay(), 31)
@@ -160,9 +175,8 @@ class TestExactWeights:
         assert weights == expected
         # Only short trains over many codes (J*K^2 > L) sum their powers.
         assert power_sum.called == (levels * count**2 > length)
-        spectra = doppler._power_spectra(ccm)
         np.testing.assert_array_equal(
-            samples, spectra @ np.array(expected[max_order], dtype=float)
+            samples, ccm.spectra @ np.array(expected[max_order], dtype=float)
         )
 
     @pytest.mark.parametrize(
@@ -294,17 +308,17 @@ class TestTaylorCoeffs:
 class TestZDomain:
     def test_two_code_constancy(self):
         train = doppler.build_ptm_train(golay(), 3)
-        residuals = doppler.zdomain_coeff_check(train, 3, 64)
+        residuals = doppler.zdomain_coeff_check(train, 3)
         assert residuals.max() <= 1e-9
 
     def test_three_code_constancy(self):
         train = doppler.build_ptm_train(codes.gen_dft_set(3), 2)
-        assert doppler.zdomain_coeff_check(train, 2, 64).max() <= 1e-9
+        assert doppler.zdomain_coeff_check(train, 2).max() <= 1e-9
 
     def test_zeroth_order_value(self):
         # C_0(z) is the summed per-pulse energy L*N at every sample.
         train = doppler.build_ptm_train(golay(), 2)
-        samples = doppler.zdomain_samples(train, 0, 32)
+        samples = doppler.zdomain_samples(train, 0)
         expected = train.length * train.ccm.length
         assert np.allclose(samples, expected, rtol=1e-12)
 
@@ -315,8 +329,9 @@ class TestZDomain:
     def test_direct_evaluation_oracle(self):
         # Recompute C_m(z) term by term, no grouping, and compare.
         train = doppler.build_ptm_train(codes.gen_dft_set(3), 1)
-        zs = np.exp(2j * np.pi * np.arange(16) / 16)
-        samples = doppler.zdomain_samples(train, 2, 16)
+        zs = np.exp(2j * np.pi * np.arange(6) / 6)  # the 2N grid, N = 3
+        samples = doppler.zdomain_samples(train, 2)
+        assert samples.shape == (6,)
         for t, z in enumerate(zs):
             direct = sum(
                 n**2 * abs(codes.ztransform_eval(train.ccm.code(c), z)) ** 2
@@ -331,29 +346,25 @@ class TestPowerSpectra:
         [(64, 16), (64, 64), (16, 64), (64, 24), (5, 3), (3, 7), (1, 1), (5, None)],
     )
     def test_matches_horner_evaluation(self, n, z_count):
-        # No count given samples the default grid of 2N points.
+        # The z domain's only grid is 2N points exp(1j*pi*j/N).  Those samples
+        # fix |X(z)|^2 on the whole unit circle (a degree N-1 trigonometric
+        # polynomial whose coefficients are the ACF), so the ACF built from
+        # them must reproduce Horner's values on any other grid of z_count
+        # points; no count given checks the 2N grid alone.
         count = z_count or 2 * n
         phases = np.random.default_rng(n * 100 + count).integers(0, 6, (n, 3))
         ccm = codes.Ccm.from_phases(phases, 6)
-        given = () if z_count is None else (z_count,)
-        spectra = doppler._power_spectra(ccm, *given)
-        assert spectra.shape == (count, 3)
+        assert ccm.spectra.shape == (2 * n, 3)
+        grid = np.exp(1j * np.pi * np.arange(2 * n) / n)
         zs = np.exp(2j * np.pi * np.arange(count) / count)
+        powers = zs[:, None] ** np.arange(1 - n, n)  # |X(z)|^2 = sum_k ACF(k) z^k
         for k in range(3):
-            direct = np.abs([codes.ztransform_eval(ccm.code(k), z) for z in zs]) ** 2
-            assert np.max(np.abs(spectra[:, k] - direct)) <= 1e-10 * n * n
-
-    def test_sample_count_bounds(self):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError):
-                doppler._power_spectra(golay(), doppler.MAX_TRAIN_LENGTH + 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20  # refused before the Z x K arrays exist
-        with pytest.raises(ValueError):
-            doppler._power_spectra(golay(), 0)
+            code = ccm.code(k)
+            direct = np.abs([codes.ztransform_eval(code, z) for z in grid]) ** 2
+            assert np.max(np.abs(ccm.spectra[:, k] - direct)) <= 1e-10 * n * n
+            direct = np.abs([codes.ztransform_eval(code, z) for z in zs]) ** 2
+            from_grid = powers @ ccm.acfs[:, k]
+            assert np.max(np.abs(from_grid - direct)) <= 1e-10 * n * n
 
 
 class TestEquivalence:
@@ -368,12 +379,10 @@ class TestEquivalence:
         assert not result.time_domain_null and not result.z_domain_constant
 
     def test_default_grid_does_not_alias(self, frank_train):
+        # The 2N grid, not the Frank code's own 64-point DFT grid, on which
+        # C_0 would look constant.
         result = doppler.equivalence_check(frank_train, 0)
         assert not result.time_domain_null and not result.z_domain_constant
-        # An explicit 64-point grid is the Frank code's own DFT grid: C_0
-        # looks constant there, so the domains disagree.
-        with pytest.raises(doppler.DomainMismatchError):
-            doppler.equivalence_check(frank_train, 0, 64)
 
     def test_zero_order_with_equal_multiplicity(self):
         train = doppler.build_cyclic_train(codes.gen_dft_set(3), 27)

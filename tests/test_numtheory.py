@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as stn
 
 from dopwave import numtheory as nt
+from dopwave import stagger
 
 # Known prefixes of the mod-p sequences for p = 2, 3, 4.
 PTM_P2_16 = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]
@@ -35,6 +37,16 @@ PART_P4_M2 = (
 ESP_DEG2 = ((0, 4, 5), (1, 2, 6))
 ESP_DEG3 = ((0, 4, 7, 11), (1, 2, 9, 10))
 ESP_DEG5 = ((0, 5, 6, 16, 17, 22), (1, 2, 10, 12, 20, 21))
+
+
+# Every partition of a few small searches, and the built-in ones.
+ESP_FAMILY = [
+    *nt.esp_search(range(8), 2, 2),
+    *nt.esp_search(range(9), 3, 1),
+    *nt.esp_search(range(12), 3, 1),
+    *nt.esp_search(range(16), 2, 3),
+    *(stagger.builtin_partition(degree) for degree in (2, 3, 5)),
+]
 
 
 def brute_force_balanced_splits(universe, degree, p=2):
@@ -259,6 +271,21 @@ class TestEspCheck:
         # Repeats count: doubling every element doubles every power sum.
         doubled = tuple(b + b for b in ESP_DEG2)
         assert nt.esp_check(doubled, 2).is_esp
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stn.sampled_from(ESP_FAMILY), stn.integers(1, 10**6), stn.integers(0, 10**6)
+    )
+    def test_affine_map_keeps_equal_power_sums(self, partition, a, b):
+        # sum (a*x + b)^m = sum_i C(m, i) a^i b^(m-i) P_i over every block.
+        mapped = [[a * x + b for x in block] for block in partition.blocks]
+        result = nt.esp_check(mapped, partition.degree)
+        assert result.is_esp
+        for m, sum_m in enumerate(result.prouhet_sums):
+            assert sum_m == sum(
+                math.comb(m, i) * a**i * b ** (m - i) * partition.prouhet_sums[i]
+                for i in range(m + 1)
+            )
 
     def test_needs_two_blocks(self):
         with pytest.raises(ValueError):

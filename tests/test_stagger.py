@@ -299,7 +299,7 @@ class TestCrossCheck:
         ids=["taylor_coeffs", "zdomain_coeff_check", "composite_taylor", "compare"],
     )
     def test_every_report_raises_on_a_domain_mismatch(self, monkeypatch, build):
-        def boom(report, order, spectra, weights, code_length):
+        def boom(order, time_residual, threshold, samples, code_length):
             raise doppler.DomainMismatchError(order, 1.0, 0.0)
 
         monkeypatch.setattr(doppler, "_order_check", boom)
