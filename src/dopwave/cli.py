@@ -20,6 +20,7 @@ has no effect: every command is deterministic.
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -322,8 +323,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help.
         return int(exc.code or 0)
     try:
-        if args.tol <= 0:
-            raise CliError(EXIT_USAGE, "tolerance must be positive")
+        if not 0 < args.tol < math.inf:  # refuses NaN too
+            raise CliError(EXIT_USAGE, "tolerance must be positive and finite")
         return _HANDLERS[args.command](args)
     except doppler.DomainMismatchError as exc:
         error = CliError(EXIT_MISMATCH, str(exc))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .codes import Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
-from .numtheory import _capped_power, _json_ints, _ptm_array, _ptm_weights, power_sum
+from .numtheory import _capped_power, _json_ints, _power_sums, _ptm_array, _ptm_weights
 
 __all__ = [
     "PulseTrain",
@@ -175,8 +175,8 @@ def _exact_weights(schedule, max_order: int, min_order: int = 0) -> list[list[in
 
     Row m - min_order, column c, m = min_order..max_order.  A PTM train of
     length L = K^J takes the digit DP (_ptm_weights) unless its J*K^2 row
-    shifts outnumber the L pulses; every other schedule takes one power sum
-    per (code, order).
+    shifts outnumber the L pulses; every other schedule sums its slots in
+    one pass per code, all orders at once (_power_sums).
     """
     if not 0 <= max_order <= MAX_TAYLOR_ORDER:
         raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
@@ -186,8 +186,8 @@ def _exact_weights(schedule, max_order: int, min_order: int = 0) -> list[list[in
         full = count**levels == schedule.length >= levels * count * count
         if full and schedule.is_ptm_ordered():
             return _ptm_weights(count, levels, max_order)[min_order:]
-    slots_by_code, orders = schedule.slots_by_code(), range(min_order, max_order + 1)
-    return [[power_sum(slots, m) for slots in slots_by_code] for m in orders]
+    sums = [_power_sums(slots, max_order) for slots in schedule.slots_by_code()]
+    return [list(row) for row in zip(*sums)][min_order:]
 
 
 def _slot_phase_sums(slots_by_code, thetas: np.ndarray) -> np.ndarray:

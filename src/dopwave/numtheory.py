@@ -133,8 +133,9 @@ class PtmPartition:
         return self.p ** (self.degree + 1)
 
     def prouhet_sums(self) -> tuple[int, ...]:
-        """Common power sums P_0..P_degree shared by every block."""
-        return tuple(power_sum(self.blocks[0], m) for m in range(self.degree + 1))
+        """Common power sums P_0..P_degree shared by every block (symbol 0's)."""
+        weights = _ptm_weights(self.p, self.degree + 1, self.degree)
+        return tuple(row[0] for row in weights)
 
     def as_esp(self) -> "EspPartition":
         return EspPartition(self.blocks, self.degree, self.prouhet_sums())
@@ -184,6 +185,18 @@ def power_sum(values, m: int) -> int:
     return sum(v ** m for v in values)
 
 
+def _power_sums(values, max_order: int) -> list[int]:
+    """[power_sum(values, m) for m = 0..max_order] in one pass of running
+    products over an object array: exact Python ints, 0**0 = 1, and no
+    entry for a negative max_order."""
+    base = np.array(values, dtype=object)
+    powers, sums = np.ones_like(base), [base.size]
+    for _ in range(max_order):
+        powers *= base
+        sums.append(int(powers.sum()))
+    return sums[: max_order + 1]
+
+
 def prouhet_sum(p: int, degree: int, m: int) -> int:
     """Common m-th power sum of the blocks of the (p, degree) PTM partition.
 
@@ -221,13 +234,9 @@ def esp_check(blocks, degree: int) -> EspCheck:
     mats = [tuple(b) for b in blocks]
     if len(mats) < 2:
         raise ValueError("need at least two blocks")
-    reference = tuple(power_sum(mats[0], m) for m in range(degree + 1))
-    ok = all(
-        power_sum(b, m) == reference[m]
-        for b in mats[1:]
-        for m in range(1, degree + 1)
-    )
-    return EspCheck(ok, reference)
+    reference, *others = (_power_sums(b, degree) for b in mats)
+    ok = all(sums[1:] == reference[1:] for sums in others)
+    return EspCheck(ok, tuple(reference))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ partition spans fewer slots than K^(M+1).
 from dataclasses import dataclass
 from itertools import chain
 
+import numpy as np
+
 from .codes import Ccm
 from .codes import code_acfs  # noqa: F401  (bench/test_bench.py traces this binding)
 from .doppler import (
@@ -25,7 +27,7 @@ from .doppler import (
     build_ptm_train,
     taylor_coeffs,
 )
-from .numtheory import EspPartition, _json_ints, power_sum, ptm_partition
+from .numtheory import EspPartition, _json_ints, _power_sums, ptm_partition
 
 __all__ = [
     "Lane",
@@ -166,7 +168,7 @@ def pad_partition(partition: EspPartition) -> EspPartition:
     used = set(chain.from_iterable(partition.blocks))
     missing = sorted(set(range(max(used) + 1)) - used)
     blocks = tuple(tuple(sorted(block + tuple(missing))) for block in partition.blocks)
-    sums = (s + power_sum(missing, m) for m, s in enumerate(partition.prouhet_sums))
+    sums = map(sum, zip(partition.prouhet_sums, _power_sums(missing, partition.degree)))
     return EspPartition(blocks, partition.degree, tuple(sums))
 
 
@@ -193,24 +195,25 @@ def decompose_to_antennas(
         )
     padded = pad_partition(partition)
     horizon = max(max(b) for b in padded.blocks) + 1
-    # Sorted code multiset demanded at each slot: codes arrive in order.
-    demands: list[list[int]] = [[] for _ in range(horizon)]
-    for code, block in enumerate(padded.blocks):
-        for slot in block:
-            demands[slot].append(code)
-    peak = max(len(d) for d in demands)
+    # Every pulse's slot and code; a stable sort by slot yields each slot's
+    # sorted code multiset in turn, and sizes[t] is the demand at slot t.
+    slots = np.concatenate(padded.blocks)
+    labels = np.repeat(np.arange(ccm.count), [len(b) for b in padded.blocks])
+    demand = iter(labels[np.argsort(slots, kind="stable")].tolist())
+    sizes = np.bincount(slots, minlength=horizon)
+    peak = int(sizes.max())
     if peak > antenna_cap:
         raise ValueError(f"slot demand {peak} exceeds antenna cap {antenna_cap}")
 
     open_lanes: list[tuple[int, list[int]]] = []  # (delay, codes) in opening order
     finished: list[tuple[int, list[int]]] = []
-    for slot, demand in enumerate(demands):
-        while len(open_lanes) > len(demand):
+    for slot, size in enumerate(sizes.tolist()):
+        while len(open_lanes) > size:
             finished.append(open_lanes.pop(0))
-        while len(open_lanes) < len(demand):
+        while len(open_lanes) < size:
             open_lanes.append((slot, []))
-        for (_, codes), code in zip(open_lanes, demand):
-            codes.append(code)
+        for _, codes in open_lanes:
+            codes.append(next(demand))
     finished.extend(open_lanes)
     finished.sort(key=lambda lane: lane[0])
     lanes = tuple(Lane(delay, tuple(codes)) for delay, codes in finished)

@@ -207,7 +207,7 @@ class TestVerify:
         ccm_path, train_path = tmp_path / "set.json", tmp_path / "train.json"
         assert run("gen", kind, size, "--out", ccm_path) == 0
         assert run("ptm", ccm_path, order, "--out", train_path) == 0
-        power_sums = count_calls(monkeypatch, numtheory.power_sum)
+        power_sums = count_calls(monkeypatch, numtheory._power_sums)
         ffts = count_ffts(monkeypatch)
         zsamples = count_calls(monkeypatch, doppler._zsamples)
         assert run("verify", train_path, order) == 0
@@ -225,10 +225,10 @@ class TestVerify:
         ccm = codes.Ccm.from_json_dict(json.loads(ccm_path.read_text()))
         train = doppler.build_cyclic_train(ccm, ccm.count ** (order + 1))
         train_path.write_text(json.dumps(train.to_json_dict()))
-        power_sums = count_calls(monkeypatch, numtheory.power_sum)
+        power_sums = count_calls(monkeypatch, numtheory._power_sums)
         ffts = count_ffts(monkeypatch)
         assert run("verify", train_path, order) == 1
-        assert len(power_sums) == ccm.count * (order + 1)
+        assert len(power_sums) == ccm.count  # one pass per code for every order
         assert all(type(v) is int for args in power_sums for v in args[0])
         assert sum(ffts) == ccm.count
 
@@ -384,15 +384,23 @@ class TestStagger:
         )
 
     def test_builds_each_intermediate_once(self, tmp_path, golay_file, monkeypatch):
+        builtin = stagger.builtin_partition(2)
+        padded = stagger.pad_partition(builtin)
+        missing = sorted(set(range(max(map(max, padded.blocks)) + 1))
+                         - set(sum(builtin.blocks, ())))
         zsamples = count_calls(monkeypatch, doppler._zsamples)
         ffts = count_ffts(monkeypatch)
-        sums = count_calls(monkeypatch, numtheory.power_sum)
+        sums = count_calls(monkeypatch, numtheory._power_sums)
         assert run("stagger", golay_file, 2, "--out", tmp_path / "plan.json") == 0
         assert len(zsamples) == 3  # orders 0..2, each sampled once
         assert sum(ffts) == 2  # one per code: validation, report and z domain share them
-        # Padded sums are derived; the weights come from the lanes' slot lists.
-        padded = stagger.pad_partition(stagger.builtin_partition(2)).blocks
-        assert not [args for args in sums if args[0] in padded]
+        # One pass per block in esp_check, one for the padding slots and one
+        # per code for the weights, over the lanes' slots.  The padded sums
+        # are derived: no pass over a padded block before the weights.
+        assert [sorted(args[0]) for args in sums] == [
+            *map(list, builtin.blocks), missing, *map(list, padded.blocks)
+        ]
+        assert all(args[1] == 2 for args in sums)  # every order at once
 
     def test_plan_round_trip(self, tmp_path, golay_file):
         from dopwave import stagger as st
@@ -615,9 +623,14 @@ ERROR_CASES = [
                  f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="stagger-write"),
     pytest.param("stagger {t}/pair.json 2 --out {t}/p.json --report {t}", 3,
                  f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="stagger-write-report"),
-    pytest.param("--tol -1 gen golay 2 --out {t}/x.json", 2, "tolerance must be positive",
-                 id="tol-negative"),
-    pytest.param("--tol 0 esp 0-7 2 1", 2, "tolerance must be positive", id="tol-zero"),
+    pytest.param("--tol -1 gen golay 2 --out {t}/x.json", 2,
+                 "tolerance must be positive and finite", id="tol-negative"),
+    pytest.param("--tol 0 esp 0-7 2 1", 2, "tolerance must be positive and finite",
+                 id="tol-zero"),
+    pytest.param("--tol inf ptm {t}/pair.json 2 --out {t}/t.json", 2,
+                 "tolerance must be positive and finite", id="tol-inf"),
+    pytest.param("--tol nan verify {t}/train.json 1", 2,
+                 "tolerance must be positive and finite", id="tol-nan"),
 ]
 
 

@@ -149,7 +149,8 @@ class TestTrainConstruction:
 
 
 class TestExactWeights:
-    """Full PTM trains take the digit DP; every other schedule sums powers."""
+    """Full PTM trains take the digit DP; every other schedule sums its
+    slots in one all-orders pass per code."""
 
     @staticmethod
     def direct(schedule, max_order):
@@ -158,7 +159,7 @@ class TestExactWeights:
 
     @staticmethod
     def counted_power_sums():
-        return mock.patch.object(doppler, "power_sum", wraps=numtheory.power_sum)
+        return mock.patch.object(doppler, "_power_sums", wraps=numtheory._power_sums)
 
     @settings(max_examples=30, deadline=None)
     @given(stn.data())
@@ -191,18 +192,20 @@ class TestExactWeights:
     def test_other_trains_sum_powers(self, make):
         train, max_order = make(golay()), 4
         expected = self.direct(train, max_order)
-        with self.counted_power_sums() as power_sum:
-            assert doppler._exact_weights(train, max_order) == expected
-        assert power_sum.call_count == 2 * (max_order + 1)
-        values = [v for call in power_sum.call_args_list for v in call.args[0]]
+        with self.counted_power_sums() as power_sums:
+            weights = doppler._exact_weights(train, max_order)
+        assert weights == expected
+        assert power_sums.call_count == 2  # one per code, every order at once
+        values = [v for call in power_sums.call_args_list for v in call.args[0]]
         assert values and all(type(v) is int for v in values)
+        assert all(type(w) is int for row in weights for w in row)
 
     def test_many_codes_over_few_levels_sum_powers(self):
         # J*K^2 > L: K^2 products per level would outgrow the L powers.
         train = doppler.build_ptm_train(codes.gen_dft_set(16), 1)
-        with self.counted_power_sums() as power_sum:
+        with self.counted_power_sums() as power_sums:
             assert doppler._exact_weights(train, 3) == self.direct(train, 3)
-        assert power_sum.call_count == 16 * 4
+        assert power_sums.call_count == 16
 
 
 class TestAmbiguity:

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as stn
 
 from dopwave import numtheory as nt
@@ -115,6 +115,24 @@ class TestPtmSequence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             nt.ptm_sequence(2, 0)
+
+
+class TestPowerSumsKernel:
+    """The private all-orders kernel against the per-order oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stn.lists(stn.one_of(stn.integers(0, 3), stn.integers(0, 1 << 20)), max_size=40),
+        stn.integers(0, 32),
+    )
+    @example([], 0)
+    @example([], 32)
+    @example([0, 0, 0], 0)
+    @example([0, 5, 5, 1 << 20], 32)
+    def test_matches_power_sum_at_every_order(self, values, max_order):
+        sums = nt._power_sums(values, max_order)
+        assert sums == [nt.power_sum(values, m) for m in range(max_order + 1)]
+        assert all(type(s) is int for s in sums)
 
 
 class TestPtmKernel:

@@ -17,6 +17,16 @@ PADDED_DEG5 = (
 )
 
 
+# Searched, built-in and PTM partitions; their affine images are random valid ones.
+PLAN_PARTITIONS = [
+    *numtheory.esp_search(range(8), 2, 2),
+    *numtheory.esp_search(range(9), 3, 1),
+    *(stagger.builtin_partition(degree) for degree in (2, 3, 5)),
+    numtheory.ptm_partition(2, 4).as_esp(),
+    numtheory.ptm_partition(3, 2).as_esp(),
+]
+
+
 def golay(exponent=3):
     return codes.gen_golay_pair(exponent)
 
@@ -190,6 +200,32 @@ class TestDecompose:
         padded = stagger.pad_partition(partition)
         plan = stagger.decompose_to_antennas(padded, golay(2))
         assert_plan_realizes_partition(plan)
+
+
+class TestPlanWeights:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stn.sampled_from(PLAN_PARTITIONS),
+        stn.integers(1, 4),
+        stn.integers(0, 40),
+        stn.data(),
+    )
+    def test_weights_match_the_slot_oracle(self, partition, a, b, data):
+        blocks = [[a * x + b for x in block] for block in partition.blocks]
+        degree = partition.degree
+        mapped = numtheory.EspPartition.from_blocks(blocks, degree)
+        plan = stagger.decompose_to_antennas(mapped, codes.gen_dft_set(mapped.p))
+        max_order = data.draw(stn.integers(0, degree + 4), label="max_order")
+        weights = doppler._exact_weights(plan, max_order)
+        slots = plan.slots_by_code()
+        expected = [
+            [numtheory.power_sum(s, m) for s in slots] for m in range(max_order + 1)
+        ]
+        assert weights == expected
+        assert all(type(w) is int for row in weights for w in row)
+        # Through the degree every code's weight is the padded Prouhet sum.
+        for m in range(min(max_order, degree) + 1):
+            assert weights[m] == [plan.partition.prouhet_sums[m]] * mapped.p
 
 
 class TestCompositeTaylor:
