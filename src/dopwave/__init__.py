@@ -38,7 +38,6 @@ from .doppler import (
 )
 from .numtheory import (
     EspPartition,
-    PtmPartition,
     WeightTable,
     digit_sum_mod,
     esp_check,
@@ -84,7 +83,6 @@ __all__ = [
     "taylor_coeffs",
     "zdomain_coeff_check",
     "EspPartition",
-    "PtmPartition",
     "WeightTable",
     "digit_sum_mod",
     "esp_check",

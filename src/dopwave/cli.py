@@ -166,12 +166,12 @@ def cmd_verify(args) -> int:
     # An order outside 0..32 exits 2 before any weight; a DomainMismatchError
     # from the cross-check of any order exits 4 (see `main`).
     with _exits(EXIT_USAGE):
-        report, _, z_residuals = doppler._train_taylor(train, args.order, args.tol)
+        report = doppler.taylor_coeffs(train, args.order, args.tol)
 
     for m in range(args.order + 1):
         print(
-            f"m={m} off-peak |c_m| {report.max_sidelobe_residual[m]:.3e} "
-            f"(threshold {report.thresholds[m]:.3e}) z-residual {z_residuals[m]:.3e}"
+            f"m={m} off-peak |c_m| {report.max_sidelobe_residual[m]:.3e} (threshold "
+            f"{report.thresholds[m]:.3e}) z-residual {report.z_residuals[m]:.3e}"
         )
     print(f"null order {report.null_order} (required {args.order})")
 

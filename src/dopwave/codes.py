@@ -53,8 +53,10 @@ def entries_from_phases(phases, order: int) -> np.ndarray:
     """Complex p-th roots of unity exp(2j*pi*phase/order).
 
     Orders 1, 2 and 4 are produced from an exact lookup so binary and
-    quaternary codes carry no rounding at all.
+    quaternary codes carry no rounding at all.  An order below 1 raises.
     """
+    if order < 1:
+        raise ValueError("phase_order must be positive")
     ph = np.asarray(phases) % order
     if order in _EXACT_ROOTS:
         return _EXACT_ROOTS[order][ph]
@@ -86,14 +88,13 @@ class Ccm:
             raise ValueError("phase_order and phases must be given together")
         ph = None
         if self.phases is not None:
-            if self.phase_order < 1:
-                raise ValueError("phase_order must be positive")
-            ph = np.array(self.phases, dtype=np.int64) % self.phase_order
+            ph = np.array(self.phases, dtype=np.int64)
             if ph.shape != cols.shape:
                 raise ValueError("phases must match the column matrix shape")
             rebuilt = entries_from_phases(ph, self.phase_order)
             if np.max(np.abs(rebuilt - cols)) > UNIT_TOL:
                 raise ValueError("phases do not reproduce the stored entries")
+            ph %= self.phase_order
             ph.setflags(write=False)
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)

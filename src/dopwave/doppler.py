@@ -170,13 +170,13 @@ def build_cyclic_train(ccm: Ccm, length: int) -> PulseTrain:
     return PulseTrain(ccm, np.arange(length) % ccm.count)
 
 
-def _exact_weights(schedule, max_order: int, min_order: int = 0) -> list[list[int]]:
+def _exact_weights(schedule, max_order: int) -> list[list[int]]:
     """Exact integer weights W_c(m) = sum(slot^m) over code c's slots.
 
-    Row m - min_order, column c, m = min_order..max_order.  A PTM train of
-    length L = K^J takes the digit DP (_ptm_weights) unless its J*K^2 row
-    shifts outnumber the L pulses; every other schedule sums its slots in
-    one pass per code, all orders at once (_power_sums).
+    Row m, column c, m = 0..max_order.  A PTM train of length L = K^J takes
+    the digit DP (_ptm_weights) unless its J*K^2 row shifts outnumber the
+    L pulses; every other schedule sums its slots in one pass per code, all
+    orders at once (_power_sums).
     """
     if not 0 <= max_order <= MAX_TAYLOR_ORDER:
         raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
@@ -185,9 +185,9 @@ def _exact_weights(schedule, max_order: int, min_order: int = 0) -> list[list[in
         levels = round(math.log(schedule.length, count))
         full = count**levels == schedule.length >= levels * count * count
         if full and schedule.is_ptm_ordered():
-            return _ptm_weights(count, levels, max_order)[min_order:]
+            return _ptm_weights(count, levels, max_order)
     sums = [_power_sums(slots, max_order) for slots in schedule.slots_by_code()]
-    return [list(row) for row in zip(*sums)][min_order:]
+    return [list(row) for row in zip(*sums)]
 
 
 def _slot_phase_sums(slots_by_code, thetas: np.ndarray) -> np.ndarray:
@@ -219,9 +219,12 @@ class TaylorReport:
     """Ambiguity Taylor coefficients and the null order they certify.
 
     coeffs[m] is c_m over all lags (lag k at column N-1+k); c_0 is the plain
-    summed autocorrelation of the train.  max_sidelobe_residual[m] is the
+    summed autocorrelation of the schedule.  max_sidelobe_residual[m] is the
     worst off-peak magnitude of c_m, and null_order is the largest m such
     that every coefficient up to m is within its scale-aware threshold.
+    z_deviations[m] is the spread max_z |C_m(z) - mean| on the 2N grid and
+    z_residuals[m] max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)), W_0(m)
+    being code 0's exact weight (P_m for a PTM train); neither goes to JSON.
     """
 
     max_order: int
@@ -230,6 +233,8 @@ class TaylorReport:
     max_sidelobe_residual: np.ndarray
     thresholds: np.ndarray
     null_order: int
+    z_deviations: np.ndarray
+    z_residuals: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,17 +247,15 @@ class TaylorReport:
         }
 
 
-def _train_taylor(schedule, max_order: int, tol: float):
-    """Taylor report of a train or staggered plan, checked in both domains.
+def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorReport:
+    """Taylor coefficients c_0..c_max_order of a train or staggered plan.
 
     The one path from a schedule (`.ccm`, `.last_slot`, _exact_weights) to
     a report; thresholds use the last slot.  Each order's C_m(z) is sampled
     once on the code set's 2N grid (`ccm.spectra`) and goes through
-    _order_check, which raises DomainMismatchError on a disagreement; the
-    null order is the last of the leading delay-domain nulls.  Returns the
-    report, the per-order EquivalenceResults and the reference residuals
-    max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)), W_0(m) being code
-    0's exact weight (P_m for a PTM-ordered train).
+    _order_check, which raises DomainMismatchError when the two domains
+    disagree.  The null order is the last of the leading delay-domain
+    nulls; a NaN residual is no null.
     """
     ccm = schedule.ccm
     weights = _exact_weights(schedule, max_order)
@@ -264,29 +267,20 @@ def _train_taylor(schedule, max_order: int, tol: float):
     base = float(max(1, schedule.last_slot))
     thresholds = tol * code_length * base ** np.arange(max_order + 1)
 
-    checks, z_residuals = [], np.empty(max_order + 1)
+    z_deviations, z_residuals = np.empty((2, max_order + 1))
     for m, row in enumerate(weights):
         samples = _zsamples(ccm.spectra, row)
         residual, threshold = float(residuals[m]), float(thresholds[m])
-        checks.append(_order_check(m, residual, threshold, samples, code_length))
+        z_deviations[m] = _order_check(m, residual, threshold, samples, code_length)
         target = code_length * ccm.count * row[0]
         z_residuals[m] = np.max(np.abs(samples - target)) / max(1.0, target)
-    nulls = [check.time_domain_null for check in checks]
+    nulls = (residuals <= thresholds).tolist()
     null_order = (nulls + [False]).index(False) - 1
     lags = np.arange(1 - code_length, code_length)
-    report = TaylorReport(max_order, lags, coeffs, residuals, thresholds, null_order)
-    return report, checks, z_residuals
-
-
-def taylor_coeffs(
-    train: PulseTrain, max_order: int, tol: float = NULL_TOL
-) -> TaylorReport:
-    """Taylor coefficients c_0..c_max_order of the train's ambiguity.
-
-    Checked on the 2N-point z grid; raises DomainMismatchError when the
-    two domains disagree at some order.
-    """
-    return _train_taylor(train, max_order, tol)[0]
+    return TaylorReport(
+        max_order, lags, coeffs, residuals, thresholds, null_order,
+        z_deviations, z_residuals,
+    )
 
 
 def _zsamples(spectra: np.ndarray, weights_m: list[int]) -> np.ndarray:
@@ -302,7 +296,7 @@ def zdomain_samples(train: PulseTrain, order: int) -> np.ndarray:
     without alias.  Works for any train; PTM-ordered trains make this
     constant in z for m up to the train order.
     """
-    weights = _exact_weights(train, order, order)[0]
+    weights = _exact_weights(train, order)[order]
     return _zsamples(train.ccm.spectra, weights)
 
 
@@ -311,13 +305,13 @@ def zdomain_coeff_check(train: PulseTrain, max_order: int) -> np.ndarray:
 
     P_m is the common block power sum of the train's own PTM partition
     (block cardinality for m = 0).  Requires a PTM-ordered train, for which
-    the prediction is exact through the train order; entry m of the result
-    is max_z |C_m(z) - N*K*P_m| / max(1, N*K*P_m) over the 2N grid.
-    Raises DomainMismatchError when the domains disagree.
+    the prediction is exact through the train order; the result is the
+    report's z_residuals, max_z |C_m(z) - N*K*P_m| / max(1, N*K*P_m) over
+    the 2N grid.  Raises DomainMismatchError when the domains disagree.
     """
     if not train.is_ptm_ordered():
         raise ValueError("reference check requires a PTM-ordered, zero-delay train")
-    return _train_taylor(train, max_order, NULL_TOL)[2]
+    return taylor_coeffs(train, max_order).z_residuals
 
 
 @dataclass(frozen=True)
@@ -337,11 +331,11 @@ def _order_check(
     threshold: float,
     samples: np.ndarray,
     code_length: int,
-) -> EquivalenceResult:
+) -> float:
     """Both order-m verdicts from the off-peak residual and C_m(z) samples.
 
-    A NaN residual or sample fails its test.  Raises DomainMismatchError
-    when the two verdicts disagree.
+    Returns the z deviation (the samples' spread).  A NaN residual or sample
+    fails its test.  Raises DomainMismatchError when the verdicts disagree.
     """
     time_null = time_residual <= threshold
     z_dev = float(np.max(np.abs(samples - samples.mean())))
@@ -350,7 +344,7 @@ def _order_check(
 
     if time_null != z_constant:
         raise DomainMismatchError(order, time_residual, z_dev)
-    return EquivalenceResult(order, time_null, z_constant, time_residual, z_dev)
+    return z_dev
 
 
 def equivalence_check(
@@ -362,9 +356,14 @@ def equivalence_check(
     z-domain test the spread of C_m(z) on the 2N grid.  A vanished
     coefficient makes C_m exactly constant and vice versa, so the verdicts
     must agree, or DomainMismatchError is raised.  Every order up to
-    `order` is checked, so a disagreement at a lower order raises too.
+    `order` is checked (taylor_coeffs), so a disagreement at a lower order
+    raises too, and the two verdicts returned are equal.
     """
-    return _train_taylor(train, order, tol)[1][order]
+    report = taylor_coeffs(train, order, tol)
+    residual = float(report.max_sidelobe_residual[order])
+    z_dev = float(report.z_deviations[order])
+    null = residual <= float(report.thresholds[order])
+    return EquivalenceResult(order, null, null, residual, z_dev)
 
 
 @dataclass(frozen=True)

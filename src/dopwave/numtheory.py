@@ -30,7 +30,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "sidelobe_split_check",
-    "PtmPartition",
     "EspPartition",
     "EspCheck",
     "WeightTable",
@@ -114,36 +113,6 @@ def ptm_sequence(p: int, length: int) -> list[int]:
     return _ptm_array(p, length).tolist()
 
 
-@dataclass(frozen=True)
-class PtmPartition:
-    """Partition of {0,...,p^(degree+1)-1} into p blocks by PTM symbol.
-
-    Block i holds exactly the n with digit_sum_mod(n, p) == i.  The blocks
-    are pairwise disjoint, each of size p^degree, and share identical power
-    sums sum(n^m) for m = 1..degree.
-    """
-
-    p: int
-    degree: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        """Total number of integers partitioned, p^(degree+1)."""
-        return self.p ** (self.degree + 1)
-
-    def prouhet_sums(self) -> tuple[int, ...]:
-        """Common power sums P_0..P_degree shared by every block (symbol 0's)."""
-        weights = _ptm_weights(self.p, self.degree + 1, self.degree)
-        return tuple(row[0] for row in weights)
-
-    def as_esp(self) -> "EspPartition":
-        return EspPartition(self.blocks, self.degree, self.prouhet_sums())
-
-    def to_json_dict(self) -> dict:
-        return self.as_esp().to_json_dict()
-
-
 def _capped_power(base: int, exponent: int, cap: int, what: str) -> int:
     """base**exponent, refused with ValueError when it exceeds `cap`.
 
@@ -167,11 +136,16 @@ def _ptm_size(p: int, degree: int) -> int:
     return _capped_power(p, degree + 1, MAX_PARTITION_SIZE, "partition size")
 
 
-def ptm_partition(p: int, degree: int) -> PtmPartition:
-    """Build the PTM p-block partition of {0,...,p^(degree+1)-1}."""
+def ptm_partition(p: int, degree: int) -> "EspPartition":
+    """The PTM p-block partition of {0,...,p^(degree+1)-1} as an EspPartition.
+
+    Block c holds the n with digit_sum_mod(n, p) == c; the blocks share power
+    sums up to the degree (Prouhet), read from the digit DP, not summed.
+    """
     symbols = _ptm_array(p, _ptm_size(p, degree))
-    blocks = (tuple(np.flatnonzero(symbols == c).tolist()) for c in range(p))
-    return PtmPartition(p, degree, tuple(blocks))
+    blocks = tuple(tuple(np.flatnonzero(symbols == c).tolist()) for c in range(p))
+    sums = tuple(row[0] for row in _ptm_weights(p, degree + 1, degree))
+    return EspPartition(blocks, degree, sums)
 
 
 def power_sum(values, m: int) -> int:
@@ -226,16 +200,19 @@ class EspCheck:
 
 
 def esp_check(blocks, degree: int) -> EspCheck:
-    """Test whether blocks share identical power sums for m = 1..degree.
+    """Test whether blocks share identical power sums for m = 0..degree.
 
-    Blocks are integer multisets (repeats count).  The reported sums
-    P_0..P_degree come from block 0; P_0 is its cardinality.
+    Blocks are integer multisets (repeats count), so m = 0 asks for a
+    common cardinality.  The reported sums P_0..P_degree come from block 0.
+    A degree below 1 raises ValueError.
     """
     mats = [tuple(b) for b in blocks]
     if len(mats) < 2:
         raise ValueError("need at least two blocks")
+    if degree < 1:
+        raise ValueError(f"degree must be positive, got {degree}")
     reference, *others = (_power_sums(b, degree) for b in mats)
-    ok = all(sums[1:] == reference[1:] for sums in others)
+    ok = all(sums == reference for sums in others)
     return EspCheck(ok, tuple(reference))
 
 
@@ -254,7 +231,10 @@ class EspPartition:
 
     @classmethod
     def from_blocks(cls, blocks, degree: int) -> "EspPartition":
-        """Validate the equal-power-sums property and build the partition."""
+        """Validate equal power sums for m = 0..degree and build the partition.
+
+        Blocks of unequal size and a degree below 1 raise ValueError.
+        """
         mats = tuple(tuple(sorted(int(v) for v in b)) for b in blocks)
         if any(v < 0 for b in mats for v in b):
             raise ValueError("slot values must be non-negative")

@@ -20,13 +20,7 @@ import numpy as np
 
 from .codes import Ccm
 from .codes import code_acfs  # noqa: F401  (bench/test_bench.py traces this binding)
-from .doppler import (
-    NULL_TOL,
-    TaylorReport,
-    _train_taylor,
-    build_ptm_train,
-    taylor_coeffs,
-)
+from .doppler import NULL_TOL, TaylorReport, build_ptm_train, taylor_coeffs
 from .numtheory import EspPartition, _json_ints, _power_sums, ptm_partition
 
 __all__ = [
@@ -247,10 +241,11 @@ def composite_taylor(
     Lane j's pulse at position n carries weight (n + delay_j)^m, so grouping
     by code gives c_m(k) = sum_c W_c(m) * ACF_c(k) with exact integer
     W_c(m); for m up to the partition degree the W_c coincide and the
-    off-peak coefficients collapse to complementary-sum residuals.  Raises
+    off-peak coefficients collapse to complementary-sum residuals.  This is
+    taylor_coeffs(plan, ...) plus the schedule costs; it raises
     DomainMismatchError when the two domains disagree at some order.
     """
-    report = vars(_train_taylor(plan, max_order, tol)[0])
+    report = vars(taylor_coeffs(plan, max_order, tol))
     return CompositeReport(**report, total_pulses=plan.total_pulses, span=plan.span)
 
 
@@ -298,7 +293,7 @@ def compare_ptm_vs_stagger(
         else:
             # The PTM split itself, correct for any K: no partition of its
             # slot range is shorter, so searching that range gains nothing.
-            partition = ptm_partition(ccm.count, degree).as_esp()
+            partition = ptm_partition(ccm.count, degree)
     if len(partition.blocks) != ccm.count:
         raise ValueError("partition block count must match the code count")
     if partition.degree < degree:

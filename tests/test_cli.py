@@ -518,6 +518,9 @@ ERROR_CASES = [
     pytest.param("ptm {t}/list.json 3 --out {t}/x.json", 3,
                  "malformed code set {t}/list.json: a code set is a JSON object",
                  id="ptm-not-object"),
+    pytest.param("ptm {t}/order0.json 3 --out {t}/x.json", 3,
+                 "malformed code set {t}/order0.json: phase_order must be positive",
+                 id="ptm-phase-order-zero"),
     pytest.param("ptm {t}/flat.json 3 --out {t}/x.json", 1,
                  "code set is not complementary: worst sidelobe sum 2.000000e+00, "
                  "peak error 0.000000e+00", id="ptm-not-complementary"),
@@ -609,6 +612,12 @@ ERROR_CASES = [
     pytest.param("stagger {t}/pair.json 1 --partition {t}/sums.json --out {t}/p.json", 1,
                  "partition file failed validation: declared prouhetSums differ "
                  "from the blocks' [2, 3]", id="stagger-declared-sums"),
+    pytest.param("stagger {t}/pair.json 1 --partition {t}/unequal.json --out {t}/p.json", 1,
+                 "partition file failed validation: blocks do not share power sums "
+                 "up to degree 1", id="stagger-unequal-blocks"),
+    pytest.param("stagger {t}/pair.json 1 --partition {t}/m0.json --out {t}/p.json", 1,
+                 "partition file failed validation: degree must be positive, got 0",
+                 id="stagger-degree-zero"),
     pytest.param("stagger {t}/pair.json 3 --partition {t}/part1.json --out {t}/p.json", 1,
                  "partition degree 1 is below M=3", id="stagger-low-degree"),
     pytest.param("stagger {t}/pair.json -1 --partition {t}/part1.json --out {t}/p.json", 2,
@@ -652,6 +661,11 @@ def error_inputs(tmp_path, golay_file, train_file):
                                "prouhetSums": [9, 9]}),
         "sums.json": json.dumps({"p": 2, "M": 1, "blocks": [[0, 3], [1, 2]],
                                  "prouhetSums": [9, 9]}),
+        # Sums 3 and 3 at m = 1 but three slots against one.
+        "unequal.json": json.dumps({"M": 1, "blocks": [[0, 1, 2], [3]]}),
+        "m0.json": json.dumps({"M": 0, "blocks": [[0, 3], [1, 2]]}),
+        "order0.json": json.dumps({"N": 2, "K": 2, "phaseOrder": 0,
+                                   "phases": [[0, 0], [0, 1]]}),
         # json.load reads the bare NaN that json.dumps writes for float("nan").
         "nan.json": json.dumps({
             "ccm": {"N": 2, "K": 2, "columns": [[[float("nan"), 0], [1, 0]],
@@ -706,6 +720,17 @@ def test_stagger_domain_mismatch_prints_one_error_line(
         "error: order-0 null verdicts disagree: delay-domain residual "
         "1.000e+00, z-domain deviation 0.000e+00\n",
     )
+    assert not plan.exists()
+
+
+def test_unequal_partition_blocks_write_no_plan(tmp_path, golay_file, capsys):
+    # The stagger-unequal-blocks row checks the error line; this one the file.
+    part = tmp_path / "unequal.json"
+    part.write_text(json.dumps({"M": 1, "blocks": [[0, 1, 2], [3]]}))
+    plan = tmp_path / "plan.json"
+    capsys.readouterr()  # drop the fixture's output
+    assert run("stagger", golay_file, 1, "--partition", part, "--out", plan) == 1
+    assert capsys.readouterr().out == ""
     assert not plan.exists()
 
 

@@ -326,6 +326,15 @@ class TestCcmSerialization:
                 phases=np.array([[1], [1]]),  # says -1, entries are +1
             )
 
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_phase_order_below_one_refused(self, order):
+        # Refused before any `%` or division, so numpy warns of nothing.
+        data = {"N": 2, "K": 2, "phaseOrder": order, "phases": [[0, 0], [0, 1]]}
+        with pytest.raises(ValueError, match="phase_order must be positive"):
+            codes.Ccm.from_json_dict(data)
+        with pytest.raises(ValueError, match="phase_order must be positive"):
+            codes.Ccm(np.ones((1, 1), complex), phase_order=order, phases=[[0]])
+
     @pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan)])
     def test_non_finite_entries_refused(self, bad):
         cols = np.array([[bad, 1], [1, -1]], dtype=complex)

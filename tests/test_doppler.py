@@ -516,7 +516,7 @@ class TestSurface:
     def test_one_lane_plan_surface_is_its_ptm_train(self):
         ccm = golay()
         plan = stagger.decompose_to_antennas(
-            numtheory.ptm_partition(2, 2).as_esp(), ccm
+            numtheory.ptm_partition(2, 2), ccm
         )
         train = doppler.build_ptm_train(ccm, 2)
         lane = doppler.ambiguity_surface(plan, -0.2, 0.2, 17)

@@ -220,6 +220,15 @@ class TestPtmPartition:
         with pytest.raises(ValueError, match="exceeds cap"):
             nt.prouhet_sum(p, 10**8, 1)
 
+    @pytest.mark.parametrize("p,degree", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1)])
+    def test_is_an_esp_partition_with_checked_sums(self, p, degree):
+        part = nt.ptm_partition(p, degree)
+        assert type(part) is nt.EspPartition
+        assert part.p == p and part.degree == degree
+        check = nt.esp_check(part.blocks, degree)
+        assert check.is_esp and part.prouhet_sums == check.prouhet_sums
+        assert nt.EspPartition.from_blocks(part.blocks, degree) == part
+
     def test_json_dict(self):
         data = nt.ptm_partition(2, 3).to_json_dict()
         assert data["p"] == 2 and data["M"] == 3
@@ -312,6 +321,21 @@ class TestEspCheck:
     def test_partition_rejects_negative_slots(self):
         with pytest.raises(ValueError):
             nt.EspPartition.from_blocks(((-1, 2), (0, 1)), 1)
+
+    def test_block_sizes_must_agree(self):
+        # Both blocks sum to 3 at m = 1, but three slots are not one.
+        result = nt.esp_check(((0, 1, 2), (3,)), 1)
+        assert not result.is_esp and result.prouhet_sums == (3, 3)
+        with pytest.raises(ValueError, match="do not share power sums up to degree 1"):
+            nt.EspPartition.from_blocks(((0, 1, 2), (3,)), 1)
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_refused(self, degree):
+        message = f"degree must be positive, got {degree}"
+        with pytest.raises(ValueError, match=message):
+            nt.esp_check(ESP_DEG2, degree)
+        with pytest.raises(ValueError, match=message):
+            nt.EspPartition.from_blocks(ESP_DEG2, degree)
 
 
 class TestEspSearch:

@@ -22,8 +22,8 @@ PLAN_PARTITIONS = [
     *numtheory.esp_search(range(8), 2, 2),
     *numtheory.esp_search(range(9), 3, 1),
     *(stagger.builtin_partition(degree) for degree in (2, 3, 5)),
-    numtheory.ptm_partition(2, 4).as_esp(),
-    numtheory.ptm_partition(3, 2).as_esp(),
+    numtheory.ptm_partition(2, 4),
+    numtheory.ptm_partition(3, 2),
 ]
 
 
@@ -87,7 +87,7 @@ class TestPadPartition:
 
     @pytest.mark.parametrize("p,degree", [(2, 3), (3, 2)])
     def test_derived_sums_match_for_ptm_splits(self, p, degree):
-        padded = stagger.pad_partition(numtheory.ptm_partition(p, degree).as_esp())
+        padded = stagger.pad_partition(numtheory.ptm_partition(p, degree))
         reference = numtheory.esp_check(padded.blocks, degree)
         assert padded.prouhet_sums == reference.prouhet_sums
 
@@ -155,7 +155,7 @@ class TestDecompose:
     def test_gapless_partition_gives_single_ptm_lane(self):
         # A disjoint gap-free partition demands one code per slot, so the
         # sweep emits one lane carrying the PTM train itself.
-        part = numtheory.ptm_partition(2, 2).as_esp()
+        part = numtheory.ptm_partition(2, 2)
         plan = stagger.decompose_to_antennas(part, golay())
         assert len(plan.lanes) == 1
         assert plan.lanes[0].indices == tuple(numtheory.ptm_sequence(2, 8))
@@ -228,6 +228,67 @@ class TestPlanWeights:
             assert weights[m] == [plan.partition.prouhet_sums[m]] * mapped.p
 
 
+def report_schedules(data):
+    """A PTM, cyclic or delayed train, or a plan over a PLAN_PARTITIONS image."""
+    kind = data.draw(stn.sampled_from(["ptm", "cyclic", "delayed", "plan"]), "kind")
+    count = data.draw(stn.integers(2, 4), label="count")
+    ccm = golay(2) if count == 2 else codes.gen_dft_set(count)
+    if kind == "ptm":
+        return doppler.build_ptm_train(ccm, data.draw(stn.integers(1, 3), "order"))
+    if kind == "cyclic":
+        return doppler.build_cyclic_train(ccm, data.draw(stn.integers(1, 40), "length"))
+    if kind == "delayed":
+        length = data.draw(stn.integers(1, 40), label="length")
+        delay = data.draw(stn.integers(0, 50), label="delay")
+        return doppler.PulseTrain(ccm, numtheory.ptm_sequence(count, length), delay)
+    partition = data.draw(stn.sampled_from(PLAN_PARTITIONS), label="partition")
+    a, b = data.draw(stn.integers(1, 3), "a"), data.draw(stn.integers(0, 20), "b")
+    blocks = [[a * x + b for x in block] for block in partition.blocks]
+    mapped = numtheory.EspPartition.from_blocks(blocks, partition.degree)
+    ccm = golay(2) if mapped.p == 2 else codes.gen_dft_set(mapped.p)
+    return stagger.decompose_to_antennas(mapped, ccm)
+
+
+class TestSingleReport:
+    """taylor_coeffs is the one report; every other view reads it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stn.data())
+    def test_every_view_reads_the_one_report(self, data):
+        schedule = report_schedules(data)
+        max_order = data.draw(stn.integers(0, 6), label="max_order")
+        report = doppler.taylor_coeffs(schedule, max_order)
+        nulls = (report.max_sidelobe_residual <= report.thresholds).tolist()
+        leading = len(nulls) if all(nulls) else nulls.index(False)
+        assert report.null_order == leading - 1
+        assert report.z_deviations.shape == report.z_residuals.shape == (max_order + 1,)
+        if isinstance(schedule, stagger.StaggerPlan):
+            composite = stagger.composite_taylor(schedule, max_order)
+            assert type(composite) is stagger.CompositeReport
+            for name, value in vars(report).items():
+                np.testing.assert_array_equal(getattr(composite, name), value)
+            assert composite.total_pulses == schedule.total_pulses
+            assert composite.span == schedule.span
+            return
+        for m in range(max_order + 1):
+            result = doppler.equivalence_check(schedule, m)
+            assert (result.order, result.time_domain_null) == (m, nulls[m])
+            assert result.z_domain_constant == nulls[m]
+            # A product over m + 1 weight rows may round apart from one over
+            # max_order + 1 rows, far below the threshold; exact sets agree.
+            noise = 1e-6 * report.thresholds[m] * len(report.lags)
+            assert result.time_residual == pytest.approx(
+                report.max_sidelobe_residual[m], rel=1e-9, abs=noise
+            )
+            assert result.z_deviation == pytest.approx(
+                report.z_deviations[m], rel=1e-9, abs=noise
+            )
+        if schedule.is_ptm_ordered():
+            np.testing.assert_array_equal(
+                doppler.zdomain_coeff_check(schedule, max_order), report.z_residuals
+            )
+
+
 class TestCompositeTaylor:
     def test_degree2_report(self):
         plan = stagger.decompose_to_antennas(
@@ -290,7 +351,7 @@ class TestCompositeTaylor:
         # The single lane of a gap-free PTM partition is the PTM train, and
         # both go through one pipeline, so the reports agree exactly.
         plan = stagger.decompose_to_antennas(
-            numtheory.ptm_partition(ccm.count, degree).as_esp(), ccm
+            numtheory.ptm_partition(ccm.count, degree), ccm
         )
         composite = stagger.composite_taylor(plan, degree)
         single = doppler.taylor_coeffs(doppler.build_ptm_train(ccm, degree), degree)
