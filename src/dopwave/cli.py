@@ -83,6 +83,11 @@ def _write_json(path: str, data) -> None:
             fh.write(json.dumps(data) + "\n")
 
 
+def _write_report(path: str, report: doppler.TaylorReport) -> None:
+    with _exits(EXIT_IO, f"cannot write {path}: ", OSError):
+        report.write_json(path)
+
+
 def parse_universe(spec: str) -> list[int]:
     """Parse a slot-universe spec such as ``0-2,4-6`` or ``0,1,5``."""
     values: set[int] = set()
@@ -176,7 +181,7 @@ def cmd_verify(args) -> int:
     print(f"null order {report.null_order} (required {args.order})")
 
     if args.out:
-        _write_json(args.out, report.to_json_dict())
+        _write_report(args.out, report)
     return EXIT_OK if report.null_order >= args.order else EXIT_VERIFY_FAILED
 
 
@@ -244,7 +249,7 @@ def cmd_stagger(args) -> int:
         report = stagger.composite_taylor(plan, args.order, args.tol)
     _write_json(args.out, plan.to_json_dict())
     if args.report:
-        _write_json(args.report, report.to_json_dict())
+        _write_report(args.report, report)
     print(
         f"lanes={len(plan.lanes)} span={report.span} pulses={report.total_pulses} "
         f"null order {report.null_order} (required {args.order})"

@@ -19,10 +19,12 @@ over code c's slots, and the coefficients use exact integer weights
 W_c(m) = sum of s^m; numerical differentiation of g is never used here.
 """
 
+import json
 import math
 import operator
+import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -214,6 +216,28 @@ def ambiguity(train: PulseTrain, lag: int, theta: float) -> complex:
     return complex(sums @ code_acfs(train.ccm)[n - 1 + lag, :])
 
 
+class _CoeffTexts(dict):
+    """json.dumps([re, im]) of each complex128 coefficient, made on first use.
+
+    Keys are the bit patterns of (re, im) as a pair of ints, so -0.0, NaN and
+    +-inf get exactly the text json.dumps gives them.
+    """
+
+    def __missing__(self, bits):
+        text = self[bits] = json.dumps(struct.unpack("=2d", struct.pack("=2q", *bits)))
+        return text
+
+    def joined(self, values: np.ndarray) -> str:
+        """The texts of a contiguous complex128 array, joined by ", "."""
+        bits = iter(values.view(np.int64).tolist())
+        return ", ".join(map(self.__getitem__, zip(bits, bits)))
+
+
+# Stands in for the coefficients in the JSON of the other report fields; no
+# other value of a report is a string, so its JSON text occurs once.
+_SPLICE = "\0"
+
+
 @dataclass(frozen=True)
 class TaylorReport:
     """Ambiguity Taylor coefficients and the null order they certify.
@@ -237,14 +261,41 @@ class TaylorReport:
     z_residuals: np.ndarray
 
     def to_json_dict(self) -> dict:
+        pairs = np.stack([self.coeffs.real, self.coeffs.imag], -1)
+        return self._json_dict(pairs.tolist())
+
+    def _json_dict(self, coeffs) -> dict:
+        """The JSON fields in file order, with `coeffs` as the coeffs value."""
         return {
             "M": self.max_order,
             "lags": self.lags.tolist(),
-            "coeffs": np.stack([self.coeffs.real, self.coeffs.imag], -1).tolist(),
+            "coeffs": coeffs,
             "maxSidelobeResidual": self.max_sidelobe_residual.tolist(),
             "thresholds": self.thresholds.tolist(),
             "nullOrder": self.null_order,
         }
+
+    def write_json(self, path) -> None:
+        """Write json.dumps(self.to_json_dict()) + "\\n" to path.
+
+        The coefficients go one order at a time, in slices of at most
+        PHASE_BLOCK values, each distinct complex value of a slice formatted
+        once as json.dumps([re, im]); the other fields come from one
+        json.dumps with the coefficients spliced in.
+        """
+        fields = json.dumps(self._json_dict(_SPLICE))
+        head, _, tail = fields.partition(json.dumps(_SPLICE))
+        coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(head + "[")
+            for m, row in enumerate(coeffs):
+                fh.write(", [" if m else "[")
+                for lo in range(0, row.size, PHASE_BLOCK):
+                    if lo:
+                        fh.write(", ")
+                    fh.write(_CoeffTexts().joined(row[lo : lo + PHASE_BLOCK]))
+                fh.write("]")
+            fh.write("]" + tail + "\n")
 
 
 def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorReport:
@@ -261,7 +312,12 @@ def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorRepo
     weights = _exact_weights(schedule, max_order)
 
     code_length = ccm.length
-    coeffs = np.array(weights, dtype=float) @ code_acfs(ccm).T
+    acfs = code_acfs(ccm)
+    # One product per order, like _zsamples, so that an order's digits do not
+    # depend on how many orders were asked for.
+    coeffs = np.empty((max_order + 1, acfs.shape[0]), dtype=complex)
+    for m, row in enumerate(weights):
+        coeffs[m] = acfs @ np.array(row, dtype=float)
     # The worst off-peak magnitude per order; N = 1 has no off-peak lag.
     residuals = np.delete(np.abs(coeffs), code_length - 1, axis=1).max(1, initial=0.0)
     base = float(max(1, schedule.last_slot))
@@ -366,6 +422,26 @@ def equivalence_check(
     return EquivalenceResult(order, null, null, residual, z_dev)
 
 
+class _MagnitudeTexts(dict):
+    """Each float64 magnitude's %.17g text and newline, made on first use.
+
+    Keys are bit patterns as ints, so -0.0, NaN and +-inf read exactly as
+    they do formatted one by one.
+    """
+
+    def __missing__(self, bits):
+        text = self[bits] = "%.17g\n" % struct.unpack("=d", struct.pack("=q", bits))
+        return text
+
+    def lines(self, head: str, lag_fields: list[str], bits: np.ndarray) -> str:
+        """CSV lines head + lag field + text for a row of bit patterns.
+
+        The row's key list goes on return, before the text is written out.
+        """
+        cells = zip(repeat(head), lag_fields, map(self.__getitem__, bits.tolist()))
+        return "".join(chain.from_iterable(cells))
+
+
 @dataclass(frozen=True)
 class AmbiguitySurface:
     """|g(k, theta)| sampled on a dense delay-Doppler grid.
@@ -387,22 +463,29 @@ class AmbiguitySurface:
     def write_csv(self, path) -> None:
         """Rows theta-major: header theta,k,magnitude; theta to 12 digits.
 
-        Each row is formatted and written in chunks of at most PHASE_BLOCK
-        cells; a chunk's lag fields are kept until the next chunk starts
-        elsewhere, so rows of a single chunk share them.
+        Cells go in blocks of at most PHASE_BLOCK: whole rows when a row
+        fits, else one slice of a row.  Each distinct magnitude of a block
+        is formatted once with %.17g (_MagnitudeTexts, so the bytes are a
+        per-cell formatter's) and each row is joined from those texts; the
+        cost follows the distinct values per block more than the cells.  A
+        slice's lag fields are kept until the next slice starts elsewhere.
         """
+        rows = max(1, PHASE_BLOCK // self.lags.size)
+        thetas = self.thetas.tolist()
+        bits = np.asarray(self.magnitudes, dtype=float).view(np.int64)
         start, lag_fields = None, []
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("theta,k,magnitude\n")
-            for theta, row in zip(self.thetas.tolist(), self.magnitudes):
-                head = f"{theta:.12g}"
-                for lo in range(0, row.size, PHASE_BLOCK):
+            for top in range(0, len(thetas), rows):
+                for lo in range(0, self.lags.size, PHASE_BLOCK):
                     hi = lo + PHASE_BLOCK
                     if lo != start:
                         start = lo
                         lag_fields = [f",{k}," for k in self.lags[lo:hi].tolist()]
-                    cells = zip(lag_fields, row[lo:hi].tolist())
-                    fh.write("".join([f"{head}{lag}{v:.17g}\n" for lag, v in cells]))
+                    texts = _MagnitudeTexts()
+                    block = bits[top : top + rows, lo:hi]
+                    for theta, row in zip(thetas[top : top + rows], block):
+                        fh.write(texts.lines(f"{theta:.12g}", lag_fields, row))
 
 
 def ambiguity_surface(

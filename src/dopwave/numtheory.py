@@ -45,6 +45,10 @@ MAX_SEARCH_UNIVERSE = 30
 # Nodes an ESP search may visit before it is refused with ValueError.
 MAX_SEARCH_NODES = 10**6
 
+# Values per object array of running powers in _power_sums, which bounds its
+# memory; a stagger plan's 23,552 slots per code fit in one.
+POWER_CHUNK = 1 << 16
+
 
 def _json_ints(values, what: str) -> None:
     """Refuse JSON values that are not integers.
@@ -161,13 +165,16 @@ def power_sum(values, m: int) -> int:
 
 def _power_sums(values, max_order: int) -> list[int]:
     """[power_sum(values, m) for m = 0..max_order] in one pass of running
-    products over an object array: exact Python ints, 0**0 = 1, and no
-    entry for a negative max_order."""
-    base = np.array(values, dtype=object)
-    powers, sums = np.ones_like(base), [base.size]
-    for _ in range(max_order):
-        powers *= base
-        sums.append(int(powers.sum()))
+    products over object arrays of at most POWER_CHUNK values: exact Python
+    ints, 0**0 = 1, and no entry for a negative max_order."""
+    values = np.array(values, dtype=object)
+    sums = [values.size] + [0] * max_order
+    for lo in range(0, values.size, POWER_CHUNK):
+        base = values[lo : lo + POWER_CHUNK]
+        powers = np.ones_like(base)
+        for m in range(1, max_order + 1):
+            powers *= base
+            sums[m] += int(powers.sum())
     return sums[: max_order + 1]
 
 

@@ -225,9 +225,9 @@ class CompositeReport(TaylorReport):
     total_pulses: int
     span: int
 
-    def to_json_dict(self) -> dict:
+    def _json_dict(self, coeffs) -> dict:
         return {
-            **super().to_json_dict(),
+            **super()._json_dict(coeffs),
             "totalPulses": self.total_pulses,
             "span": self.span,
         }

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -307,6 +308,29 @@ class TestTaylorCoeffs:
         assert len(data["coeffs"]) == 2
         assert len(data["coeffs"][0]) == 15
 
+    @pytest.mark.parametrize("kind", ["train", "plan"])
+    @pytest.mark.parametrize("block", [doppler.PHASE_BLOCK, 4, 1])
+    def test_report_file_is_the_json_dict(self, tmp_path, kind, block):
+        # A TaylorReport and a CompositeReport, with repeated coefficients and
+        # -0.0, NaN and +-inf in either part; blocks of 4 and 1 values cut
+        # each 15-lag order into slices.
+        if kind == "train":
+            report = doppler.taylor_coeffs(doppler.build_ptm_train(golay(), 2), 3)
+        else:
+            plan = stagger.decompose_to_antennas(stagger.builtin_partition(2), golay())
+            report = stagger.composite_taylor(plan, 3)
+        coeffs = report.coeffs.copy()
+        coeffs[1, :5] = [
+            complex(-0.0, 0.0), complex(np.nan, -0.0), complex(np.inf, -np.inf),
+            complex(0.0, np.nan), complex(-np.nan, 1.5),
+        ]
+        coeffs[2, 7:10] = coeffs[1, :3]
+        for case in (report, replace(report, coeffs=coeffs)):
+            path = tmp_path / "report.json"
+            with mock.patch.object(doppler, "PHASE_BLOCK", block):
+                case.write_json(path)
+            assert path.read_text() == json.dumps(case.to_json_dict()) + "\n"
+
 
 class TestZDomain:
     def test_two_code_constancy(self):
@@ -470,22 +494,32 @@ class TestSurface:
 
     def test_csv_bytes_match_per_cell_formatter(self, tmp_path):
         # Theta crosses zero and lags run from -(N-1) to N-1.  A block of
-        # two cells writes each five-cell row in three chunks.
+        # two cells writes each five-cell row in three slices; blocks of 10
+        # and 15 cells hold two and three whole rows; the default holds all.
         train = doppler.build_cyclic_train(codes.gen_dft_set(3), 7)
         surface = doppler.ambiguity_surface(train, -0.3, 0.2, 11)
         assert surface.thetas.min() < 0 < surface.thetas.max()
         assert surface.lags.min() < 0 < surface.lags.max()
-        expected = ["theta,k,magnitude\n"]
-        for t, theta in enumerate(surface.thetas):
-            for j, k in enumerate(surface.lags):
-                expected.append(
-                    f"{theta:.12g},{int(k)},{surface.magnitudes[t, j]:.17g}\n"
-                )
-        for block in (doppler.PHASE_BLOCK, 2):
-            path = tmp_path / f"surface_{block}.csv"
-            with mock.patch.object(doppler, "PHASE_BLOCK", block):
-                surface.write_csv(path)
-            assert path.read_bytes() == "".join(expected).encode("utf-8")
+        # Magnitudes that repeat within and across rows, and the floats whose
+        # bit patterns differ from their equals: -0.0, NaNs of either sign,
+        # +-inf.
+        repeated = np.round(surface.magnitudes, 1)
+        repeated[1, :] = repeated[0, :]
+        repeated[2, :] = [0.0, -0.0, np.nan, -np.nan, np.inf]
+        repeated[3, :] = [-np.inf, np.inf, -0.0, np.nan, 0.0]
+        special = doppler.AmbiguitySurface(surface.thetas, surface.lags, repeated)
+        for case, grid in (("plain", surface), ("repeated", special)):
+            expected = ["theta,k,magnitude\n"]
+            for t, theta in enumerate(grid.thetas):
+                for j, k in enumerate(grid.lags):
+                    expected.append(
+                        f"{theta:.12g},{int(k)},{grid.magnitudes[t, j]:.17g}\n"
+                    )
+            for block in (doppler.PHASE_BLOCK, 15, 10, 2):
+                path = tmp_path / f"surface_{case}_{block}.csv"
+                with mock.patch.object(doppler, "PHASE_BLOCK", block):
+                    grid.write_csv(path)
+                assert path.read_bytes() == "".join(expected).encode("utf-8")
 
     def test_csv_memory_bounded_by_the_chunk(self, tmp_path):
         # Rows of 2^16 - 1 cells written in chunks of 2^12: the text, floats

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -131,6 +132,21 @@ class TestPowerSumsKernel:
     @example([0, 5, 5, 1 << 20], 32)
     def test_matches_power_sum_at_every_order(self, values, max_order):
         sums = nt._power_sums(values, max_order)
+        assert sums == [nt.power_sum(values, m) for m in range(max_order + 1)]
+        assert all(type(s) is int for s in sums)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stn.lists(stn.integers(0, 1 << 20), max_size=12),
+        stn.integers(0, 32),
+        stn.integers(1, 5),
+    )
+    @example([], 3, 1)
+    @example([7, 0, 3], 4, 2)
+    def test_chunks_sum_to_the_whole(self, values, max_order, chunk):
+        # A chunk of a few values puts chunk boundaries inside short inputs.
+        with mock.patch.object(nt, "POWER_CHUNK", chunk):
+            sums = nt._power_sums(values, max_order)
         assert sums == [nt.power_sum(values, m) for m in range(max_order + 1)]
         assert all(type(s) is int for s in sums)
 
