@@ -77,10 +77,10 @@ def _read_json(path: str, what: str, parse, invalid=None):
         raise CliError(code, f"{message}: {exc}") from None
 
 
-def _write_json(path: str, data) -> None:
+def _write_text(path: str, text: str) -> None:
     with _exits(EXIT_IO, f"cannot write {path}: ", OSError):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(data) + "\n")
+            print(text, file=fh)
 
 
 def _write_report(path: str, report: doppler.TaylorReport) -> None:
@@ -147,7 +147,7 @@ def cmd_gen(args) -> int:
             EXIT_VERIFY_FAILED,
             f"generated set failed validation: worst {check.worst_sidelobe:.3e}",
         )
-    _write_json(args.out, ccm.to_json_dict())
+    _write_text(args.out, json.dumps(ccm.to_json_dict()))
     print(
         f"wrote {args.kind} set N={ccm.length} K={ccm.count} "
         f"worst sidelobe {check.worst_sidelobe:.3e} -> {args.out}"
@@ -160,7 +160,7 @@ def cmd_ptm(args) -> int:
     ccm = _read_ccm(args.ccm, args.tol)
     with _exits(EXIT_USAGE):
         train = doppler.build_ptm_train(ccm, args.order)
-    _write_json(args.out, train.to_json_dict())
+    _write_text(args.out, json.dumps(train.to_json_dict()))
     print(f"L={train.length} K={ccm.count} M={args.order}")
     return EXIT_OK
 
@@ -207,12 +207,13 @@ def cmd_esp(args) -> int:
         universe = parse_universe(args.universe)
     with _exits(EXIT_USAGE):
         partitions = numtheory.esp_search(universe, args.blocks, args.order, args.max)
-    payload = [p.to_json_dict() for p in partitions]
+    # json.dumps of the list, one partition's dict at a time.
+    text = "[" + ", ".join(json.dumps(p.to_json_dict()) for p in partitions) + "]"
     if args.out:
-        _write_json(args.out, payload)
+        _write_text(args.out, text)
         print(f"found {len(partitions)} partition(s) -> {args.out}")
     else:
-        print(json.dumps(payload))
+        print(text)
         print(f"found {len(partitions)} partition(s)", file=sys.stderr)
     return EXIT_OK if partitions else EXIT_VERIFY_FAILED
 
@@ -247,7 +248,7 @@ def cmd_stagger(args) -> int:
     with _exits(EXIT_USAGE):
         plan = stagger.decompose_to_antennas(partition, ccm, args.antenna_cap)
         report = stagger.composite_taylor(plan, args.order, args.tol)
-    _write_json(args.out, plan.to_json_dict())
+    _write_text(args.out, json.dumps(plan.to_json_dict()))
     if args.report:
         _write_report(args.report, report)
     print(

@@ -81,9 +81,12 @@ class Ccm:
         cols = np.array(self.columns, dtype=complex)
         if cols.ndim != 2 or cols.shape[0] < 1 or cols.shape[1] < 1:
             raise ValueError("columns must form a non-empty 2-D matrix")
-        # Written so that a NaN entry fails too.
-        if not np.max(np.abs(np.abs(cols) - 1.0)) <= UNIT_TOL:
+        # Formed in place, freed before the phase check; a NaN entry fails.
+        deviation = np.abs(cols)
+        deviation -= 1.0
+        if not np.max(np.abs(deviation, out=deviation)) <= UNIT_TOL:
             raise ValueError("all entries must have unit magnitude")
+        del deviation
         if (self.phases is None) != (self.phase_order is None):
             raise ValueError("phase_order and phases must be given together")
         ph = None
@@ -92,7 +95,8 @@ class Ccm:
             if ph.shape != cols.shape:
                 raise ValueError("phases must match the column matrix shape")
             rebuilt = entries_from_phases(ph, self.phase_order)
-            if np.max(np.abs(rebuilt - cols)) > UNIT_TOL:
+            rebuilt -= cols
+            if np.max(np.abs(rebuilt)) > UNIT_TOL:
                 raise ValueError("phases do not reproduce the stored entries")
             ph %= self.phase_order
             ph.setflags(write=False)

@@ -117,6 +117,11 @@ class PulseTrain:
     def last_slot(self) -> int:
         return self.delay + self.length - 1
 
+    @property
+    def span(self) -> int:
+        """Slots from the first pulse to the last, inclusive: the length."""
+        return self.length
+
     def slots_by_code(self) -> list[list[int]]:
         """Slot n + delay of every pulse, grouped by code index."""
         idx = np.asarray(self.indices)
@@ -216,21 +221,28 @@ def ambiguity(train: PulseTrain, lag: int, theta: float) -> complex:
     return complex(sums @ code_acfs(train.ccm)[n - 1 + lag, :])
 
 
-class _CoeffTexts(dict):
-    """json.dumps([re, im]) of each complex128 coefficient, made on first use.
+class _Texts(dict):
+    """The text `formatter` gives each key, made once on first use.
 
-    Keys are the bit patterns of (re, im) as a pair of ints, so -0.0, NaN and
-    +-inf get exactly the text json.dumps gives them.
+    Keys are float64 bit patterns as ints (or pairs of them), so -0.0, NaN
+    and +-inf read exactly as they do formatted one by one.
     """
 
+    def __init__(self, formatter):
+        super().__init__()
+        self.formatter = formatter
+
     def __missing__(self, bits):
-        text = self[bits] = json.dumps(struct.unpack("=2d", struct.pack("=2q", *bits)))
+        text = self[bits] = self.formatter(bits)
         return text
 
-    def joined(self, values: np.ndarray) -> str:
-        """The texts of a contiguous complex128 array, joined by ", "."""
-        bits = iter(values.view(np.int64).tolist())
-        return ", ".join(map(self.__getitem__, zip(bits, bits)))
+
+def _pair_json(bits) -> str:  # json.dumps([re, im]) of a complex128
+    return json.dumps(struct.unpack("=2d", struct.pack("=2q", *bits)))
+
+
+def _magnitude_line(bits: int) -> str:  # a CSV magnitude field and newline
+    return "%.17g\n" % struct.unpack("=d", struct.pack("=q", bits))
 
 
 # Stands in for the coefficients in the JSON of the other report fields; no
@@ -249,6 +261,8 @@ class TaylorReport:
     z_deviations[m] is the spread max_z |C_m(z) - mean| on the 2N grid and
     z_residuals[m] max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)), W_0(m)
     being code 0's exact weight (P_m for a PTM train); neither goes to JSON.
+    total_pulses and span are the schedule's costs: the pulses transmitted
+    and the slots from its first pulse to its last.
     """
 
     max_order: int
@@ -259,6 +273,8 @@ class TaylorReport:
     null_order: int
     z_deviations: np.ndarray
     z_residuals: np.ndarray
+    total_pulses: int
+    span: int
 
     def to_json_dict(self) -> dict:
         pairs = np.stack([self.coeffs.real, self.coeffs.imag], -1)
@@ -273,6 +289,8 @@ class TaylorReport:
             "maxSidelobeResidual": self.max_sidelobe_residual.tolist(),
             "thresholds": self.thresholds.tolist(),
             "nullOrder": self.null_order,
+            "totalPulses": self.total_pulses,
+            "span": self.span,
         }
 
     def write_json(self, path) -> None:
@@ -293,7 +311,9 @@ class TaylorReport:
                 for lo in range(0, row.size, PHASE_BLOCK):
                     if lo:
                         fh.write(", ")
-                    fh.write(_CoeffTexts().joined(row[lo : lo + PHASE_BLOCK]))
+                    texts = _Texts(_pair_json)
+                    bits = iter(row[lo : lo + PHASE_BLOCK].view(np.int64).tolist())
+                    fh.write(", ".join(map(texts.__getitem__, zip(bits, bits))))
                 fh.write("]")
             fh.write("]" + tail + "\n")
 
@@ -301,30 +321,29 @@ class TaylorReport:
 def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorReport:
     """Taylor coefficients c_0..c_max_order of a train or staggered plan.
 
-    The one path from a schedule (`.ccm`, `.last_slot`, _exact_weights) to
-    a report; thresholds use the last slot.  Each order's C_m(z) is sampled
-    once on the code set's 2N grid (`ccm.spectra`) and goes through
-    _order_check, which raises DomainMismatchError when the two domains
-    disagree.  The null order is the last of the leading delay-domain
-    nulls; a NaN residual is no null.
+    The one path from a schedule (`.ccm`, `.last_slot`, `.span`,
+    _exact_weights) to a report; thresholds use the last slot and the pulse
+    count is the sum of the order-0 weights.  Each order takes one pass: its
+    coefficients, off-peak residual and C_m(z) samples on the code set's 2N
+    grid (`ccm.spectra`), which go through _order_check, raising
+    DomainMismatchError when the two domains disagree.  The null order is
+    the last of the leading delay-domain nulls; a NaN residual is no null.
     """
     ccm = schedule.ccm
     weights = _exact_weights(schedule, max_order)
-
     code_length = ccm.length
     acfs = code_acfs(ccm)
-    # One product per order, like _zsamples, so that an order's digits do not
-    # depend on how many orders were asked for.
-    coeffs = np.empty((max_order + 1, acfs.shape[0]), dtype=complex)
-    for m, row in enumerate(weights):
-        coeffs[m] = acfs @ np.array(row, dtype=float)
-    # The worst off-peak magnitude per order; N = 1 has no off-peak lag.
-    residuals = np.delete(np.abs(coeffs), code_length - 1, axis=1).max(1, initial=0.0)
     base = float(max(1, schedule.last_slot))
     thresholds = tol * code_length * base ** np.arange(max_order + 1)
 
-    z_deviations, z_residuals = np.empty((2, max_order + 1))
+    coeffs = np.empty((max_order + 1, acfs.shape[0]), dtype=complex)
+    residuals, z_deviations, z_residuals = np.empty((3, max_order + 1))
     for m, row in enumerate(weights):
+        # One product per order, like _zsamples, so that an order's digits do
+        # not depend on how many orders were asked for.
+        coeffs[m] = acfs @ np.array(row, dtype=float)
+        # The worst off-peak magnitude; N = 1 has no off-peak lag.
+        residuals[m] = np.delete(np.abs(coeffs[m]), code_length - 1).max(initial=0.0)
         samples = _zsamples(ccm.spectra, row)
         residual, threshold = float(residuals[m]), float(thresholds[m])
         z_deviations[m] = _order_check(m, residual, threshold, samples, code_length)
@@ -335,7 +354,7 @@ def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorRepo
     lags = np.arange(1 - code_length, code_length)
     return TaylorReport(
         max_order, lags, coeffs, residuals, thresholds, null_order,
-        z_deviations, z_residuals,
+        z_deviations, z_residuals, sum(weights[0]), schedule.span,
     )
 
 
@@ -422,26 +441,6 @@ def equivalence_check(
     return EquivalenceResult(order, null, null, residual, z_dev)
 
 
-class _MagnitudeTexts(dict):
-    """Each float64 magnitude's %.17g text and newline, made on first use.
-
-    Keys are bit patterns as ints, so -0.0, NaN and +-inf read exactly as
-    they do formatted one by one.
-    """
-
-    def __missing__(self, bits):
-        text = self[bits] = "%.17g\n" % struct.unpack("=d", struct.pack("=q", bits))
-        return text
-
-    def lines(self, head: str, lag_fields: list[str], bits: np.ndarray) -> str:
-        """CSV lines head + lag field + text for a row of bit patterns.
-
-        The row's key list goes on return, before the text is written out.
-        """
-        cells = zip(repeat(head), lag_fields, map(self.__getitem__, bits.tolist()))
-        return "".join(chain.from_iterable(cells))
-
-
 @dataclass(frozen=True)
 class AmbiguitySurface:
     """|g(k, theta)| sampled on a dense delay-Doppler grid.
@@ -465,9 +464,9 @@ class AmbiguitySurface:
 
         Cells go in blocks of at most PHASE_BLOCK: whole rows when a row
         fits, else one slice of a row.  Each distinct magnitude of a block
-        is formatted once with %.17g (_MagnitudeTexts, so the bytes are a
-        per-cell formatter's) and each row is joined from those texts; the
-        cost follows the distinct values per block more than the cells.  A
+        is formatted once with %.17g (_Texts, so the bytes are a per-cell
+        formatter's) and each row is joined from those texts; the cost
+        follows the distinct values per block more than the cells.  A
         slice's lag fields are kept until the next slice starts elsewhere.
         """
         rows = max(1, PHASE_BLOCK // self.lags.size)
@@ -482,10 +481,12 @@ class AmbiguitySurface:
                     if lo != start:
                         start = lo
                         lag_fields = [f",{k}," for k in self.lags[lo:hi].tolist()]
-                    texts = _MagnitudeTexts()
+                    texts = _Texts(_magnitude_line)
                     block = bits[top : top + rows, lo:hi]
                     for theta, row in zip(thetas[top : top + rows], block):
-                        fh.write(texts.lines(f"{theta:.12g}", lag_fields, row))
+                        line = map(texts.__getitem__, row.tolist())
+                        cells = zip(repeat(f"{theta:.12g}"), lag_fields, line)
+                        fh.write("".join(chain.from_iterable(cells)))
 
 
 def ambiguity_surface(

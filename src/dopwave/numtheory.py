@@ -318,17 +318,14 @@ def esp_search(
     quota = count // p
     if degree >= quota:
         return []
-    targets = [quota]
-    for m in range(1, degree + 1):
-        total = power_sum(elems, m)
-        if total % p:
-            return []
-        targets.append(total // p)
-
     powers = [[e ** m for m in range(degree + 1)] for e in elems]
     prefix = [[0] * (degree + 1)]
     for row in powers:
         prefix.append(list(map(add, prefix[-1], row)))
+    # Each block takes 1/p of every total power sum (the count at m = 0).
+    if any(total % p for total in prefix[-1]):
+        return []
+    targets = [total // p for total in prefix[-1]]
 
     def sums(a: int, b: int) -> list[int]:
         # Power sums of elems[a:b], m = 0..degree.
@@ -409,10 +406,10 @@ def weight_table(p: int) -> WeightTable:
     """Build the 2^(p-1) x p sign matrix of weight sequences."""
     if not 2 <= p <= 20:
         raise ValueError(f"symbol count must be in 2..20, got {p}")
-    rows = np.empty((1 << (p - 1), p), dtype=np.int8)
-    for i in range(rows.shape[0]):
-        for v in range(p):
-            rows[i, v] = -1 if (i >> (p - 1 - v)) & 1 else 1
+    # Bit p-1-v of every row index i; int8 after the shift keeps that bit.
+    index = np.arange(1 << (p - 1), dtype=np.int32)[:, None]
+    shifted = index >> np.arange(p - 1, -1, -1, dtype=np.int32)
+    rows = 1 - 2 * (shifted.astype(np.int8) & 1)
     rows.setflags(write=False)
     return WeightTable(p, rows)
 

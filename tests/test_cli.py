@@ -147,6 +147,13 @@ class TestVerify:
         data = json.loads(report.read_text())
         assert data["nullOrder"] >= 3
 
+    def test_report_file_carries_the_train_costs(self, tmp_path, train_file):
+        report = tmp_path / "report.json"
+        assert run("verify", train_file, 3, "--out", report) == 0
+        data = json.loads(report.read_text())
+        assert list(data)[-3:] == ["nullOrder", "totalPulses", "span"]
+        assert data["totalPulses"] == data["span"] == 16
+
     def test_cyclic_train_fails_first_order(self, tmp_path, golay_file):
         ccm = codes.Ccm.from_json_dict(json.loads(golay_file.read_text()))
         train = doppler.build_cyclic_train(ccm, 16)
@@ -290,6 +297,25 @@ class TestEsp:
         captured = capsys.readouterr()
         assert json.loads(captured.out)  # artifact on stdout
         assert "found" in captured.err  # summary on stderr
+
+    @pytest.mark.parametrize(
+        "spec,p,degree,limit,size",
+        [("0-3", 2, 3, None, 0), ("0-7", 2, 2, None, 1), ("0-11", 3, 1, 9, 9)],
+    )
+    def test_output_is_json_dumps_of_the_list(
+        self, tmp_path, capsys, spec, p, degree, limit, size
+    ):
+        found = numtheory.esp_search(cli.parse_universe(spec), p, degree, limit)
+        assert len(found) == size
+        expected = json.dumps([q.to_json_dict() for q in found]) + "\n"
+        argv = ["esp", spec, p, degree, *(["--max", limit] if limit else [])]
+        code = 0 if found else 1
+        out = tmp_path / "parts.json"
+        assert run(*argv, "--out", out) == code
+        assert out.read_bytes() == expected.encode()
+        capsys.readouterr()
+        assert run(*argv) == code
+        assert capsys.readouterr().out == expected
 
     def test_bad_universe_spec(self):
         assert run("esp", "5-2", 2, 1) == 2

@@ -1,6 +1,7 @@
 """Autocorrelation, complementarity, generators, and z-transform tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,18 @@ class TestCcmSerialization:
     def test_non_object_refused(self):
         with pytest.raises(TypeError, match="JSON object"):
             codes.Ccm.from_json_dict([1])
+
+    def test_load_peak_is_bounded_by_the_entries(self):
+        # The unit-magnitude deviations and the phase check's differences
+        # are formed in place: at most 5x the complex entries' bytes.
+        data = codes.gen_golay_pair(16).to_json_dict()
+        tracemalloc.start()
+        try:
+            ccm = codes.Ccm.from_json_dict(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * ccm.columns.nbytes
 
     def test_construction_guards(self):
         with pytest.raises(ValueError):

@@ -501,6 +501,15 @@ class TestWeightTable:
             [1, -1, -1],
         ]
 
+    @pytest.mark.parametrize("p", range(2, 13))
+    def test_rows_are_the_bit_signs(self, p):
+        rows = nt.weight_table(p).rows
+        assert rows.dtype == np.int8 and not rows.flags.writeable
+        assert rows.tolist() == [
+            [(-1) ** ((i >> (p - 1 - v)) & 1) for v in range(p)]
+            for i in range(1 << (p - 1))
+        ]
+
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_row_zero_is_all_ones(self, p):
         assert (nt.weight_table(p).rows[0] == 1).all()

@@ -1,5 +1,6 @@
 """Staggered-schedule tests: padding, lane decomposition, composite nulls."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -285,6 +286,31 @@ class TestSingleReport:
         if schedule.is_ptm_ordered():
             np.testing.assert_array_equal(
                 doppler.zdomain_coeff_check(schedule, max_order), report.z_residuals
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(stn.data())
+    def test_every_report_carries_its_costs(self, data):
+        schedule = report_schedules(data)
+        report = doppler.taylor_coeffs(schedule, data.draw(stn.integers(0, 4), "M"))
+        if isinstance(schedule, stagger.StaggerPlan):
+            costs = (schedule.total_pulses, schedule.span)
+        else:
+            costs = (schedule.length, schedule.length)
+        assert (report.total_pulses, report.span) == costs
+        assert type(report.total_pulses) is int and type(report.span) is int
+
+    def test_composite_report_is_the_taylor_report(self):
+        assert stagger.CompositeReport is doppler.TaylorReport
+
+    @pytest.mark.parametrize("degree", [2, 3, 5])
+    def test_composite_taylor_is_taylor_coeffs(self, degree):
+        plan = stagger.decompose_to_antennas(stagger.builtin_partition(degree), golay())
+        composite = stagger.composite_taylor(plan, degree)
+        single = doppler.taylor_coeffs(plan, degree)
+        for field in dataclasses.fields(composite):
+            np.testing.assert_array_equal(
+                getattr(composite, field.name), getattr(single, field.name)
             )
 
 
