@@ -30,7 +30,9 @@ import numpy as np
 
 from .codes import Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
-from .numtheory import _capped_power, _json_ints, _power_sums, _ptm_array, _ptm_weights
+from .numtheory import (
+    _capped_power, _json_ints, _power_sums, _ptm_array, _ptm_weights, power_sum,
+)
 
 __all__ = [
     "PulseTrain",
@@ -371,7 +373,12 @@ def zdomain_samples(train: PulseTrain, order: int) -> np.ndarray:
     without alias.  Works for any train; PTM-ordered trains make this
     constant in z for m up to the train order.
     """
-    weights = _exact_weights(train, order)[order]
+    if train.is_ptm_ordered():
+        weights = _exact_weights(train, order)[order]
+    elif 0 <= order <= MAX_TAYLOR_ORDER:  # one power sum per code, not orders 0..m
+        weights = [power_sum(slots, order) for slots in train.slots_by_code()]
+    else:
+        raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
     return _zsamples(train.ccm.spectra, weights)
 
 

@@ -12,9 +12,9 @@ a transform is applied to complex data.
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
-from math import comb
-from operator import add, le, mul, sub
+from itertools import accumulate, chain
+from math import comb, inf
+from operator import le, mul, sub
 
 import numpy as np
 
@@ -285,11 +285,14 @@ def esp_search(
 
     Depth-first assignment of the sorted universe into p blocks of size
     q = |universe|/p; block j opens only after block j-1, so the minimum
-    lands in block 0.  After each placement, every block's deficit (target
-    minus partial m-th power sum, m = 1..degree) must lie between the sums
-    of the r smallest and of the r largest remaining m-th powers, r being
-    its free places (prefix sums; O(p*degree) per node); a full block must
-    meet its targets exactly.  This cuts only subtrees without a solution,
+    lands in block 0.  The search runs on the centred values
+    v = 2e - (min + max), whose blocks share power sums up to the degree
+    exactly when the original blocks do.  After each placement, every
+    block's deficit d_m (target minus partial m-th power sum of v, d_0 = r
+    its free places) must lie between the sums of the r smallest and of the
+    r largest m-th powers left, and meet Cauchy-Schwarz on the r values still
+    to come, d_m^2 <= d_(m-1) * d_(m+1) for odd m < degree; a full block must
+    meet its targets exactly.  These cut only subtrees without a solution,
     so the output is every solution in lexicographic assignment order.  A
     degree of at least q returns [] unsearched: power sums m = 1..q of q
     values fix the values (Newton's identities), yet the blocks are
@@ -318,38 +321,50 @@ def esp_search(
     quota = count // p
     if degree >= quota:
         return []
-    powers = [[e ** m for m in range(degree + 1)] for e in elems]
-    prefix = [[0] * (degree + 1)]
-    for row in powers:
-        prefix.append(list(map(add, prefix[-1], row)))
+    orders = range(degree + 1)
     # Each block takes 1/p of every total power sum (the count at m = 0).
-    if any(total % p for total in prefix[-1]):
+    totals = _power_sums(elems, degree)
+    if any(total % p for total in totals):
         return []
-    targets = [total // p for total in prefix[-1]]
+    prouhet_sums = tuple(total // p for total in totals)
+    shift = elems[0] + elems[-1]
+    powers = [[(2 * e - shift) ** m for m in orders] for e in elems]
+    # The centred totals are sums of multiples of the original ones.
+    targets = [sum(column) // p for column in zip(*powers)]
 
-    def sums(a: int, b: int) -> list[int]:
-        # Power sums of elems[a:b], m = 0..degree.
-        return list(map(sub, prefix[b], prefix[a]))
-
-    # lows[k][r]: the r smallest powers of elems[k:]; highs[r]: the r largest.
-    lows = [
-        [sums(k, k + r) for r in range(min(quota, count - k) + 1)]
-        for k in range(count + 1)
-    ]
-    highs = [sums(count - r, count) for r in range(quota + 1)]
+    # lows[k][r], highs[k][r]: per m, the sum of the r smallest and of the r
+    # largest m-th powers of the values from k on, r = 0..quota; even powers
+    # of v are not monotone in v, so each order is sorted on its own.  Where
+    # fewer than r values are left, (inf,) is a count no deficit meets.
+    lows, highs = [], []
+    for k in range(count + 1):
+        size = min(quota, count - k)
+        columns = [sorted(row[m] for row in powers[k:]) for m in orders]
+        short = [(inf,)] * (quota - size)
+        lows.append([*zip(*(accumulate(c[:size], initial=0) for c in columns)), *short])
+        highs.append(
+            [*zip(*(accumulate(c[::-1][:size], initial=0) for c in columns)), *short]
+        )
+    schwarz = degree >= 2  # degree 1 has no odd m below it
     blocks: list[list[int]] = [[] for _ in range(p)]
     deficits = [targets] * p  # entry 0 counts the free places
     found: list[EspPartition] = []
     nodes = 0
 
-    def fits(deficit: list[int], bounds) -> bool:
+    def fits(deficit: list[int], low, high) -> bool:
         # Enough values remain for the r = deficit[0] free places, and they
         # can reach the deficit at every m; a full block (r = 0) needs 0.
         r = deficit[0]
         return (
-            r < len(bounds)
-            and all(map(le, bounds[r], deficit))
-            and all(map(le, deficit, highs[r]))
+            all(map(le, low[r], deficit))
+            and all(map(le, deficit, high[r]))
+            and (
+                not schwarz
+                or all(
+                    d * d <= a * b
+                    for a, d, b in zip(deficit[::2], deficit[1::2], deficit[2::2])
+                )
+            )
         )
 
     def place(i: int) -> bool:
@@ -360,11 +375,11 @@ def esp_search(
             raise ValueError(f"search exceeds the budget of {MAX_SEARCH_NODES} nodes")
         if i == count:
             solution = tuple(map(tuple, blocks))
-            found.append(EspPartition(solution, degree, tuple(targets)))
+            found.append(EspPartition(solution, degree, prouhet_sums))
             return max_solutions is None or len(found) < max_solutions
-        bounds = lows[i + 1]
+        low, high = lows[i + 1], highs[i + 1]
         # A block that cannot fit without elems[i] must take it.
-        stuck = [j for j, d in enumerate(deficits) if not fits(d, bounds)]
+        stuck = [j for j, d in enumerate(deficits) if not fits(d, low, high)]
         if len(stuck) > 1:
             return True
         for j in stuck or range(p):
@@ -374,7 +389,7 @@ def esp_search(
             if not deficit[0]:
                 continue
             reduced = list(map(sub, deficit, powers[i]))
-            if not fits(reduced, bounds):
+            if not fits(reduced, low, high):
                 continue
             deficits[j] = reduced
             blocks[j].append(elems[i])

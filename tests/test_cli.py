@@ -317,6 +317,17 @@ class TestEsp:
         assert run(*argv) == code
         assert capsys.readouterr().out == expected
 
+    def test_many_blocks_end_well_inside_the_budget(self, capsys):
+        # Interval bounds alone run into the 10^6-node budget on both.
+        assert run("esp", "1-5,7-31", 10, 2) == 1
+        assert json.loads(capsys.readouterr().out) == []
+        assert run("esp", "0-29", 5, 2, "--max", 1) == 0
+        [found] = json.loads(capsys.readouterr().out)
+        blocks = found["blocks"]
+        assert sorted(v for block in blocks for v in block) == list(range(30))
+        sums = [[sum(v**m for v in block) for m in range(3)] for block in blocks]
+        assert sums == [found["prouhetSums"]] * 5 == [[6, 87, 1711]] * 5
+
     def test_bad_universe_spec(self):
         assert run("esp", "5-2", 2, 1) == 2
 
@@ -606,7 +617,7 @@ ERROR_CASES = [
                  id="esp-indivisible"),
     pytest.param("esp 0-7 2 1 --max 0", 2, "max_solutions must be positive when given",
                  id="esp-max"),
-    pytest.param("esp 0-17 3 2", 2, "search exceeds the budget of 1000 nodes",
+    pytest.param("esp 0-15 2 1", 2, "search exceeds the budget of 1000 nodes",
                  id="esp-node-budget"),
     pytest.param("esp 0-7 2 1 --out {t}/no/p.json", 3,
                  "output directory does not exist: {t}/no", id="esp-no-dir"),

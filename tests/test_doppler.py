@@ -366,6 +366,31 @@ class TestZDomain:
             )
             assert abs(samples[t] - direct) <= 1e-9 * max(1.0, abs(direct))
 
+    @pytest.mark.parametrize(
+        "train",
+        [
+            doppler.build_cyclic_train(golay(), 40),
+            doppler.PulseTrain(golay(), numtheory.ptm_sequence(2, 16), 3),
+            doppler.build_ptm_train(codes.gen_dft_set(3), 2),
+        ],
+        ids=["cyclic", "delayed", "ptm"],
+    )
+    def test_samples_are_the_taylor_rows_bit_for_bit(self, train):
+        # One power sum per code for row m alone, yet the same floats as the
+        # C_m(z) samples taylor_coeffs hands to _order_check.
+        with mock.patch.object(
+            doppler, "_order_check", wraps=doppler._order_check
+        ) as check:
+            doppler.taylor_coeffs(train, 8)
+        for m, call in enumerate(check.call_args_list):
+            assert doppler.zdomain_samples(train, m).tobytes() == call.args[3].tobytes()
+
+    def test_samples_refuse_orders_out_of_range(self):
+        train = doppler.build_cyclic_train(golay(), 16)
+        for order in (-1, doppler.MAX_TAYLOR_ORDER + 1):
+            with pytest.raises(ValueError, match="max_order must be in"):
+                doppler.zdomain_samples(train, order)
+
 
 class TestPowerSpectra:
     @pytest.mark.parametrize(

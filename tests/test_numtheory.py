@@ -37,6 +37,7 @@ PART_P4_M2 = (
 
 ESP_DEG2 = ((0, 4, 5), (1, 2, 6))
 ESP_DEG3 = ((0, 4, 7, 11), (1, 2, 9, 10))
+ESP_DEG4 = ((0, 4, 8, 16, 17), (1, 2, 10, 14, 18))
 ESP_DEG5 = ((0, 5, 6, 16, 17, 22), (1, 2, 10, 12, 20, 21))
 
 
@@ -440,9 +441,17 @@ class TestEspSearch:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        stn.sampled_from([2, 3]),
-        stn.sets(stn.integers(0, 20), min_size=3, max_size=12),
-        stn.integers(1, 3),
+        stn.sampled_from([2, 3, 4]),
+        stn.sets(stn.integers(0, 20), min_size=4, max_size=12)
+        # Affine images of ESP solutions of degree 3 to 5, so that the cuts
+        # at m >= 3 meet solutions they must keep.
+        | stn.builds(
+            lambda blocks, shift, scale: {shift + scale * v for b in blocks for v in b},
+            stn.sampled_from([ESP_DEG3, ESP_DEG4, ESP_DEG5]),
+            stn.integers(0, 9),
+            stn.integers(1, 3),
+        ),
+        stn.integers(1, 5),  # the Cauchy-Schwarz cut at odd m > 1 needs M >= 4
         stn.none() | stn.integers(1, 3),
     )
     def test_matches_brute_force_in_order(self, p, values, degree, max_solutions):
@@ -463,16 +472,22 @@ class TestEspSearch:
         assert brute_force_balanced_splits(universe, 2, 3) == []
 
     def test_bounds_keep_the_node_count_small(self, monkeypatch):
-        # Cutting only on overshoot, this search visits 1,286,428 nodes.
-        monkeypatch.setattr(nt, "MAX_SEARCH_NODES", 200_000)
+        # Cutting only on overshoot, this search visits 1,286,428 nodes, and
+        # with interval bounds on the raw values alone 78,141.
+        monkeypatch.setattr(nt, "MAX_SEARCH_NODES", 261)
         assert nt.esp_search(range(24), 2, 5) == []
 
+    def test_schwarz_bound_ends_a_deep_search_at_once(self, monkeypatch):
+        # Interval bounds alone visit 802,540 nodes here.
+        monkeypatch.setattr(nt, "MAX_SEARCH_NODES", 100)
+        assert nt.esp_search(range(28), 2, 8) == []
+
     def test_node_budget_is_exact_and_never_truncates(self, monkeypatch):
-        # This search visits exactly 11,901 nodes and finds 9 partitions.
-        monkeypatch.setattr(nt, "MAX_SEARCH_NODES", 11_901)
+        # This search visits exactly 260 nodes and finds 9 partitions.
+        monkeypatch.setattr(nt, "MAX_SEARCH_NODES", 260)
         assert len(nt.esp_search(range(18), 3, 2)) == 9
-        monkeypatch.setattr(nt, "MAX_SEARCH_NODES", 11_900)
-        with pytest.raises(ValueError, match="budget of 11900 nodes"):
+        monkeypatch.setattr(nt, "MAX_SEARCH_NODES", 259)
+        with pytest.raises(ValueError, match="budget of 259 nodes"):
             nt.esp_search(range(18), 3, 2)
         assert len(nt.esp_search(range(18), 3, 2, max_solutions=1)) == 1
 
