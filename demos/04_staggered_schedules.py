@@ -8,8 +8,8 @@ the per-slot code demand into contiguous delayed trains, one per antenna.
 The summed ambiguity keeps the nulls while the schedule finishes earlier.
 """
 
-from dopwave import compare_ptm_vs_stagger, esp_search, gen_golay_pair
-from dopwave.stagger import builtin_partition, composite_taylor, decompose_to_antennas
+from dopwave import compare_ptm_vs_stagger, esp_search, gen_golay_pair, taylor_coeffs
+from dopwave.stagger import builtin_partition, decompose_to_antennas
 
 
 def lane_picture(plan):
@@ -32,7 +32,7 @@ def show_degree(degree):
     print(f"  {len(plan.lanes)} antennas (slot grid, digit = code index):")
     for row in lane_picture(plan):
         print("    ", row)
-    report = composite_taylor(plan, degree)
+    report = taylor_coeffs(plan, degree)
     print(
         f"  composite null order {report.null_order}, span {report.span} slots, "
         f"{report.total_pulses} pulses"

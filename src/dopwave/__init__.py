@@ -52,11 +52,9 @@ from .numtheory import (
     weight_table,
 )
 from .stagger import (
-    CompositeReport,
     StaggerPlan,
     builtin_partition,
     compare_ptm_vs_stagger,
-    composite_taylor,
     decompose_to_antennas,
     pad_partition,
 )
@@ -95,11 +93,9 @@ __all__ = [
     "ptm_sequence",
     "sidelobe_split_check",
     "weight_table",
-    "CompositeReport",
     "StaggerPlan",
     "builtin_partition",
     "compare_ptm_vs_stagger",
-    "composite_taylor",
     "decompose_to_antennas",
     "pad_partition",
 ]

@@ -247,7 +247,7 @@ def cmd_stagger(args) -> int:
         partition = stagger.builtin_partition(args.order)
     with _exits(EXIT_USAGE):
         plan = stagger.decompose_to_antennas(partition, ccm, args.antenna_cap)
-        report = stagger.composite_taylor(plan, args.order, args.tol)
+        report = doppler.taylor_coeffs(plan, args.order, args.tol)
     _write_text(args.out, json.dumps(plan.to_json_dict()))
     if args.report:
         _write_report(args.report, report)

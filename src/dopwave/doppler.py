@@ -398,11 +398,10 @@ def zdomain_coeff_check(train: PulseTrain, max_order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EquivalenceResult:
-    """Null verdicts for one Taylor order in both domains."""
+    """The null verdict for one Taylor order, on which both domains agree."""
 
     order: int
-    time_domain_null: bool
-    z_domain_constant: bool
+    null: bool
     time_residual: float
     z_deviation: float
 
@@ -439,13 +438,13 @@ def equivalence_check(
     coefficient makes C_m exactly constant and vice versa, so the verdicts
     must agree, or DomainMismatchError is raised.  Every order up to
     `order` is checked (taylor_coeffs), so a disagreement at a lower order
-    raises too, and the two verdicts returned are equal.
+    raises too, and the one verdict returned holds in both domains.
     """
     report = taylor_coeffs(train, order, tol)
     residual = float(report.max_sidelobe_residual[order])
     z_dev = float(report.z_deviations[order])
     null = residual <= float(report.thresholds[order])
-    return EquivalenceResult(order, null, null, residual, z_dev)
+    return EquivalenceResult(order, null, residual, z_dev)
 
 
 @dataclass(frozen=True)

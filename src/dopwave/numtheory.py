@@ -455,10 +455,9 @@ def inverse_transform(values, table: WeightTable | None = None) -> np.ndarray:
     if b.ndim != 1:
         raise ValueError("expected a 1-D array of scalars")
     if table is None:
-        p = int(round(np.log2(len(b)))) + 1
-        if (1 << (p - 1)) != len(b):
-            raise ValueError(f"length {len(b)} is not a power of two")
-        table = weight_table(p)
+        if not b.size or b.size & (b.size - 1):
+            raise ValueError(f"length {b.size} is not a power of two")
+        table = weight_table(b.size.bit_length())
     if (1 << (table.p - 1)) != len(b):
         raise ValueError(f"table is for p={table.p}, input has length {len(b)}")
     return (table.rows.T @ b) / float(1 << (table.p - 1))
@@ -502,16 +501,21 @@ def sidelobe_split_check(values, degree: int) -> SidelobeSplitReport:
     # S(n) depends on n only through its PTM symbol; P_m is the weight of
     # symbol 0 and the range sum that of all symbols together.
     s_by_symbol = table.rows[1:].T.astype(float) @ b[1:]
-    s_vals = s_by_symbol[np.array(ptm_sequence(p, size), dtype=np.intp)]
+    s_vals = s_by_symbol[_ptm_array(p, size)]
     weights = _ptm_weights(p, degree + 1, degree)
 
     index_range = np.arange(size, dtype=float)
+    s_sizes = np.abs(s_vals)
     n_coeffs = []
     residuals = np.empty(degree)
     for m in range(1, degree + 1):
-        lhs = complex(index_range ** m @ s_vals)
+        powers = index_range ** m
+        lhs = complex(powers @ s_vals)
         n_m = (1 << (p - 1)) * weights[m][0] - sum(weights[m])
         rhs = n_m * b[0]
-        residuals[m - 1] = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        # Relative to the size of the terms that cancel: the left side keeps
+        # their rounding error even where the exact sum (N_m = 0 for p=2) is 0.
+        scale = max(1.0, float(powers @ s_sizes), abs(rhs))
+        residuals[m - 1] = abs(lhs - rhs) / scale
         n_coeffs.append(n_m)
     return SidelobeSplitReport(degree, tuple(n_coeffs), residuals)

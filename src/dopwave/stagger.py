@@ -20,18 +20,16 @@ import numpy as np
 
 from .codes import Ccm
 from .codes import code_acfs  # noqa: F401  (bench/test_bench.py traces this binding)
-from .doppler import NULL_TOL, TaylorReport, build_ptm_train, taylor_coeffs
+from .doppler import build_ptm_train, taylor_coeffs
 from .numtheory import EspPartition, _json_ints, _power_sums, ptm_partition
 
 __all__ = [
     "Lane",
     "StaggerPlan",
-    "CompositeReport",
     "ScheduleComparison",
     "builtin_partition",
     "pad_partition",
     "decompose_to_antennas",
-    "composite_taylor",
     "compare_ptm_vs_stagger",
 ]
 
@@ -214,28 +212,6 @@ def decompose_to_antennas(
     return StaggerPlan(ccm, horizon, padded.degree, lanes, padded)
 
 
-# A plan's report is the one TaylorReport; this second name stays importable.
-CompositeReport = TaylorReport
-
-
-def composite_taylor(
-    plan: StaggerPlan, max_order: int, tol: float = NULL_TOL
-) -> TaylorReport:
-    """Taylor coefficients of the summed lane ambiguities.
-
-    Lane j's pulse at position n carries weight (n + delay_j)^m, so grouping
-    by code gives c_m(k) = sum_c W_c(m) * ACF_c(k) with exact integer
-    W_c(m); for m up to the partition degree the W_c coincide and the
-    off-peak coefficients collapse to complementary-sum residuals.  This is
-    taylor_coeffs(plan, ...), whose report carries the plan's pulse count
-    and span; it raises DomainMismatchError when the two domains disagree
-    at some order.
-    """
-    # Not an alias: bench/tracer.py names each function object once, so an
-    # alias would file every taylor_coeffs call under this name.
-    return taylor_coeffs(plan, max_order, tol)
-
-
 @dataclass(frozen=True)
 class ScheduleComparison:
     """Side-by-side costs of the PTM train and the staggered schedule."""
@@ -290,7 +266,7 @@ def compare_ptm_vs_stagger(
     ptm_report = taylor_coeffs(train, degree)
 
     plan = decompose_to_antennas(partition, ccm, antenna_cap)
-    stagger_report = composite_taylor(plan, degree)
+    stagger_report = taylor_coeffs(plan, degree)
 
     if ptm_report.null_order < degree or stagger_report.null_order < degree:
         raise ValueError(

@@ -396,10 +396,11 @@ class TestEspSearch:
     def test_degree_at_block_size_returns_empty_without_work(
         self, monkeypatch, universe, p, degree
     ):
-        def refuse(values, m):
+        # The power sums are the search's first work after that early return.
+        def refuse(values, max_order):
             raise AssertionError("power sums computed for an impossible degree")
 
-        monkeypatch.setattr(nt, "power_sum", refuse)
+        monkeypatch.setattr(nt, "_power_sums", refuse)
         assert nt.esp_search(universe, p, degree) == []
 
     def test_degree_below_block_size_still_searched(self):
@@ -580,8 +581,10 @@ class TestTransforms:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nt.forward_transform([1, 2, 3], nt.weight_table(2))
-        with pytest.raises(ValueError):
-            nt.inverse_transform([1, 2, 3])
+        # 0 and 3 are no power of two; 1 = 2^0 would mean a single symbol.
+        for length in (0, 1, 3):
+            with pytest.raises(ValueError):
+                nt.inverse_transform(np.ones(length))
 
 
 class TestSidelobeSplit:
@@ -643,10 +646,30 @@ class TestSidelobeSplit:
         report = nt.sidelobe_split_check([1.0, -1.0], 1)
         assert report.n_coefficients == (0,)
 
+    @pytest.mark.parametrize("degree", range(7, 13))
+    def test_two_symbol_identity_holds_past_float_integers(self, degree):
+        # For p=2, N_m = 0, so the right side is exactly 0 while the left
+        # sums terms n^m * S(n) beyond 2^53, which keep their rounding error.
+        report = nt.sidelobe_split_check([1, 1j], degree)
+        assert report.n_coefficients == (0,) * degree
+        assert report.residuals.max() <= 1e-12
+
+    @pytest.mark.parametrize("degree", [1, 7, 12])
+    def test_a_wrong_coefficient_is_caught(self, monkeypatch, degree):
+        # Doubling P_m turns N_m into N_m + P_m for p=2.
+        weights = nt._ptm_weights
+
+        def doubled(p, levels, max_order):
+            return [[2 * row[0], *row[1:]] for row in weights(p, levels, max_order)]
+
+        monkeypatch.setattr(nt, "_ptm_weights", doubled)
+        report = nt.sidelobe_split_check([1, 1j], degree)
+        assert report.residuals.min() >= 0.1
+
     def test_builds_the_ptm_sequence_once_without_the_partition(self, monkeypatch):
         values = [0.3 + 1.0j, -1.2, 0.5j]
         expected = nt.sidelobe_split_check(values, 3)
-        sequence, lengths = nt.ptm_sequence, []
+        sequence, lengths = nt._ptm_array, []
 
         def counted(p, length):
             lengths.append(length)
@@ -655,7 +678,7 @@ class TestSidelobeSplit:
         def no_partition(*args):
             raise AssertionError("sidelobe_split_check built the whole partition")
 
-        monkeypatch.setattr(nt, "ptm_sequence", counted)
+        monkeypatch.setattr(nt, "_ptm_array", counted)
         monkeypatch.setattr(nt, "ptm_partition", no_partition)
         report = nt.sidelobe_split_check(values, 3)
         assert lengths == [81]

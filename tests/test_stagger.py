@@ -1,6 +1,5 @@
 """Staggered-schedule tests: padding, lane decomposition, composite nulls."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -270,17 +269,10 @@ class TestSingleReport:
                 report.coeffs[m].view(np.int64),
             )
         if isinstance(schedule, stagger.StaggerPlan):
-            composite = stagger.composite_taylor(schedule, max_order)
-            assert type(composite) is stagger.CompositeReport
-            for name, value in vars(report).items():
-                np.testing.assert_array_equal(getattr(composite, name), value)
-            assert composite.total_pulses == schedule.total_pulses
-            assert composite.span == schedule.span
-            return
+            return  # the views below take trains only
         for m in range(max_order + 1):
             result = doppler.equivalence_check(schedule, m)
-            assert (result.order, result.time_domain_null) == (m, nulls[m])
-            assert result.z_domain_constant == nulls[m]
+            assert (result.order, result.null) == (m, nulls[m])
             assert result.time_residual == report.max_sidelobe_residual[m]
             assert result.z_deviation == report.z_deviations[m]
         if schedule.is_ptm_ordered():
@@ -300,18 +292,6 @@ class TestSingleReport:
         assert (report.total_pulses, report.span) == costs
         assert type(report.total_pulses) is int and type(report.span) is int
 
-    def test_composite_report_is_the_taylor_report(self):
-        assert stagger.CompositeReport is doppler.TaylorReport
-
-    @pytest.mark.parametrize("degree", [2, 3, 5])
-    def test_composite_taylor_is_taylor_coeffs(self, degree):
-        plan = stagger.decompose_to_antennas(stagger.builtin_partition(degree), golay())
-        composite = stagger.composite_taylor(plan, degree)
-        single = doppler.taylor_coeffs(plan, degree)
-        for field in dataclasses.fields(composite):
-            np.testing.assert_array_equal(
-                getattr(composite, field.name), getattr(single, field.name)
-            )
 
 
 class TestCompositeTaylor:
@@ -319,7 +299,7 @@ class TestCompositeTaylor:
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(stagger.builtin_partition(2)), golay()
         )
-        report = stagger.composite_taylor(plan, 2)
+        report = doppler.taylor_coeffs(plan, 2)
         assert report.null_order >= 2
         assert report.total_pulses == 8 and report.span == 7
 
@@ -327,7 +307,7 @@ class TestCompositeTaylor:
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(stagger.builtin_partition(3)), golay()
         )
-        report = stagger.composite_taylor(plan, 3)
+        report = doppler.taylor_coeffs(plan, 3)
         assert report.null_order >= 3
         assert report.total_pulses == 16 and report.span == 12
 
@@ -335,7 +315,7 @@ class TestCompositeTaylor:
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(stagger.builtin_partition(5)), golay()
         )
-        report = stagger.composite_taylor(plan, 5)
+        report = doppler.taylor_coeffs(plan, 5)
         assert report.null_order >= 5
         assert report.span == 23 and report.total_pulses == 34
 
@@ -344,7 +324,7 @@ class TestCompositeTaylor:
         ccm = golay()
         padded = stagger.pad_partition(stagger.builtin_partition(degree))
         plan = stagger.decompose_to_antennas(padded, ccm)
-        report = stagger.composite_taylor(plan, degree)
+        report = doppler.taylor_coeffs(plan, degree)
         n, k = ccm.length, ccm.count
         center = n - 1
         for m in range(degree + 1):
@@ -360,7 +340,7 @@ class TestCompositeTaylor:
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(stagger.builtin_partition(degree)), ccm
         )
-        report = stagger.composite_taylor(plan, degree)
+        report = doppler.taylor_coeffs(plan, degree)
         horizon = plan.horizon
         for m in range(degree + 1):
             assert report.max_sidelobe_residual[m] <= 1e-9 * ccm.length * horizon**m
@@ -378,7 +358,7 @@ class TestCompositeTaylor:
         plan = stagger.decompose_to_antennas(
             numtheory.ptm_partition(ccm.count, degree), ccm
         )
-        composite = stagger.composite_taylor(plan, degree)
+        composite = doppler.taylor_coeffs(plan, degree)
         single = doppler.taylor_coeffs(doppler.build_ptm_train(ccm, degree), degree)
         assert np.array_equal(composite.coeffs, single.coeffs)
         assert np.array_equal(
@@ -393,13 +373,13 @@ class TestCompositeTaylor:
             stagger.pad_partition(stagger.builtin_partition(2)), golay()
         )
         with pytest.raises(ValueError):
-            stagger.composite_taylor(plan, order)
+            doppler.taylor_coeffs(plan, order)
 
     def test_report_json(self):
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(stagger.builtin_partition(2)), golay()
         )
-        data = stagger.composite_taylor(plan, 2).to_json_dict()
+        data = doppler.taylor_coeffs(plan, 2).to_json_dict()
         json.dumps(data)
         assert data["totalPulses"] == 8 and data["span"] == 7
 
@@ -410,7 +390,7 @@ class TestCrossCheck:
         [
             lambda: doppler.taylor_coeffs(doppler.build_ptm_train(golay(), 2), 2),
             lambda: doppler.zdomain_coeff_check(doppler.build_ptm_train(golay(), 2), 2),
-            lambda: stagger.composite_taylor(
+            lambda: doppler.taylor_coeffs(
                 stagger.decompose_to_antennas(
                     stagger.pad_partition(stagger.builtin_partition(2)), golay()
                 ),
