@@ -4,8 +4,9 @@
 An order-m ambiguity coefficient vanishes at all non-zero delays exactly
 when the z-domain coefficient C_m(z) = sum_n n^m |X_n(z)|^2 is constant in
 z; for a PTM train its value is the closed form N * K * P_m, with P_m the
-common block power sum.  Both checks run on every order; equivalence_check
-returns their one verdict and raises DomainMismatchError should they disagree.
+common block power sum.  Both checks run on every order of one Taylor
+report, which carries each order's delay residual, z deviation and relative
+spread, and raises DomainMismatchError should the two verdicts disagree.
 """
 
 import numpy as np
@@ -13,11 +14,10 @@ import numpy as np
 from dopwave import (
     build_cyclic_train,
     build_ptm_train,
-    equivalence_check,
     gen_golay_pair,
     power_sum,
     ptm_partition,
-    zdomain_coeff_check,
+    taylor_coeffs,
 )
 from dopwave.doppler import zdomain_samples
 
@@ -28,7 +28,7 @@ def main():
     n, k = pair.length, pair.count
 
     print("--- PTM train, z-domain constants ---")
-    residuals = zdomain_coeff_check(train, 3)
+    residuals = taylor_coeffs(train, 3).z_residuals
     part = ptm_partition(k, 3)
     for m in range(4):
         target = n * k * power_sum(part.blocks[0], m)
@@ -42,11 +42,12 @@ def main():
 
     print("\n--- cross-domain agreement ---")
     for name, t in (("ptm", train), ("cyclic", cyclic)):
+        report = taylor_coeffs(t, 2)
         for m in range(3):
-            res = equivalence_check(t, m)
+            residual = report.max_sidelobe_residual[m]
             print(
-                f"  {name} m={m}: null={res.null} (delay residual "
-                f"{res.time_residual:.2e}, z deviation {res.z_deviation:.2e})"
+                f"  {name} m={m}: null={residual <= report.thresholds[m]} (delay "
+                f"residual {residual:.2e}, z deviation {report.z_deviations[m]:.2e})"
             )
 
 

@@ -37,10 +37,10 @@ def show_degree(degree):
         f"  composite null order {report.null_order}, span {report.span} slots, "
         f"{report.total_pulses} pulses"
     )
-    cmp = compare_ptm_vs_stagger(ccm, degree)
+    ptm, staggered = compare_ptm_vs_stagger(ccm, degree)
     print(
-        f"  vs single PTM train: span {cmp.ptm_span} -> {cmp.stagger_span}, "
-        f"pulses {cmp.ptm_pulses} -> {cmp.stagger_pulses}"
+        f"  vs single PTM train: span {ptm.span} -> {staggered.span}, "
+        f"pulses {ptm.total_pulses} -> {staggered.total_pulses}"
     )
     print()
 

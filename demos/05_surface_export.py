@@ -33,8 +33,12 @@ def fitted_slope(csv_path):
 
 def main():
     ccm = gen_golay_pair(3)
-    out_dir = Path(tempfile.mkdtemp(prefix="dopwave_surfaces_"))
+    with tempfile.TemporaryDirectory(prefix="dopwave_surfaces_") as tmp:
+        export(ccm, Path(tmp))
 
+
+def export(ccm, out_dir):
+    """Write PTM surfaces into out_dir and fit each one's off-peak growth."""
     for order in (1, 2, 3):
         train = build_ptm_train(ccm, order)
         surface = ambiguity_surface(train, 1e-3, 1e-2, 101)
@@ -57,7 +61,7 @@ def main():
         f"origin magnitude {wide.magnitudes[center]:.1f} "
         f"(= N*L = {ccm.length * train.length})"
     )
-    print(f"CSV files under {out_dir}")
+    print(f"CSV files under {out_dir}, removed when the demo ends")
 
 
 if __name__ == "__main__":

@@ -32,9 +32,7 @@ from .doppler import (
     ambiguity_surface,
     build_cyclic_train,
     build_ptm_train,
-    equivalence_check,
     taylor_coeffs,
-    zdomain_coeff_check,
 )
 from .numtheory import (
     EspPartition,
@@ -77,9 +75,7 @@ __all__ = [
     "ambiguity_surface",
     "build_cyclic_train",
     "build_ptm_train",
-    "equivalence_check",
     "taylor_coeffs",
-    "zdomain_coeff_check",
     "EspPartition",
     "WeightTable",
     "digit_sum_mod",

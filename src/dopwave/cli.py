@@ -63,7 +63,8 @@ def _precheck_outputs(*paths) -> None:
 def _read_json(path: str, what: str, parse, invalid=None):
     """parse(the JSON in path); a file that cannot be read or decoded exits 3.
 
-    A file that parse refuses exits with `invalid`, an (exit code, message)
+    Decoding includes nesting too deep for json's recursion limit.  A file
+    that parse refuses exits with `invalid`, an (exit code, message)
     pair; the default is (3, "malformed <what> <path>").
     """
     code, message = invalid or (EXIT_IO, f"malformed {what} {path}")
@@ -71,7 +72,7 @@ def _read_json(path: str, what: str, parse, invalid=None):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         return parse(data)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(EXIT_IO, f"cannot read {what} {path}: {exc}") from None
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(code, f"{message}: {exc}") from None

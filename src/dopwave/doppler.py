@@ -38,7 +38,6 @@ __all__ = [
     "PulseTrain",
     "TaylorReport",
     "AmbiguitySurface",
-    "EquivalenceResult",
     "DomainMismatchError",
     "build_ptm_train",
     "build_cyclic_train",
@@ -46,12 +45,10 @@ __all__ = [
     "ambiguity",
     "taylor_coeffs",
     "zdomain_samples",
-    "zdomain_coeff_check",
-    "equivalence_check",
     "ambiguity_surface",
 ]
 
-# Trains longer than this are refused outright.
+# Trains and padded plans of more pulses than this are refused outright.
 MAX_TRAIN_LENGTH = 1 << 20
 
 # Taylor orders above this cap are almost certainly a unit error upstream.
@@ -99,6 +96,8 @@ class PulseTrain:
         idx = np.asarray(self.indices)
         if idx.ndim != 1 or not idx.size:
             raise ValueError("train must contain at least one pulse")
+        if idx.size > MAX_TRAIN_LENGTH:
+            raise ValueError(f"train length {idx.size} exceeds cap {MAX_TRAIN_LENGTH}")
         if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= self.ccm.count:
             raise ValueError("every index must be an integer code of the set")
         try:
@@ -382,30 +381,6 @@ def zdomain_samples(train: PulseTrain, order: int) -> np.ndarray:
     return _zsamples(train.ccm.spectra, weights)
 
 
-def zdomain_coeff_check(train: PulseTrain, max_order: int) -> np.ndarray:
-    """Relative deviation of C_m(z) from its predicted constant N*K*P_m.
-
-    P_m is the common block power sum of the train's own PTM partition
-    (block cardinality for m = 0).  Requires a PTM-ordered train, for which
-    the prediction is exact through the train order; the result is the
-    report's z_residuals, max_z |C_m(z) - N*K*P_m| / max(1, N*K*P_m) over
-    the 2N grid.  Raises DomainMismatchError when the domains disagree.
-    """
-    if not train.is_ptm_ordered():
-        raise ValueError("reference check requires a PTM-ordered, zero-delay train")
-    return taylor_coeffs(train, max_order).z_residuals
-
-
-@dataclass(frozen=True)
-class EquivalenceResult:
-    """The null verdict for one Taylor order, on which both domains agree."""
-
-    order: int
-    null: bool
-    time_residual: float
-    z_deviation: float
-
-
 def _order_check(
     order: int,
     time_residual: float,
@@ -426,25 +401,6 @@ def _order_check(
     if time_null != z_constant:
         raise DomainMismatchError(order, time_residual, z_dev)
     return z_dev
-
-
-def equivalence_check(
-    train: PulseTrain, order: int, tol: float = NULL_TOL
-) -> EquivalenceResult:
-    """Cross-validate the order-m null in the delay and z domains.
-
-    The delay-domain test thresholds the worst off-peak |c_m(k)|; the
-    z-domain test the spread of C_m(z) on the 2N grid.  A vanished
-    coefficient makes C_m exactly constant and vice versa, so the verdicts
-    must agree, or DomainMismatchError is raised.  Every order up to
-    `order` is checked (taylor_coeffs), so a disagreement at a lower order
-    raises too, and the one verdict returned holds in both domains.
-    """
-    report = taylor_coeffs(train, order, tol)
-    residual = float(report.max_sidelobe_residual[order])
-    z_dev = float(report.z_deviations[order])
-    null = residual <= float(report.thresholds[order])
-    return EquivalenceResult(order, null, residual, z_dev)
 
 
 @dataclass(frozen=True)

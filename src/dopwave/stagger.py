@@ -20,13 +20,12 @@ import numpy as np
 
 from .codes import Ccm
 from .codes import code_acfs  # noqa: F401  (bench/test_bench.py traces this binding)
-from .doppler import build_ptm_train, taylor_coeffs
+from .doppler import MAX_TRAIN_LENGTH, TaylorReport, build_ptm_train, taylor_coeffs
 from .numtheory import EspPartition, _json_ints, _power_sums, ptm_partition
 
 __all__ = [
     "Lane",
     "StaggerPlan",
-    "ScheduleComparison",
     "builtin_partition",
     "pad_partition",
     "decompose_to_antennas",
@@ -155,10 +154,15 @@ def pad_partition(partition: EspPartition) -> EspPartition:
     overlap.  The same values join every block, so each common sum grows
     by the missing slots' power sum; the padded sums are derived from the
     partition's, not summed again.  Padding a padded partition changes
-    nothing.
+    nothing.  More than MAX_TRAIN_LENGTH padded pulses raise ValueError
+    before any slot is filled in.
     """
     used = set(chain.from_iterable(partition.blocks))
-    missing = sorted(set(range(max(used) + 1)) - used)
+    horizon = max(used) + 1
+    pulses = sum(map(len, partition.blocks)) + partition.p * (horizon - len(used))
+    if pulses > MAX_TRAIN_LENGTH:
+        raise ValueError(f"padded pulse count {pulses} exceeds cap {MAX_TRAIN_LENGTH}")
+    missing = sorted(set(range(horizon)) - used)
     blocks = tuple(tuple(sorted(block + tuple(missing))) for block in partition.blocks)
     sums = map(sum, zip(partition.prouhet_sums, _power_sums(missing, partition.degree)))
     return EspPartition(blocks, partition.degree, tuple(sums))
@@ -212,43 +216,20 @@ def decompose_to_antennas(
     return StaggerPlan(ccm, horizon, padded.degree, lanes, padded)
 
 
-@dataclass(frozen=True)
-class ScheduleComparison:
-    """Side-by-side costs of the PTM train and the staggered schedule."""
-
-    degree: int
-    ptm_span: int
-    ptm_pulses: int
-    ptm_null_order: int
-    stagger_span: int
-    stagger_pulses: int
-    stagger_null_order: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.degree,
-            "ptm": {"span": self.ptm_span, "pulses": self.ptm_pulses},
-            "stagger": {"span": self.stagger_span, "pulses": self.stagger_pulses},
-            "nullOrders": {
-                "ptm": self.ptm_null_order,
-                "stagger": self.stagger_null_order,
-            },
-        }
-
-
 def compare_ptm_vs_stagger(
     ccm: Ccm,
     degree: int,
     partition: EspPartition | None = None,
     antenna_cap: int = DEFAULT_ANTENNA_CAP,
-) -> ScheduleComparison:
-    """Measure what staggering buys over the single PTM train.
+) -> tuple[TaylorReport, TaylorReport]:
+    """The reports of the PTM train and the staggered plan of one degree.
 
-    Both schedules are built and verified to reach null order >= degree; the
-    comparison reports their spans and pulse counts.  Without an explicit
-    partition, the built-in table covers degrees 2/3/5 for two codes and the
-    PTM partition covers every other case.  Both reports are cross-checked
-    in the z domain, so a disagreement raises DomainMismatchError.
+    Returns (ptm_report, plan_report); each carries its schedule's span and
+    pulse count, and both are verified to reach null order >= degree.
+    Without an explicit partition, the built-in table covers degrees 2/3/5
+    for two codes and the PTM partition covers every other case.  Both
+    reports are cross-checked in the z domain, so a disagreement raises
+    DomainMismatchError.
     """
     if partition is None:
         if ccm.count == 2 and degree in _BUILTIN_BLOCKS:
@@ -262,24 +243,12 @@ def compare_ptm_vs_stagger(
     if partition.degree < degree:
         raise ValueError("partition degree is below the requested degree")
 
-    train = build_ptm_train(ccm, degree)
-    ptm_report = taylor_coeffs(train, degree)
-
+    ptm_report = taylor_coeffs(build_ptm_train(ccm, degree), degree)
     plan = decompose_to_antennas(partition, ccm, antenna_cap)
-    stagger_report = taylor_coeffs(plan, degree)
-
-    if ptm_report.null_order < degree or stagger_report.null_order < degree:
+    plan_report = taylor_coeffs(plan, degree)
+    if ptm_report.null_order < degree or plan_report.null_order < degree:
         raise ValueError(
             "schedule failed to reach the requested null order: "
-            f"ptm={ptm_report.null_order}, stagger={stagger_report.null_order}"
+            f"ptm={ptm_report.null_order}, stagger={plan_report.null_order}"
         )
-    return ScheduleComparison(
-        degree,
-        ptm_report.span,
-        ptm_report.total_pulses,
-        ptm_report.null_order,
-        stagger_report.span,
-        stagger_report.total_pulses,
-        stagger_report.null_order,
-    )
-
+    return ptm_report, plan_report

@@ -165,15 +165,14 @@ def test_criterion_6_zdomain_constancy():
                 if count ** (degree + 1) > 256:
                     continue
                 train = doppler.build_ptm_train(ccm, degree)
-                residuals = doppler.zdomain_coeff_check(train, degree)
+                report = doppler.taylor_coeffs(train, degree)
+                residuals = report.z_residuals
                 assert residuals.max() <= 1e-9, (
                     f"K={count} N={n} M={degree}: z residual {residuals.max():.3e}"
                 )
-                report = doppler.taylor_coeffs(train, degree)
+                nulls = report.max_sidelobe_residual <= report.thresholds
                 z_limit = 2 * max(1, n - 1) * report.thresholds
-                for m in range(degree + 1):
-                    result = doppler.equivalence_check(train, m)
-                    assert result.null == (result.z_deviation <= z_limit[m])
+                assert (nulls == (report.z_deviations <= z_limit)).all()
 
 
 def test_criterion_7_esp_examples():

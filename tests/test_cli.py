@@ -1,6 +1,7 @@
 """End-to-end command-line tests; commands run in-process via cli.main."""
 
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -498,6 +499,61 @@ class TestRefusals:
         assert json.loads(captured.out) == []
         assert "found 0" in captured.err
         assert not calls
+
+    @pytest.mark.parametrize(
+        "command", ["ptm", "verify", "surface", "stagger-set", "stagger-partition"]
+    )
+    def test_deeply_nested_json_is_unreadable(
+        self, tmp_path, golay_file, capsys, command
+    ):
+        # Deeper than json's recursion limit: RecursionError, not a decode error.
+        deep, out = tmp_path / "deep.json", tmp_path / "out"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        what, argv = {
+            "ptm": ("code set", ("ptm", deep, 3, "--out", out)),
+            "verify": ("train", ("verify", deep, 3)),
+            "surface": ("train", ("surface", deep, -0.1, 0.1, 5, "--out", out)),
+            "stagger-set": ("code set", ("stagger", deep, 2, "--out", out)),
+            "stagger-partition": (
+                "partition",
+                ("stagger", golay_file, 1, "--partition", deep, "--out", out),
+            ),
+        }[command]
+        capsys.readouterr()  # drop the fixture's output
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what} {deep}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_files_over_the_length_cap_refused(self, tmp_path, capsys):
+        cap = doppler.MAX_TRAIN_LENGTH
+        train = doppler.build_cyclic_train(codes.gen_golay_pair(1), cap).to_json_dict()
+        at_cap, over = tmp_path / "cap.json", tmp_path / "over.json"
+        at_cap.write_text(json.dumps(train))
+        over.write_text(json.dumps({**train, "indices": train["indices"] + [0]}))
+        assert run("verify", at_cap, 0) == 0
+        capsys.readouterr()
+        assert run("verify", over, 0) == 3
+        assert capsys.readouterr().err == (
+            f"error: malformed train {over}: train length {cap + 1} exceeds cap {cap}\n"
+        )
+
+    def test_partition_padded_over_the_train_cap_refused_at_once(
+        self, tmp_path, golay_file, capsys
+    ):
+        # A valid degree-1 partition from slot s pads to 2s + 4 pulses.
+        s = doppler.MAX_TRAIN_LENGTH
+        part, plan = tmp_path / "far.json", tmp_path / "plan.json"
+        part.write_text(json.dumps({"M": 1, "blocks": [[s, s + 3], [s + 1, s + 2]]}))
+        capsys.readouterr()  # drop the fixture's output
+        started = time.perf_counter()
+        assert run("stagger", golay_file, 1, "--partition", part, "--out", plan) == 2
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err == (
+            f"error: padded pulse count {2 * s + 4} exceeds cap {s}\n"
+        )
+        assert not plan.exists()
 
     @pytest.mark.parametrize("field", ["indices", "delay", "phases", "blocks"])
     def test_non_integer_json_refused(self, tmp_path, train_file, capsys, field):

@@ -97,12 +97,9 @@ class TestTrainConstruction:
     def test_is_ptm_ordered(self):
         assert doppler.build_ptm_train(golay(), 2).is_ptm_ordered()
         assert not doppler.build_cyclic_train(golay(), 16).is_ptm_ordered()
-        # One code has no PTM sequence: not ordered, and the check refuses.
+        # One code has no PTM sequence: not ordered.
         single = codes.Ccm.from_phases(np.zeros((1, 1), dtype=np.int64), 2)
-        train = doppler.PulseTrain(single, (0, 0, 0))
-        assert not train.is_ptm_ordered()
-        with pytest.raises(ValueError, match="requires a PTM-ordered"):
-            doppler.zdomain_coeff_check(train, 1)
+        assert not doppler.PulseTrain(single, (0, 0, 0)).is_ptm_ordered()
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -124,6 +121,15 @@ class TestTrainConstruction:
         assert all(type(i) is int for i in train.indices)
         assert train.slots_by_code() == [[3], [4, 5]]
         assert all(type(s) is int for slots in train.slots_by_code() for s in slots)
+
+    def test_trains_over_the_length_cap_refused(self):
+        cap = doppler.MAX_TRAIN_LENGTH
+        assert doppler.build_cyclic_train(golay(1), cap).length == cap
+        with pytest.raises(ValueError, match=f"train length {cap + 1} exceeds cap"):
+            doppler.build_cyclic_train(golay(1), cap + 1)
+        # The cap comes before the index scan: code 7 is not in a pair.
+        with pytest.raises(ValueError, match="exceeds cap"):
+            doppler.PulseTrain(golay(1), np.full(cap + 1, 7))
 
     @pytest.mark.parametrize(
         "delay", [1.5, np.float64(2.0), "2", None],
@@ -335,12 +341,11 @@ class TestTaylorCoeffs:
 class TestZDomain:
     def test_two_code_constancy(self):
         train = doppler.build_ptm_train(golay(), 3)
-        residuals = doppler.zdomain_coeff_check(train, 3)
-        assert residuals.max() <= 1e-9
+        assert doppler.taylor_coeffs(train, 3).z_residuals.max() <= 1e-9
 
     def test_three_code_constancy(self):
         train = doppler.build_ptm_train(codes.gen_dft_set(3), 2)
-        assert doppler.zdomain_coeff_check(train, 2).max() <= 1e-9
+        assert doppler.taylor_coeffs(train, 2).z_residuals.max() <= 1e-9
 
     def test_zeroth_order_value(self):
         # C_0(z) is the summed per-pulse energy L*N at every sample.
@@ -348,10 +353,6 @@ class TestZDomain:
         samples = doppler.zdomain_samples(train, 0)
         expected = train.length * train.ccm.length
         assert np.allclose(samples, expected, rtol=1e-12)
-
-    def test_requires_ptm_order(self):
-        with pytest.raises(ValueError):
-            doppler.zdomain_coeff_check(doppler.build_cyclic_train(golay(), 16), 1)
 
     def test_direct_evaluation_oracle(self):
         # Recompute C_m(z) term by term, no grouping, and compare.
@@ -419,34 +420,37 @@ class TestPowerSpectra:
             assert np.max(np.abs(from_grid - direct)) <= 1e-10 * n * n
 
 
-def z_domain_null(train, result):
-    """The z-domain verdict, read from the result's deviation: C_m(z) is
-    constant within the 2(N-1) coefficient terms' share of the threshold."""
-    threshold = doppler.taylor_coeffs(train, result.order).thresholds[result.order]
-    return result.z_deviation <= 2 * max(1, train.ccm.length - 1) * threshold
+def domain_nulls(train, max_order):
+    """Per order of one report: the delay-domain null, and the z-domain one
+    read from its deviation, C_m(z) constant within the 2(N-1) coefficient
+    terms' share of the threshold."""
+    report = doppler.taylor_coeffs(train, max_order)
+    z_limit = 2 * max(1, train.ccm.length - 1) * report.thresholds
+    return (
+        (report.max_sidelobe_residual <= report.thresholds).tolist(),
+        (report.z_deviations <= z_limit).tolist(),
+    )
 
 
 class TestEquivalence:
     def test_ptm_agrees_true(self):
         train = doppler.build_ptm_train(golay(), 2)
-        result = doppler.equivalence_check(train, 1)
-        assert result.null and z_domain_null(train, result)
+        time_nulls, z_nulls = domain_nulls(train, 1)
+        assert time_nulls[1] and z_nulls[1]
 
     def test_cyclic_agrees_false(self):
         train = doppler.build_cyclic_train(golay(), 16)
-        result = doppler.equivalence_check(train, 1)
-        assert not result.null and not z_domain_null(train, result)
+        time_nulls, z_nulls = domain_nulls(train, 1)
+        assert not time_nulls[1] and not z_nulls[1]
 
     def test_default_grid_does_not_alias(self, frank_train):
         # The 2N grid, not the Frank code's own 64-point DFT grid, on which
         # C_0 would look constant.
-        result = doppler.equivalence_check(frank_train, 0)
-        assert not result.null and not z_domain_null(frank_train, result)
+        assert domain_nulls(frank_train, 0) == ([False], [False])
 
     def test_zero_order_with_equal_multiplicity(self):
         train = doppler.build_cyclic_train(codes.gen_dft_set(3), 27)
-        result = doppler.equivalence_check(train, 0)
-        assert result.null and z_domain_null(train, result)
+        assert domain_nulls(train, 0) == ([True], [True])
 
     def test_hundred_random_trains_agree(self):
         rng = np.random.default_rng(2024)
@@ -461,9 +465,8 @@ class TestEquivalence:
             length = int(rng.integers(4, 65))
             indices = tuple(int(i) for i in rng.integers(0, ccm.count, length))
             train = doppler.PulseTrain(ccm, indices, delay=int(rng.integers(0, 5)))
-            for m in range(5):
-                result = doppler.equivalence_check(train, m)
-                assert result.null == z_domain_null(train, result)
+            time_nulls, z_nulls = domain_nulls(train, 4)
+            assert time_nulls == z_nulls
 
 
 class TestSurface:
