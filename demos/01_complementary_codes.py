@@ -9,7 +9,7 @@ peaks stack to N*K.
 
 import numpy as np
 
-from dopwave import acf, gen_dft_set, gen_golay_pair, validate_ccm, validate_ccm_exact
+from dopwave import acf, gen_dft_set, gen_golay_pair, validate_ccm
 from dopwave.codes import ztransform_eval
 
 
@@ -26,23 +26,19 @@ def show_set(name, ccm):
     print(f"  summed sidelobes: worst {worst_sum:.2e}  "
           f"(peak sum {abs(total[ccm.length - 1]):g} = N*K)")
     check = validate_ccm(ccm)
-    print(f"  validate_ccm -> {check.is_ccm} (worst {check.worst_sidelobe:.2e})")
+    kind = "exact" if ccm.phase_order in (1, 2, 4) else "within tol"
+    print(f"  validate_ccm ({kind}) -> {check.is_ccm} (worst {check.worst_sidelobe:.2e})")
 
 
 def main():
     pair = gen_golay_pair(3)
     show_set("binary pair, three doublings", pair)
-    exact = validate_ccm_exact(pair)
-    print(f"  exact integer check: complementary={exact.is_ccm}, "
-          f"worst |sidelobe|^2 = {exact.worst_sidelobe_sq}")
 
     tri = gen_dft_set(3)
     show_set("tri-phase DFT set", tri)
 
     quad = gen_dft_set(4)
     show_set("quad-phase DFT set", quad)
-    exact4 = validate_ccm_exact(quad)
-    print(f"  exact integer check: complementary={exact4.is_ccm}")
 
     # The same cancellation seen on the unit circle: total spectral power
     # is flat at N*K wherever you sample.

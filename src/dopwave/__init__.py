@@ -4,12 +4,12 @@ The package splits into four layers:
 
     numtheory  exact digit sums, PTM sequences/partitions, power sums,
                equal-power-sum partition search, sign transforms
-    codes      unimodular codes, autocorrelation, complementarity checks,
-               binary-pair and DFT-set generators
+    codes      unimodular codes, autocorrelation, one complementarity check
+               (exact for orders 1, 2, 4), binary-pair and DFT-set generators
     doppler    pulse trains, ambiguity function, Taylor-coefficient null
                orders in the delay and z domains, surface sampling
     stagger    multi-antenna staggered schedules built from equal-power-sum
-               partitions, with composite null verification
+               partitions, with Taylor-report null verification
 
 plus a ``dopwave`` command-line tool (see dopwave.cli).
 """
@@ -20,7 +20,6 @@ from .codes import (
     gen_dft_set,
     gen_golay_pair,
     validate_ccm,
-    validate_ccm_exact,
     ztransform_eval,
 )
 from .doppler import (
@@ -65,7 +64,6 @@ __all__ = [
     "gen_dft_set",
     "gen_golay_pair",
     "validate_ccm",
-    "validate_ccm_exact",
     "ztransform_eval",
     "AmbiguitySurface",
     "DomainMismatchError",

@@ -129,6 +129,10 @@ def _first_partition(data) -> numtheory.EspPartition:
         if not data:
             raise ValueError("the file lists no partition")
         data = data[0]
+    cap = doppler.MAX_TAYLOR_ORDER  # no higher order is ever verified
+    degree = data.get("M") if isinstance(data, dict) else None
+    if isinstance(degree, int) and degree > cap:  # refused before any power sum
+        raise ValueError(f"degree must be at most {cap}, got {degree}")
     return numtheory.EspPartition.from_json_dict(data)
 
 
@@ -306,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     stag.add_argument("order", type=int, help="null order M")
     stag.add_argument("--partition", help="partition JSON file")
     stag.add_argument("--antenna-cap", type=int, default=stagger.DEFAULT_ANTENNA_CAP)
-    stag.add_argument("--report", help="optional composite-report JSON file")
+    stag.add_argument("--report", help="optional Taylor-report JSON file")
     stag.add_argument("--out", required=True)
 
     return parser

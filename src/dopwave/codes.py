@@ -8,8 +8,8 @@ by the concatenation doubling recursion, and the DFT phase family (column k
 has entries exp(2j*pi*k*n/K)).
 
 Codes built from integer phases keep those phases alongside the complex
-entries so files round-trip bit-exactly and binary/quaternary sets can be
-validated in exact Gaussian-integer arithmetic.
+entries so files round-trip bit-exactly and binary/quaternary sets are
+judged complementary exactly, on Gaussian-integer autocorrelations.
 """
 
 from dataclasses import dataclass
@@ -23,10 +23,8 @@ from .numtheory import _json_ints
 __all__ = [
     "Ccm",
     "CcmValidation",
-    "ExactCcmValidation",
     "acf",
     "validate_ccm",
-    "validate_ccm_exact",
     "gen_golay_pair",
     "gen_dft_set",
     "ztransform_eval",
@@ -35,8 +33,8 @@ __all__ = [
 # Unit-magnitude and phase-consistency tolerance for stored entries.
 UNIT_TOL = 1e-12
 
-# Default per-lag tolerance on summed autocorrelations.  Orders 1, 2, 4 are
-# exact; otherwise FFT error is ~1e-10 at N = 2^20, ten times below this.
+# Default per-lag tolerance on summed autocorrelations, unused for the exact
+# orders 1, 2, 4; otherwise FFT error is ~1e-10 at N = 2^20, ten times below.
 CCM_TOL = 1e-9
 
 _EXACT_ROOTS = {
@@ -70,7 +68,7 @@ class Ccm:
     Construction checks unit magnitude (and, when integer phases are given,
     that they reproduce the entries) but not complementarity; use
     validate_ccm for that, so candidate sets can be represented and then
-    judged.
+    judged.  Phase orders 1, 2 and 4 are judged exactly, with no tolerance.
     """
 
     columns: np.ndarray
@@ -233,10 +231,14 @@ def validate_ccm(columns, tol: float = CCM_TOL) -> CcmValidation:
     """Check that summed autocorrelations equal N*K*delta within tol.
 
     Reports the worst absolute off-peak sum either way, so near-misses can
-    be inspected.  A Ccm is judged on code_acfs, exact for orders 1, 2, 4.
+    be inspected.  A Ccm is judged on code_acfs.  For phase orders 1, 2 and
+    4 those are Gaussian integers, so the sums are exact in float64 and the
+    set must meet N*K*delta exactly: tol is ignored.
     """
     if isinstance(columns, Ccm):
         acfs = code_acfs(columns)
+        if columns.phase_order in _EXACT_ROOTS:
+            tol = 0.0
     else:  # acf rejects empty or non-1-D codes, column_stack unequal lengths
         acfs = np.column_stack([acf(c) for c in columns])
     total = acfs.sum(axis=1)
@@ -246,29 +248,6 @@ def validate_ccm(columns, tol: float = CCM_TOL) -> CcmValidation:
     worst = float(off_peak.max()) if off_peak.size else 0.0
     peak_error = float(abs(total[center] - n * k))
     return CcmValidation(worst <= tol and peak_error <= tol, worst, peak_error)
-
-
-@dataclass(frozen=True)
-class ExactCcmValidation:
-    is_ccm: bool
-    worst_sidelobe_sq: int
-
-
-def validate_ccm_exact(ccm: Ccm) -> ExactCcmValidation:
-    """Complementarity check in exact Gaussian-integer arithmetic.
-
-    Available for binary and quaternary phase codes only, whose code_acfs
-    are exact Gaussian integers.  The worst sidelobe is reported as its exact
-    squared magnitude; zero means the set is complementary with no tolerance.
-    """
-    if ccm.phase_order not in _EXACT_ROOTS:  # phases come with the order
-        raise ValueError("exact validation requires integer phases of order 1, 2 or 4")
-    total = code_acfs(ccm).sum(axis=1)
-    re, im = total.real.astype(np.int64), total.imag.astype(np.int64)
-    center = ccm.length - 1
-    worst = int(np.delete(re * re + im * im, center).max(initial=0))
-    peak = total[center] == ccm.length * ccm.count
-    return ExactCcmValidation(worst == 0 and bool(peak), worst)
 
 
 def gen_golay_pair(exponent: int) -> Ccm:

@@ -240,11 +240,13 @@ class EspPartition:
     def from_blocks(cls, blocks, degree: int) -> "EspPartition":
         """Validate equal power sums for m = 0..degree and build the partition.
 
-        Blocks of unequal size and a degree below 1 raise ValueError.
+        Blocks of unequal size or empty, and a degree below 1 raise ValueError.
         """
         mats = tuple(tuple(sorted(int(v) for v in b)) for b in blocks)
         if any(v < 0 for b in mats for v in b):
             raise ValueError("slot values must be non-negative")
+        if not all(mats):
+            raise ValueError("blocks must not be empty")
         result = esp_check(mats, degree)
         if not result.is_esp:
             raise ValueError(f"blocks do not share power sums up to degree {degree}")

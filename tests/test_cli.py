@@ -90,7 +90,7 @@ class TestGen:
         assert run("gen", "golay", 16, "--out", path) == 0
         ccm = codes.Ccm.from_json_dict(json.loads(path.read_text()))
         assert ccm == codes.gen_golay_pair(16)
-        assert codes.validate_ccm_exact(ccm).is_ccm
+        assert codes.validate_ccm(ccm).is_ccm
 
 
 class TestPtm:
@@ -555,6 +555,33 @@ class TestRefusals:
         )
         assert not plan.exists()
 
+    @pytest.mark.parametrize("blocks,degree", [
+        ([[0, 3], [1, 2]], 100000), ([[0, 3], [0, 3]], 100000), ([[0, 3], [0, 3]], 33),
+    ], ids=["unequal", "equal", "equal-just-over"])
+    def test_partition_degree_over_the_order_cap_refused_at_once(
+        self, tmp_path, golay_file, capsys, blocks, degree
+    ):
+        # Equal blocks share every power sum; at degree 9100 and above their
+        # sums would not even print as JSON.
+        part, plan = tmp_path / "deep.json", tmp_path / "plan.json"
+        part.write_text(json.dumps({"M": degree, "blocks": blocks}))
+        capsys.readouterr()  # drop the fixture's output
+        started = time.perf_counter()
+        assert run("stagger", golay_file, 2, "--partition", part, "--out", plan) == 1
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr() == ("", (
+            "error: partition file failed validation: degree must be at most "
+            f"{doppler.MAX_TAYLOR_ORDER}, got {degree}\n"
+        ))
+        assert not plan.exists()
+
+    def test_partition_degree_at_the_order_cap_accepted(self, tmp_path, golay_file):
+        part, plan = tmp_path / "deep.json", tmp_path / "plan.json"
+        degree = doppler.MAX_TAYLOR_ORDER
+        part.write_text(json.dumps({"M": degree, "blocks": [[0, 3], [0, 3]]}))
+        assert run("stagger", golay_file, 2, "--partition", part, "--out", plan) == 0
+        assert json.loads(plan.read_text())["M"] == degree
+
     @pytest.mark.parametrize("field", ["indices", "delay", "phases", "blocks"])
     def test_non_integer_json_refused(self, tmp_path, train_file, capsys, field):
         train = json.loads(train_file.read_text())
@@ -617,6 +644,9 @@ ERROR_CASES = [
     pytest.param("ptm {t}/flat.json 3 --out {t}/x.json", 1,
                  "code set is not complementary: worst sidelobe sum 2.000000e+00, "
                  "peak error 0.000000e+00", id="ptm-not-complementary"),
+    pytest.param("--tol 3 ptm {t}/binflat.json 1 --out {t}/t.json", 1,
+                 "code set is not complementary: worst sidelobe sum 2.000000e+00, "
+                 "peak error 0.000000e+00", id="ptm-binary-not-complementary"),
     pytest.param("ptm {t}/pair.json 0 --out {t}/x.json", 2,
                  "order must be positive, got 0", id="ptm-order-zero"),
     pytest.param("ptm {t}/pair.json 20 --out {t}/x.json", 2,
@@ -708,6 +738,9 @@ ERROR_CASES = [
     pytest.param("stagger {t}/pair.json 1 --partition {t}/unequal.json --out {t}/p.json", 1,
                  "partition file failed validation: blocks do not share power sums "
                  "up to degree 1", id="stagger-unequal-blocks"),
+    pytest.param("stagger {t}/pair.json 1 --partition {t}/hollow.json --out {t}/p.json", 1,
+                 "partition file failed validation: blocks must not be empty",
+                 id="stagger-empty-blocks"),
     pytest.param("stagger {t}/pair.json 1 --partition {t}/m0.json --out {t}/p.json", 1,
                  "partition file failed validation: degree must be positive, got 0",
                  id="stagger-degree-zero"),
@@ -757,6 +790,7 @@ def error_inputs(tmp_path, golay_file, train_file):
         # Sums 3 and 3 at m = 1 but three slots against one.
         "unequal.json": json.dumps({"M": 1, "blocks": [[0, 1, 2], [3]]}),
         "m0.json": json.dumps({"M": 0, "blocks": [[0, 3], [1, 2]]}),
+        "hollow.json": json.dumps({"M": 1, "blocks": [[], []]}),
         "order0.json": json.dumps({"N": 2, "K": 2, "phaseOrder": 0,
                                    "phases": [[0, 0], [0, 1]]}),
         # json.load reads the bare NaN that json.dumps writes for float("nan").
@@ -765,6 +799,9 @@ def error_inputs(tmp_path, golay_file, train_file):
                                                 [[1, 0], [-1, 0]]]},
             "indices": [0, 1, 1, 0],
         }),
+        # Phase-stored, so judged exactly: no --tol passes its sidelobe sum 2.
+        "binflat.json": json.dumps({"N": 2, "K": 2, "phaseOrder": 2,
+                                    "phases": [[0, 0], [0, 0]]}),
         "flat.json": json.dumps(
             {"N": 2, "K": 2, "phaseOrder": None, "columns": [[[1, 0], [1, 0]]] * 2}
         ),

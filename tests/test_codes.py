@@ -171,36 +171,45 @@ class TestDftGenerator:
 
 
 class TestExactValidation:
+    """Phase orders 1, 2 and 4 are judged on exact sums, whatever the tol."""
+
     def test_binary_pair_exact(self):
-        result = codes.validate_ccm_exact(codes.gen_golay_pair(3))
-        assert result.is_ccm and result.worst_sidelobe_sq == 0
+        result = codes.validate_ccm(codes.gen_golay_pair(3))
+        assert result.is_ccm and result.worst_sidelobe == 0.0
 
     def test_quaternary_set_exact(self):
-        result = codes.validate_ccm_exact(codes.gen_dft_set(4))
-        assert result.is_ccm and result.worst_sidelobe_sq == 0
+        result = codes.validate_ccm(codes.gen_dft_set(4))
+        assert result.is_ccm and result.worst_sidelobe == 0.0
 
     def test_long_golay_pair_exact(self):
-        result = codes.validate_ccm_exact(codes.gen_golay_pair(16))
-        assert result.is_ccm and result.worst_sidelobe_sq == 0
+        result = codes.validate_ccm(codes.gen_golay_pair(16))
+        assert result.is_ccm and result.worst_sidelobe == 0.0
 
-    def test_worst_sidelobe_is_exact_square(self):
+    def test_tolerance_cannot_pass_a_non_complementary_set(self):
         # Two all-ones codes of length 3: summed ACF (2, 4, 6, 4, 2).
         ones = codes.Ccm.from_phases(np.zeros((3, 2), dtype=np.int64), 1)
-        result = codes.validate_ccm_exact(ones)
-        assert not result.is_ccm and result.worst_sidelobe_sq == 16
-        assert type(result.worst_sidelobe_sq) is int
+        for tol in (1e-9, 3, 100):
+            result = codes.validate_ccm(ones, tol)
+            assert not result.is_ccm and result.worst_sidelobe == 4.0
+        # The same codes stored as columns follow the tolerance.
+        for columns in (codes.Ccm(ones.columns), [ones.code(0), ones.code(1)]):
+            assert not codes.validate_ccm(columns, 3).is_ccm
+            assert codes.validate_ccm(columns, 100).is_ccm
 
     def test_corrupted_phases_detected(self):
         good = codes.gen_golay_pair(2)
         phases = np.array(good.phases)
         phases[0, 0] ^= 1
         bad = codes.Ccm.from_phases(phases, 2)
-        result = codes.validate_ccm_exact(bad)
-        assert not result.is_ccm and result.worst_sidelobe_sq > 0
+        result = codes.validate_ccm(bad)
+        assert not result.is_ccm and result.worst_sidelobe > 0
 
-    def test_requires_integer_phases(self):
-        with pytest.raises(ValueError):
-            codes.validate_ccm_exact(codes.gen_dft_set(3))
+    def test_other_orders_follow_the_tolerance(self):
+        # DFT-3's float sums leave a worst sidelobe of about 6.3e-16.
+        ccm = codes.gen_dft_set(3)
+        assert 0 < codes.validate_ccm(ccm).worst_sidelobe < 1e-15
+        assert codes.validate_ccm(ccm, 1e-9).is_ccm
+        assert not codes.validate_ccm(ccm, 1e-30).is_ccm
 
 
 class TestZtransform:

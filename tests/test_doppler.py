@@ -265,6 +265,30 @@ class TestTaylorCoeffs:
         train = doppler.build_ptm_train(codes.gen_dft_set(3), 2)
         assert doppler.taylor_coeffs(train, 2).null_order >= 2
 
+    @pytest.mark.parametrize("make,size", [
+        (codes.gen_golay_pair, 1), (codes.gen_golay_pair, 2), (codes.gen_golay_pair, 4),
+        (codes.gen_golay_pair, 6), (codes.gen_dft_set, 3), (codes.gen_dft_set, 4),
+        (codes.gen_dft_set, 5),
+    ], ids=["golay1", "golay2", "golay4", "golay6", "dft3", "dft4", "dft5"])
+    def test_ptm_null_order_is_exactly_the_order(self, make, size):
+        """Every PTM train of length K^(M+1) < 512 nulls through M and no further.
+
+        Asked for M + 1 orders or for up to six more, the report says M; the
+        cyclic train of the same length says 0.  Longer trains are left out:
+        there the float verdict can over-report (Golay-1 at L = 1024 reads 12)
+        or raise DomainMismatchError (Golay-4 at L = 512), ROADMAP item 2.
+        """
+        ccm = make(size)
+        order = 1
+        while ccm.count ** (order + 1) < 512:
+            train = doppler.build_ptm_train(ccm, order)
+            for asked in (order + 1, min(order + 6, doppler.MAX_TAYLOR_ORDER)):
+                assert doppler.taylor_coeffs(train, asked).null_order == order
+            cyclic = doppler.build_cyclic_train(ccm, train.length)
+            assert doppler.taylor_coeffs(cyclic, order + 1).null_order == 0
+            order += 1
+        assert order > 2  # at least the orders 1 and 2 were checked
+
     def test_cyclic_train_fails_first_order(self):
         train = doppler.build_cyclic_train(golay(), 16)
         report = doppler.taylor_coeffs(train, 1)

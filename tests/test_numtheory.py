@@ -346,6 +346,13 @@ class TestEspCheck:
         with pytest.raises(ValueError, match="do not share power sums up to degree 1"):
             nt.EspPartition.from_blocks(((0, 1, 2), (3,)), 1)
 
+    def test_partition_rejects_empty_blocks(self):
+        # Empty multisets share every power sum, so esp_check passes them.
+        assert nt.esp_check(((), ()), 1).is_esp
+        for blocks in (((), ()), ((), (0,))):
+            with pytest.raises(ValueError, match="blocks must not be empty"):
+                nt.EspPartition.from_blocks(blocks, 1)
+
     @pytest.mark.parametrize("degree", [0, -1])
     def test_degree_below_one_refused(self, degree):
         message = f"degree must be positive, got {degree}"
