@@ -15,7 +15,7 @@ from dopwave.stagger import builtin_partition, decompose_to_antennas
 def lane_picture(plan):
     rows = []
     for lane in plan.lanes:
-        cells = ["."] * plan.horizon
+        cells = ["."] * plan.span
         for offset, code in enumerate(lane.indices):
             cells[lane.delay + offset] = str(code)
         rows.append("".join(cells))

@@ -111,9 +111,8 @@ def parse_universe(spec: str) -> list[int]:
     return sorted(values)
 
 
-def _read_ccm(path: str, tol: float) -> codes.Ccm:
-    """Read a code-set file and insist it is complementary."""
-    ccm = _read_json(path, "code set", codes.Ccm.from_json_dict)
+def _complementary(ccm: codes.Ccm, tol: float) -> codes.CcmValidation:
+    """validate_ccm's result; a set that is not complementary exits 1."""
     check = codes.validate_ccm(ccm, tol)
     if not check.is_ccm:
         raise CliError(
@@ -121,6 +120,13 @@ def _read_ccm(path: str, tol: float) -> codes.Ccm:
             f"code set is not complementary: worst sidelobe sum "
             f"{check.worst_sidelobe:.6e}, peak error {check.peak_error:.6e}",
         )
+    return check
+
+
+def _read_ccm(path: str, tol: float) -> codes.Ccm:
+    """Read a code-set file and insist it is complementary."""
+    ccm = _read_json(path, "code set", codes.Ccm.from_json_dict)
+    _complementary(ccm, tol)
     return ccm
 
 
@@ -138,20 +144,10 @@ def _first_partition(data) -> numtheory.EspPartition:
 
 def cmd_gen(args) -> int:
     _precheck_outputs(args.out)
-    if args.kind == "golay":
-        if not 1 <= args.size <= 20:
-            raise CliError(EXIT_USAGE, "golay exponent must be in 1..20")
-        ccm = codes.gen_golay_pair(args.size)
-    else:
-        if not 2 <= args.size <= 64:
-            raise CliError(EXIT_USAGE, "dft size must be in 2..64")
-        ccm = codes.gen_dft_set(args.size)
-    check = codes.validate_ccm(ccm, args.tol)
-    if not check.is_ccm:
-        raise CliError(
-            EXIT_VERIFY_FAILED,
-            f"generated set failed validation: worst {check.worst_sidelobe:.3e}",
-        )
+    generate = codes.gen_golay_pair if args.kind == "golay" else codes.gen_dft_set
+    with _exits(EXIT_USAGE):  # the generator refuses a size out of its range
+        ccm = generate(args.size)
+    check = _complementary(ccm, args.tol)
     _write_text(args.out, json.dumps(ccm.to_json_dict()))
     print(
         f"wrote {args.kind} set N={ccm.length} K={ccm.count} "
@@ -237,19 +233,12 @@ def cmd_stagger(args) -> int:
                 f"partition degree {partition.degree} is below M={args.order}",
             )
     else:
-        if args.order not in stagger._BUILTIN_BLOCKS:
-            raise CliError(
-                EXIT_USAGE,
-                f"no built-in partition of degree {args.order}; "
-                "pass --partition FILE",
-            )
-        if ccm.count != 2:
-            raise CliError(
-                EXIT_USAGE,
-                "built-in partitions are two-block; pass --partition FILE "
-                f"for K={ccm.count}",
-            )
-        partition = stagger.builtin_partition(args.order)
+        try:
+            partition = stagger.builtin_partition(args.order)
+        except KeyError as exc:
+            hint = "; pass --partition FILE"
+            raise CliError(EXIT_USAGE, exc.args[0] + hint) from None
+    # decompose_to_antennas refuses a block count other than the code count.
     with _exits(EXIT_USAGE):
         plan = stagger.decompose_to_antennas(partition, ccm, args.antenna_cap)
         report = doppler.taylor_coeffs(plan, args.order, args.tol)

@@ -30,9 +30,7 @@ import numpy as np
 
 from .codes import Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
-from .numtheory import (
-    _capped_power, _json_ints, _power_sums, _ptm_array, _ptm_weights, power_sum,
-)
+from .numtheory import _capped_power, _json_ints, _power_sums, _ptm_array, _ptm_weights
 
 __all__ = [
     "PulseTrain",
@@ -202,7 +200,12 @@ def _slot_phase_sums(slots_by_code, thetas: np.ndarray) -> np.ndarray:
     """S_c(theta) = sum of exp(1j*theta*s) over code c's slots, shape (T, K).
 
     Theta is taken in blocks of at most PHASE_BLOCK phase factors per code.
+    ValueError when max|theta| times the last slot is not a finite float.
     """
+    last = max(map(max, filter(None, slots_by_code)), default=0)
+    bound = float(np.abs(thetas).max(initial=0.0))
+    if not math.isfinite(bound * last):  # Python floats overflow without a warning
+        raise ValueError(f"|theta| {bound:g} times last slot {last} is not finite")
     sums = np.empty((thetas.size, len(slots_by_code)), dtype=complex)
     for c, slots in enumerate(slots_by_code):
         slots = 1j * np.asarray(slots, dtype=float)
@@ -365,20 +368,15 @@ def _zsamples(spectra: np.ndarray, weights_m: list[int]) -> np.ndarray:
     return spectra @ np.array(weights_m, dtype=float)
 
 
-def zdomain_samples(train: PulseTrain, order: int) -> np.ndarray:
-    """C_m(z) = sum_n (n+d)^m |X_{x_n}(z)|^2 at the 2N points exp(1j*pi*j/N).
+def zdomain_samples(schedule, order: int) -> np.ndarray:
+    """C_m(z) = sum_c W_c(m) |X_c(z)|^2 at the 2N points exp(1j*pi*j/N).
 
-    Real-valued by construction; 2N samples hold C_m's 2N-1 coefficients
-    without alias.  Works for any train; PTM-ordered trains make this
-    constant in z for m up to the train order.
+    Real-valued; 2N samples hold C_m's 2N-1 coefficients without alias.  Any
+    train or staggered plan works: its weights come from _exact_weights, so
+    these are the samples taylor_coeffs cross-checks at order m.  A PTM
+    train or an ESP plan makes them constant in z up to its order.
     """
-    if train.is_ptm_ordered():
-        weights = _exact_weights(train, order)[order]
-    elif 0 <= order <= MAX_TAYLOR_ORDER:  # one power sum per code, not orders 0..m
-        weights = [power_sum(slots, order) for slots in train.slots_by_code()]
-    else:
-        raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
-    return _zsamples(train.ccm.spectra, weights)
+    return _zsamples(schedule.ccm.spectra, _exact_weights(schedule, order)[order])
 
 
 def _order_check(
@@ -467,8 +465,8 @@ def ambiguity_surface(
     """
     if theta_steps < 2:
         raise ValueError(f"need at least 2 theta steps, got {theta_steps}")
-    if not math.isfinite(theta_min) or not math.isfinite(theta_max):
-        raise ValueError("theta bounds must be finite")
+    if not math.isfinite(theta_max - theta_min):  # also refuses inf/NaN bounds
+        raise ValueError("theta bounds and their difference must be finite")
     ccm, slots_by_code = schedule.ccm, schedule.slots_by_code()
     pulses = sum(map(len, slots_by_code))
     n = ccm.length

@@ -46,7 +46,8 @@ MAX_SEARCH_UNIVERSE = 30
 MAX_SEARCH_NODES = 10**6
 
 # Values per object array of running powers in _power_sums, which bounds its
-# memory; a stagger plan's 23,552 slots per code fit in one.
+# memory; the degree-16 plan of the stagger-search bench, padded to about
+# 34,900 slots per code, fits in one.
 POWER_CHUNK = 1 << 16
 
 
@@ -267,7 +268,9 @@ class EspPartition:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EspPartition":
         """Rebuild from blocks and M; a declared p or prouhetSums must match."""
-        _json_ints(chain(*data["blocks"], [data["M"]]), "block slots and M")
+        declared = [data.get("p", 0), *data.get("prouhetSums", [])]
+        values = chain(*data["blocks"], [data["M"]], declared)
+        _json_ints(values, "blocks, M, p and prouhetSums")
         partition = cls.from_blocks(data["blocks"], data["M"])
         if data.get("p", partition.p) != partition.p:
             raise ValueError(f"declared p={data['p']} but {partition.p} blocks")

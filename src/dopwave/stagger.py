@@ -75,8 +75,6 @@ class StaggerPlan:
     """
 
     ccm: Ccm
-    horizon: int
-    degree: int
     lanes: tuple[Lane, ...]
     partition: EspPartition
 
@@ -103,8 +101,8 @@ class StaggerPlan:
 
     def to_json_dict(self) -> dict:
         return {
-            "D": self.horizon,
-            "M": self.degree,
+            "D": max(b[-1] for b in self.partition.blocks) + 1,  # blocks are sorted
+            "M": self.partition.degree,
             "lanes": [
                 {"delay": l.delay, "indices": list(l.indices)} for l in self.lanes
             ],
@@ -123,23 +121,18 @@ class StaggerPlan:
         lane_ints = ([l["delay"], *l["indices"]] for l in lanes)
         _json_ints(chain([data["D"], data["M"]], *lane_ints), "D, M and lanes")
         partition = EspPartition.from_json_dict(data["partition"])
-        plan = cls(
-            ccm,
-            data["D"],
-            data["M"],
-            tuple(Lane(l["delay"], tuple(l["indices"])) for l in lanes),
-            partition,
-        )
+        lanes = tuple(Lane(l["delay"], tuple(l["indices"])) for l in lanes)
+        plan = cls(ccm, lanes, partition)
         if not plan.lanes:
             raise ValueError("a plan needs at least one lane")
         if any(l.delay < 0 or not l.indices for l in plan.lanes):
             raise ValueError("every lane needs a non-negative delay and a pulse")
         if any(not 0 <= c < ccm.count for l in plan.lanes for c in l.indices):
             raise ValueError("every lane index must address a code of the set")
-        if plan.degree != partition.degree:
-            raise ValueError(f"M={plan.degree} is not the partition degree")
-        if plan.horizon != max(max(b) for b in partition.blocks) + 1:
-            raise ValueError(f"D={plan.horizon} is not one past the last slot")
+        if data["M"] != partition.degree:
+            raise ValueError(f"M={data['M']} is not the partition degree")
+        if data["D"] != max(b[-1] for b in partition.blocks) + 1:
+            raise ValueError(f"D={data['D']} is not one past the last slot")
         slots = plan.slots_by_code()
         if [sorted(s) for s in slots] != [list(b) for b in partition.blocks]:
             raise ValueError("lanes do not realise the partition's blocks")
@@ -190,13 +183,12 @@ def decompose_to_antennas(
             f"{ccm.count} codes"
         )
     padded = pad_partition(partition)
-    horizon = max(max(b) for b in padded.blocks) + 1
     # Every pulse's slot and code; a stable sort by slot yields each slot's
     # sorted code multiset in turn, and sizes[t] is the demand at slot t.
     slots = np.concatenate(padded.blocks)
     labels = np.repeat(np.arange(ccm.count), [len(b) for b in padded.blocks])
     demand = iter(labels[np.argsort(slots, kind="stable")].tolist())
-    sizes = np.bincount(slots, minlength=horizon)
+    sizes = np.bincount(slots)  # padded: every slot up to the last has demand
     peak = int(sizes.max())
     if peak > antenna_cap:
         raise ValueError(f"slot demand {peak} exceeds antenna cap {antenna_cap}")
@@ -213,7 +205,7 @@ def decompose_to_antennas(
     finished.extend(open_lanes)
     finished.sort(key=lambda lane: lane[0])
     lanes = tuple(Lane(delay, tuple(codes)) for delay, codes in finished)
-    return StaggerPlan(ccm, horizon, padded.degree, lanes, padded)
+    return StaggerPlan(ccm, lanes, padded)
 
 
 def compare_ptm_vs_stagger(
@@ -238,13 +230,11 @@ def compare_ptm_vs_stagger(
             # The PTM split itself, correct for any K: no partition of its
             # slot range is shorter, so searching that range gains nothing.
             partition = ptm_partition(ccm.count, degree)
-    if len(partition.blocks) != ccm.count:
-        raise ValueError("partition block count must match the code count")
     if partition.degree < degree:
         raise ValueError("partition degree is below the requested degree")
 
-    ptm_report = taylor_coeffs(build_ptm_train(ccm, degree), degree)
     plan = decompose_to_antennas(partition, ccm, antenna_cap)
+    ptm_report = taylor_coeffs(build_ptm_train(ccm, degree), degree)
     plan_report = taylor_coeffs(plan, degree)
     if ptm_report.null_order < degree or plan_report.null_order < degree:
         raise ValueError(

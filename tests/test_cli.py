@@ -275,6 +275,15 @@ class TestSurface:
         assert "cells" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bounds", [(0, 1e308), ("-" + "9" * 308, 1e308)])
+    def test_overflowing_theta_writes_no_csv(self, tmp_path, train_file, capsys, bounds):
+        # The surface-overflow rows check the error lines; this one the file.
+        out = tmp_path / "s.csv"
+        capsys.readouterr()  # drop the fixtures' output
+        assert run("surface", train_file, *bounds, 3, "--out", out) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
 
 class TestEsp:
     def test_finds_known_partition(self, tmp_path):
@@ -616,13 +625,13 @@ BAD_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (
 # argv, exit code and the one stderr line of each failure; "{t}" stands for
 # the test directory, which holds the files the `error_inputs` fixture writes.
 ERROR_CASES = [
-    pytest.param("gen golay 0 --out {t}/x.json", 2, "golay exponent must be in 1..20",
+    pytest.param("gen golay 0 --out {t}/x.json", 2, "exponent must be in 1..20, got 0",
                  id="gen-golay-low"),
-    pytest.param("gen golay 21 --out {t}/x.json", 2, "golay exponent must be in 1..20",
+    pytest.param("gen golay 21 --out {t}/x.json", 2, "exponent must be in 1..20, got 21",
                  id="gen-golay-high"),
-    pytest.param("gen dft 1 --out {t}/x.json", 2, "dft size must be in 2..64",
+    pytest.param("gen dft 1 --out {t}/x.json", 2, "code count must be in 2..64, got 1",
                  id="gen-dft-low"),
-    pytest.param("gen dft 65 --out {t}/x.json", 2, "dft size must be in 2..64",
+    pytest.param("gen dft 65 --out {t}/x.json", 2, "code count must be in 2..64, got 65",
                  id="gen-dft-high"),
     pytest.param("gen golay 3 --out {t}/no/x.json", 3,
                  "output directory does not exist: {t}/no", id="gen-no-dir"),
@@ -677,6 +686,12 @@ ERROR_CASES = [
                  "need at least 2 theta steps, got 1", id="surface-steps"),
     pytest.param("surface {t}/train.json -0.1 0.1 1048577 --out {t}/s.csv", 2,
                  "surface needs 16777232 cells, cap 16777216", id="surface-cells"),
+    pytest.param("surface {t}/train.json 0 1e308 3 --out {t}/s.csv", 2,
+                 "|theta| 1e+308 times last slot 15 is not finite", id="surface-overflow"),
+    # argparse takes -1e308 for an option but a negative integer for a number.
+    pytest.param("surface {t}/train.json -" + "9" * 308 + " 1e308 3 --out {t}/s.csv", 2,
+                 "theta bounds and their difference must be finite",
+                 id="surface-interval-overflow"),
     pytest.param("surface {t}/absent.json -0.1 0.1 5 --out {t}/s.csv", 3,
                  f"cannot read train {{t}}/absent.json: {NO_FILE}: '{{t}}/absent.json'",
                  id="surface-missing"),
@@ -713,8 +728,7 @@ ERROR_CASES = [
                  "no built-in partition of degree 4; pass --partition FILE",
                  id="stagger-no-builtin"),
     pytest.param("stagger {t}/tri.json 2 --out {t}/p.json", 2,
-                 "built-in partitions are two-block; pass --partition FILE for K=3",
-                 id="stagger-builtin-k3"),
+                 "partition has 2 blocks but the set has 3 codes", id="stagger-builtin-k3"),
     pytest.param("stagger {t}/absent.json 2 --out {t}/p.json", 3,
                  f"cannot read code set {{t}}/absent.json: {NO_FILE}: '{{t}}/absent.json'",
                  id="stagger-missing-set"),
@@ -735,6 +749,12 @@ ERROR_CASES = [
     pytest.param("stagger {t}/pair.json 1 --partition {t}/sums.json --out {t}/p.json", 1,
                  "partition file failed validation: declared prouhetSums differ "
                  "from the blocks' [2, 3]", id="stagger-declared-sums"),
+    pytest.param("stagger {t}/pair.json 1 --partition {t}/floatp.json --out {t}/p.json", 1,
+                 "partition file failed validation: blocks, M, p and prouhetSums must be "
+                 "integers", id="stagger-declared-float-p"),
+    pytest.param("stagger {t}/pair.json 1 --partition {t}/floatsums.json --out {t}/p.json",
+                 1, "partition file failed validation: blocks, M, p and prouhetSums must "
+                 "be integers", id="stagger-declared-float-sums"),
     pytest.param("stagger {t}/pair.json 1 --partition {t}/unequal.json --out {t}/p.json", 1,
                  "partition file failed validation: blocks do not share power sums "
                  "up to degree 1", id="stagger-unequal-blocks"),
@@ -787,6 +807,11 @@ def error_inputs(tmp_path, golay_file, train_file):
                                "prouhetSums": [9, 9]}),
         "sums.json": json.dumps({"p": 2, "M": 1, "blocks": [[0, 3], [1, 2]],
                                  "prouhetSums": [9, 9]}),
+        # The right values, but as floats: == would let 2.0 pass for 2.
+        "floatp.json": json.dumps({"p": 2.0, "M": 1, "blocks": [[0, 3], [1, 2]],
+                                   "prouhetSums": [2, 3]}),
+        "floatsums.json": json.dumps({"p": 2, "M": 1, "blocks": [[0, 3], [1, 2]],
+                                      "prouhetSums": [2.0, 3.0]}),
         # Sums 3 and 3 at m = 1 but three slots against one.
         "unequal.json": json.dumps({"M": 1, "blocks": [[0, 1, 2], [3]]}),
         "m0.json": json.dumps({"M": 0, "blocks": [[0, 3], [1, 2]]}),
@@ -870,5 +895,6 @@ def test_failed_generator_prints_one_error_line(tmp_path, monkeypatch, capsys):
     )
     assert run("gen", "golay", 3, "--out", tmp_path / "x.json") == 1
     assert capsys.readouterr().err == (
-        "error: generated set failed validation: worst 5.000e-01\n"
+        "error: code set is not complementary: worst sidelobe sum 5.000000e-01, "
+        "peak error 0.000000e+00\n"
     )

@@ -392,23 +392,28 @@ class TestZDomain:
             assert abs(samples[t] - direct) <= 1e-9 * max(1.0, abs(direct))
 
     @pytest.mark.parametrize(
-        "train",
+        "schedule",
         [
             doppler.build_cyclic_train(golay(), 40),
             doppler.PulseTrain(golay(), numtheory.ptm_sequence(2, 16), 3),
             doppler.build_ptm_train(codes.gen_dft_set(3), 2),
+            stagger.decompose_to_antennas(stagger.builtin_partition(2), golay()),
+            stagger.decompose_to_antennas(
+                stagger.pad_partition(stagger.builtin_partition(3)), golay()
+            ),
         ],
-        ids=["cyclic", "delayed", "ptm"],
+        ids=["cyclic", "delayed", "ptm", "builtin-plan", "padded-plan"],
     )
-    def test_samples_are_the_taylor_rows_bit_for_bit(self, train):
-        # One power sum per code for row m alone, yet the same floats as the
-        # C_m(z) samples taylor_coeffs hands to _order_check.
+    def test_samples_are_the_taylor_rows_bit_for_bit(self, schedule):
+        # Trains and plans alike: the same floats as the C_m(z) samples
+        # taylor_coeffs hands to _order_check, from the same exact weights.
         with mock.patch.object(
             doppler, "_order_check", wraps=doppler._order_check
         ) as check:
-            doppler.taylor_coeffs(train, 8)
+            doppler.taylor_coeffs(schedule, 8)
         for m, call in enumerate(check.call_args_list):
-            assert doppler.zdomain_samples(train, m).tobytes() == call.args[3].tobytes()
+            samples = doppler.zdomain_samples(schedule, m)
+            assert samples.tobytes() == call.args[3].tobytes()
 
     def test_samples_refuse_orders_out_of_range(self):
         train = doppler.build_cyclic_train(golay(), 16)
@@ -528,6 +533,28 @@ class TestSurface:
         train = doppler.build_ptm_train(golay(), 1)
         with pytest.raises(ValueError):
             doppler.ambiguity_surface(train, -0.1, 0.1, 1)
+
+    def test_theta_times_slot_overflow_refused(self):
+        # L = 8, so the last slot is 7: 1e308 * 7 is not a finite float, and
+        # both entry points refuse it instead of returning NaN.
+        train = doppler.build_ptm_train(golay(2), 2)
+        with pytest.raises(ValueError, match="times last slot 7 is not finite"):
+            doppler.ambiguity(train, 0, 1e308)
+        with pytest.raises(ValueError, match="times last slot 7 is not finite"):
+            doppler.ambiguity_surface(train, 0, 1e308, 3)
+
+    def test_largest_finite_theta_times_slot_accepted(self):
+        # 2.5e307 * 7 = 1.75e308 is still finite.
+        train = doppler.build_ptm_train(golay(2), 2)
+        assert np.isfinite(doppler.ambiguity(train, 0, 2.5e307))
+        surface = doppler.ambiguity_surface(train, 0, 2.5e307, 3)
+        assert np.all(np.isfinite(surface.magnitudes))
+
+    def test_overflowing_theta_interval_refused(self):
+        # Each bound is finite, but their difference is not.
+        train = doppler.build_ptm_train(golay(2), 2)
+        with pytest.raises(ValueError, match="their difference must be finite"):
+            doppler.ambiguity_surface(train, -1e308, 1e308, 3)
 
     def test_csv_export(self, tmp_path):
         train = doppler.build_ptm_train(golay(), 1)

@@ -1,6 +1,7 @@
 """Staggered-schedule tests: padding, lane decomposition, composite nulls."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -346,9 +347,9 @@ class TestCompositeTaylor:
             stagger.pad_partition(stagger.builtin_partition(degree)), ccm
         )
         report = doppler.taylor_coeffs(plan, degree)
-        horizon = plan.horizon
+        span = plan.span
         for m in range(degree + 1):
-            assert report.max_sidelobe_residual[m] <= 1e-9 * ccm.length * horizon**m
+            assert report.max_sidelobe_residual[m] <= 1e-9 * ccm.length * span**m
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -449,6 +450,16 @@ class TestComparison:
         part = numtheory.EspPartition.from_blocks(((0, 3), (1, 2)), 1)
         with pytest.raises(ValueError):
             stagger.compare_ptm_vs_stagger(codes.gen_dft_set(3), 1, partition=part)
+
+    def test_mismatched_partition_refused_before_the_ptm_train(self):
+        # decompose_to_antennas owns the block-count rule and runs first.
+        part = numtheory.EspPartition.from_blocks(((0, 3), (1, 2)), 1)
+        with mock.patch.object(
+            stagger, "build_ptm_train", wraps=stagger.build_ptm_train
+        ) as build:
+            with pytest.raises(ValueError, match="2 blocks but the set has 3 codes"):
+                stagger.compare_ptm_vs_stagger(codes.gen_dft_set(3), 1, partition=part)
+        assert build.call_count == 0
 
 
 class TestPlanSerialization:
