@@ -19,9 +19,11 @@ has no effect: every command is deterministic.
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
+import re
 import sys
 
 from . import codes, doppler, numtheory, stagger
@@ -281,6 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", help="optional report JSON file")
 
     surface = sub.add_parser("surface", help="export an ambiguity surface CSV")
+    # argparse reads a negative number as an option unless this matches it;
+    # its own pattern misses exponents (-1e-3).  No option looks like one.
+    surface._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+    )
     surface.add_argument("train", help="train JSON file")
     surface.add_argument("theta_min", type=float)
     surface.add_argument("theta_max", type=float)
@@ -334,5 +341,14 @@ def main(argv=None) -> int:
     return error.code
 
 
+def run() -> int:
+    """The entry of `python -m dopwave.cli` and the `dopwave` script: a
+    command makes no cycles worth collecting, and freezing what import made
+    keeps the collection at exit short.  `main` leaves the GC alone."""
+    gc.disable()
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

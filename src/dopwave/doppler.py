@@ -30,7 +30,8 @@ import numpy as np
 
 from .codes import Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
-from .numtheory import _capped_power, _json_ints, _power_sums, _ptm_array, _ptm_weights
+from .numtheory import POWER_CHUNK, _capped_power, _json_ints, _power_sums, _ptm_array
+from .numtheory import _ptm_weights, _range_power_sums
 
 __all__ = [
     "PulseTrain",
@@ -181,8 +182,8 @@ def _exact_weights(schedule, max_order: int) -> list[list[int]]:
 
     Row m, column c, m = 0..max_order.  A PTM train of length L = K^J takes
     the digit DP (_ptm_weights) unless its J*K^2 row shifts outnumber the
-    L pulses; every other schedule sums its slots in one pass per code, all
-    orders at once (_power_sums).
+    L pulses; every other schedule takes one pass per code, all orders at
+    once (_code_weights).
     """
     if not 0 <= max_order <= MAX_TAYLOR_ORDER:
         raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
@@ -192,8 +193,29 @@ def _exact_weights(schedule, max_order: int) -> list[list[int]]:
         full = count**levels == schedule.length >= levels * count * count
         if full and schedule.is_ptm_ordered():
             return _ptm_weights(count, levels, max_order)
-    sums = [_power_sums(slots, max_order) for slots in schedule.slots_by_code()]
+    sums = [_code_weights(slots, max_order) for slots in schedule.slots_by_code()]
     return [list(row) for row in zip(*sums)]
+
+
+def _code_weights(slots: list[int], max_order: int) -> list[int]:
+    """sum(slot^m) over one code's slots, m = 0..max_order.
+
+    A code that fills more than half of range(last + 1), no slot twice,
+    takes the range's sums less those of its empty slots, made into ints
+    POWER_CHUNK at a time; any other code sums its own slots.
+    """
+    last = max(slots, default=-1)
+    if 2 * len(slots) > last + 1:  # bounds the counts by twice the slots
+        counts = np.bincount(slots)
+        if counts.max() == 1:
+            empty = np.flatnonzero(counts == 0)
+            del counts
+            sums = _range_power_sums(last + 1, max_order)
+            for lo in range(0, empty.size, POWER_CHUNK):
+                chunk = _power_sums(empty[lo : lo + POWER_CHUNK].tolist(), max_order)
+                sums = list(map(operator.sub, sums, chunk))
+            return sums
+    return _power_sums(slots, max_order)
 
 
 def _slot_phase_sums(slots_by_code, thetas: np.ndarray) -> np.ndarray:

@@ -179,6 +179,23 @@ def _power_sums(values, max_order: int) -> list[int]:
     return sums[: max_order + 1]
 
 
+def _range_power_sums(stop: int, max_order: int) -> list[int]:
+    """_power_sums(range(stop), max_order) from the binary digits of stop:
+    doubling [0, h) adds sum_i C(m, i) h^(m-i) S_i(h) to S_m(h), as
+    (h + t)^m = sum_i C(m, i) h^(m-i) t^i, and a 1 digit adds (2h)^m."""
+    sums, h = [0] * (max_order + 1), 0
+    for digit in bin(stop)[2:]:
+        sums = [
+            s + sum(comb(m, i) * h ** (m - i) * sums[i] for i in range(m + 1))
+            for m, s in enumerate(sums)
+        ]
+        h *= 2
+        if digit == "1":
+            sums = [s + h**m for m, s in enumerate(sums)]
+            h += 1
+    return sums
+
+
 def prouhet_sum(p: int, degree: int, m: int) -> int:
     """Common m-th power sum of the blocks of the (p, degree) PTM partition.
 

@@ -14,6 +14,7 @@ partition spans fewer slots than K^(M+1).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -22,6 +23,7 @@ from .codes import Ccm
 from .codes import code_acfs  # noqa: F401  (bench/test_bench.py traces this binding)
 from .doppler import MAX_TRAIN_LENGTH, TaylorReport, build_ptm_train, taylor_coeffs
 from .numtheory import EspPartition, _json_ints, _power_sums, ptm_partition
+from .numtheory import _range_power_sums
 
 __all__ = [
     "Lane",
@@ -50,7 +52,7 @@ def builtin_partition(degree: int) -> EspPartition:
     return EspPartition.from_blocks(_BUILTIN_BLOCKS[degree], degree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lane:
     """One antenna's contiguous transmission: code indices from slot `delay`."""
 
@@ -60,10 +62,6 @@ class Lane:
     @property
     def length(self) -> int:
         return len(self.indices)
-
-    @property
-    def last_slot(self) -> int:
-        return self.delay + self.length - 1
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,9 @@ class StaggerPlan:
     lanes: tuple[Lane, ...]
     partition: EspPartition
 
-    @property
+    @cached_property
     def last_slot(self) -> int:
-        return max(l.last_slot for l in self.lanes)
+        return max(l.delay + len(l.indices) for l in self.lanes) - 1
 
     @property
     def span(self) -> int:
@@ -92,12 +90,16 @@ class StaggerPlan:
         return sum(l.length for l in self.lanes)
 
     def slots_by_code(self) -> list[list[int]]:
-        """Slot of every transmitted pulse, grouped by code index."""
-        slots: list[list[int]] = [[] for _ in range(self.ccm.count)]
-        for lane in self.lanes:
-            for offset, code in enumerate(lane.indices):
-                slots[code].append(lane.delay + offset)
-        return slots
+        """Slot of every transmitted pulse, grouped by code index, each code's
+        in lane order, then by offset."""
+        lanes = self.lanes
+        lengths = np.fromiter((len(l.indices) for l in lanes), np.int64, len(lanes))
+        starts = np.fromiter((l.delay for l in lanes), np.int64, len(lanes))
+        starts -= np.cumsum(lengths) - lengths  # a pulse's slot: its place + start
+        pulses = chain.from_iterable(l.indices for l in lanes)
+        codes = np.fromiter(pulses, np.int64, int(lengths.sum()))
+        slots = np.repeat(starts, lengths) + np.arange(codes.size)
+        return [slots[codes == c].tolist() for c in range(self.ccm.count)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,8 +135,9 @@ class StaggerPlan:
             raise ValueError(f"M={data['M']} is not the partition degree")
         if data["D"] != max(b[-1] for b in partition.blocks) + 1:
             raise ValueError(f"D={data['D']} is not one past the last slot")
-        slots = plan.slots_by_code()
-        if [sorted(s) for s in slots] != [list(b) for b in partition.blocks]:
+        # A lane past slot D - 1 realises nothing (and its slots overflow int64).
+        slots = plan.slots_by_code() if plan.last_slot < data["D"] else []
+        if list(map(sorted, slots)) != list(map(list, partition.blocks)):
             raise ValueError("lanes do not realise the partition's blocks")
         return plan
 
@@ -145,20 +148,32 @@ def pad_partition(partition: EspPartition) -> EspPartition:
     A slot missing from the union of blocks is added to each block, which
     leaves the pairwise power-sum equalities intact but makes the blocks
     overlap.  The same values join every block, so each common sum grows
-    by the missing slots' power sum; the padded sums are derived from the
-    partition's, not summed again.  Padding a padded partition changes
-    nothing.  More than MAX_TRAIN_LENGTH padded pulses raise ValueError
-    before any slot is filled in.
+    by the missing slots' power sum, derived without a pass over them: the
+    range's sums less those of the used slots, p times the common sums less
+    the copies of a slot beyond its first.  Padding a padded partition
+    changes nothing.  More than MAX_TRAIN_LENGTH padded pulses raise
+    ValueError before any slot is filled in.
     """
     used = set(chain.from_iterable(partition.blocks))
     horizon = max(used) + 1
     pulses = sum(map(len, partition.blocks)) + partition.p * (horizon - len(used))
     if pulses > MAX_TRAIN_LENGTH:
         raise ValueError(f"padded pulse count {pulses} exceeds cap {MAX_TRAIN_LENGTH}")
-    missing = sorted(set(range(horizon)) - used)
-    blocks = tuple(tuple(sorted(block + tuple(missing))) for block in partition.blocks)
-    sums = map(sum, zip(partition.prouhet_sums, _power_sums(missing, partition.degree)))
-    return EspPartition(blocks, partition.degree, tuple(sums))
+    if horizon == len(used):
+        return partition
+    counts = np.bincount(np.concatenate(partition.blocks), minlength=horizon)
+    missing = tuple(np.flatnonzero(counts == 0).tolist())
+    copies = np.repeat(np.arange(horizon), np.maximum(counts - 1, 0)).tolist()
+    del counts
+    # Sorting two sorted runs merges them, and every block shares the ints.
+    blocks = tuple(tuple(sorted(block + missing)) for block in partition.blocks)
+    terms = zip(
+        partition.prouhet_sums,
+        _range_power_sums(horizon, partition.degree),
+        _power_sums(copies, partition.degree),
+    )
+    sums = tuple(s + r - partition.p * s + c for s, r, c in terms)
+    return EspPartition(blocks, partition.degree, sums)
 
 
 def decompose_to_antennas(
@@ -166,16 +181,17 @@ def decompose_to_antennas(
     ccm: Ccm,
     antenna_cap: int = DEFAULT_ANTENNA_CAP,
 ) -> StaggerPlan:
-    """Greedy sweep turning per-slot code demand into contiguous lanes.
+    """The lanes of a greedy sweep over the slots, built in array passes.
 
     The partition is padded first (pad_partition), so every slot up to the
-    last has demand; an already padded partition gives the same plan.
-    Walking the slots in order: open lanes must transmit every slot, so when
-    demand shrinks the oldest lanes close (their trains end), and when it
-    grows new lanes open at the current slot.  Demand codes are assigned to
-    open lanes in ascending code order against lane opening order, which
-    makes the whole construction deterministic.  The result satisfies the
-    per-slot multiplicity contract by construction.
+    last has demand; an already padded partition gives the same plan.  Open
+    lanes must transmit every slot: when demand shrinks the oldest lanes
+    close, when it grows new lanes open at the slot, and each slot's codes
+    go in ascending order to the open lanes in opening order, which meets
+    the per-slot multiplicity contract.  Lanes close in opening order too,
+    so lane i opens where the running count of openings passes i, ends where
+    that of closings does, and at slot t carries the code at place
+    start[t] - closed[t] + i of the slot-sorted demand.
     """
     if len(partition.blocks) != ccm.count:
         raise ValueError(
@@ -183,29 +199,45 @@ def decompose_to_antennas(
             f"{ccm.count} codes"
         )
     padded = pad_partition(partition)
-    # Every pulse's slot and code; a stable sort by slot yields each slot's
-    # sorted code multiset in turn, and sizes[t] is the demand at slot t.
+    delays, lengths, codes = _sweep(padded, antenna_cap)
+    ends = np.cumsum(lengths)
+    # Lanes repeat few code sequences (20 among the 10,262 lanes of the
+    # degree-16 doubled plan), so equal ones share one tuple.
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    lanes = []
+    for delay, lo, hi in zip(delays.tolist(), (ends - lengths).tolist(), ends.tolist()):
+        indices = tuple(codes[lo:hi])
+        lanes.append(Lane(delay, shared.setdefault(indices, indices)))
+    return StaggerPlan(ccm, tuple(lanes), padded)
+
+
+def _sweep(padded: EspPartition, antenna_cap: int):
+    """Delays and lengths of the lanes in opening order and their codes in
+    one flat list; the per-slot and per-pulse arrays go on return."""
     slots = np.concatenate(padded.blocks)
-    labels = np.repeat(np.arange(ccm.count), [len(b) for b in padded.blocks])
-    demand = iter(labels[np.argsort(slots, kind="stable")].tolist())
     sizes = np.bincount(slots)  # padded: every slot up to the last has demand
     peak = int(sizes.max())
     if peak > antenna_cap:
         raise ValueError(f"slot demand {peak} exceeds antenna cap {antenna_cap}")
-
-    open_lanes: list[tuple[int, list[int]]] = []  # (delay, codes) in opening order
-    finished: list[tuple[int, list[int]]] = []
-    for slot, size in enumerate(sizes.tolist()):
-        while len(open_lanes) > size:
-            finished.append(open_lanes.pop(0))
-        while len(open_lanes) < size:
-            open_lanes.append((slot, []))
-        for _, codes in open_lanes:
-            codes.append(next(demand))
-    finished.extend(open_lanes)
-    finished.sort(key=lambda lane: lane[0])
-    lanes = tuple(Lane(delay, tuple(codes)) for delay, codes in finished)
-    return StaggerPlan(ccm, lanes, padded)
+    # A stable sort by slot yields each slot's sorted code multiset in turn.
+    # Padded pulses are capped at MAX_TRAIN_LENGTH, so int32 holds them.
+    block_sizes = list(map(len, padded.blocks))
+    labels = np.repeat(np.arange(padded.p, dtype=np.int32), block_sizes)
+    demand = labels[np.argsort(slots, kind="stable")]
+    del slots, labels
+    steps = np.diff(sizes, prepend=0, append=0)  # at slot len(sizes) all close
+    closings = np.maximum(-steps, 0)
+    delays = np.repeat(np.arange(steps.size), np.maximum(steps, 0))
+    lengths = np.repeat(np.arange(steps.size), closings) - delays
+    # Per pulse in lane order: its slot t, then its place in the demand,
+    # start[t] - closed[t] + its lane (start[t] pulses lie before slot t and
+    # closed[t] lanes have closed by it).
+    shift = (np.cumsum(lengths) - lengths - delays).astype(np.int32)
+    place = np.arange(demand.size, dtype=np.int32) - np.repeat(shift, lengths)
+    base = (np.cumsum(sizes) - sizes - np.cumsum(closings)[:-1]).astype(np.int32)
+    place = base[place]
+    place += np.repeat(np.arange(delays.size, dtype=np.int32), lengths)
+    return delays, lengths, demand[place].tolist()
 
 
 def compare_ptm_vs_stagger(

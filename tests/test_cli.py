@@ -1,8 +1,13 @@
 """End-to-end command-line tests; commands run in-process via cli.main."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +262,14 @@ class TestSurface:
         assert len(zero) == 1
         assert abs(float(zero[0][2]) - 8 * 16) <= 1e-6 * 8 * 16
 
+    def test_negative_bound_in_exponent_form(self, tmp_path, train_file):
+        texts = []
+        for theta_min in ("-1e-3", "-1E-3", "-0.001"):
+            out = tmp_path / "surface.csv"
+            assert run("surface", train_file, theta_min, 0.1, 5, "--out", out) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+
     def test_bad_steps_is_usage_error(self, tmp_path, train_file):
         assert run("surface", train_file, -0.1, 0.1, 1, "--out", tmp_path / "s") == 2
 
@@ -431,21 +444,20 @@ class TestStagger:
         )
 
     def test_builds_each_intermediate_once(self, tmp_path, golay_file, monkeypatch):
-        builtin = stagger.builtin_partition(2)
-        padded = stagger.pad_partition(builtin)
-        missing = sorted(set(range(max(map(max, padded.blocks)) + 1))
-                         - set(sum(builtin.blocks, ())))
+        builtin = stagger.builtin_partition(2)  # padded: (0,3,4,5), (1,2,3,6)
         zsamples = count_calls(monkeypatch, doppler._zsamples)
         ffts = count_ffts(monkeypatch)
         sums = count_calls(monkeypatch, numtheory._power_sums)
         assert run("stagger", golay_file, 2, "--out", tmp_path / "plan.json") == 0
         assert len(zsamples) == 3  # orders 0..2, each sampled once
         assert sum(ffts) == 2  # one per code: validation, report and z domain share them
-        # One pass per block in esp_check, one for the padding slots and one
-        # per code for the weights, over the lanes' slots.  The padded sums
-        # are derived: no pass over a padded block before the weights.
+        # One pass per block in esp_check and one over the slots' repeated
+        # copies (none: the blocks are disjoint); the padded sums are derived.
+        # Code 0 fills 4 of slots 0..5 and code 1 4 of slots 0..6, so each
+        # code's weights take one pass over its empty slots.  No pass over a
+        # padded block or over the padding slots.
         assert [sorted(args[0]) for args in sums] == [
-            *map(list, builtin.blocks), missing, *map(list, padded.blocks)
+            *map(list, builtin.blocks), [], [1, 2], [0, 4, 5]
         ]
         assert all(args[1] == 2 for args in sums)  # every order at once
 
@@ -474,6 +486,44 @@ class TestTopLevel:
         run("gen", "dft", 4, "--out", a)
         run("--seed", 7, "gen", "dft", 4, "--out", b)
         assert a.read_text() == b.read_text()
+
+    def test_main_leaves_the_cyclic_gc_alone(self, tmp_path):
+        state = gc.isenabled(), gc.get_freeze_count()
+        assert run("gen", "golay", 2, "--out", tmp_path / "pair.json") == 0
+        assert run("gen", "golay") == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+    def test_process_entry_disables_and_freezes_the_gc(self, tmp_path):
+        # runpy runs the module as `python -m dopwave.cli` does; the child
+        # prints its exit code and GC state once the entry has returned.
+        child = (
+            "import gc, runpy, sys\n"
+            "sys.argv = ['dopwave', 'gen', 'golay', '2', '--out', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('dopwave.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        out = tmp_path / "pair.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", child, str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.stdout.splitlines()[-1] == "0 False True"
+        assert out.exists()
+
+    def test_console_script_is_the_process_entry(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert 'dopwave = "dopwave.cli:run"' in text.splitlines()
+
+    def test_run_disables_then_freezes_then_calls_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "disable", lambda: calls.append("disable"))
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        assert cli.run() == 3
+        assert calls == ["disable", "freeze", "main"]
 
 
 class TestRefusals:

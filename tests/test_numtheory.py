@@ -151,6 +151,16 @@ class TestPowerSumsKernel:
         assert sums == [nt.power_sum(values, m) for m in range(max_order + 1)]
         assert all(type(s) is int for s in sums)
 
+    @pytest.mark.parametrize(
+        "stop", [0, 1, 2, *(2**k + d for k in range(1, 11) for d in (-1, 1))]
+    )
+    def test_range_sums_match_power_sum(self, stop):
+        sums = nt._range_power_sums(stop, 32)
+        assert sums == [nt.power_sum(range(stop), m) for m in range(33)]
+        assert all(type(s) is int for s in sums)
+        for max_order in (0, 1, 16):  # a prefix of the same sums
+            assert nt._range_power_sums(stop, max_order) == sums[: max_order + 1]
+
 
 class TestPtmKernel:
     """The private numpy sequence and digit-DP weights against the oracles."""

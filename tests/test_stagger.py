@@ -32,6 +32,39 @@ def golay(exponent=3):
     return codes.gen_golay_pair(exponent)
 
 
+def reference_lanes(padded):
+    """The greedy sweep one slot at a time, as (delay, indices) pairs.
+
+    Open lanes must transmit every slot: when demand shrinks the oldest
+    lanes close, when it grows new lanes open at the slot, and each slot's
+    codes go in ascending order to the open lanes in opening order.
+    """
+    slots = np.concatenate(padded.blocks)
+    labels = np.repeat(np.arange(padded.p), [len(b) for b in padded.blocks])
+    demand = iter(labels[np.argsort(slots, kind="stable")].tolist())
+    sizes = np.bincount(slots)
+    open_lanes, finished = [], []
+    for slot, size in enumerate(sizes.tolist()):
+        while len(open_lanes) > size:
+            finished.append(open_lanes.pop(0))
+        while len(open_lanes) < size:
+            open_lanes.append((slot, []))
+        for _, codes in open_lanes:
+            codes.append(next(demand))
+    finished.extend(open_lanes)
+    finished.sort(key=lambda lane: lane[0])
+    return [(delay, tuple(codes)) for delay, codes in finished]
+
+
+def lane_slots(lanes, count):
+    """Each code's slots, walking the lanes in order and each lane by offset."""
+    slots = [[] for _ in range(count)]
+    for lane in lanes:
+        for offset, code in enumerate(lane.indices):
+            slots[code].append(lane.delay + offset)
+    return slots
+
+
 def assert_plan_realizes_partition(plan):
     """Check the multiplicity contract lane-by-lane against the blocks."""
     slots = plan.slots_by_code()
@@ -119,6 +152,21 @@ class TestPadPartition:
             reference = numtheory.esp_check(padded.blocks, degree)
             assert reference.is_esp
             assert padded.prouhet_sums == reference.prouhet_sums
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stn.sampled_from(PLAN_PARTITIONS),
+        stn.lists(stn.integers(0, 40), min_size=1, max_size=6),
+    )
+    def test_derived_sums_match_with_repeated_slots(self, partition, shared):
+        # The same values joined to every block keep the sums equal; the
+        # slots they add repeat across blocks, and within one when drawn twice.
+        blocks = [list(block) + shared for block in partition.blocks]
+        part = numtheory.EspPartition.from_blocks(blocks, partition.degree)
+        padded = stagger.pad_partition(part)
+        reference = numtheory.esp_check(padded.blocks, part.degree)
+        assert reference.is_esp
+        assert padded.prouhet_sums == reference.prouhet_sums
 
     def test_fifty_searched_partitions_keep_degree(self):
         rng = np.random.default_rng(99)
@@ -218,6 +266,38 @@ class TestDecompose:
         plan = stagger.decompose_to_antennas(padded, golay(2))
         assert_plan_realizes_partition(plan)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stn.lists(
+            stn.lists(stn.integers(0, 15), min_size=1, max_size=8),
+            min_size=2,
+            max_size=4,
+        ),
+        stn.randoms(use_true_random=False),
+    )
+    def test_array_passes_match_the_greedy_sweep(self, raw_blocks, rng):
+        # Gaps, repeated slots within a block and overlapping blocks; the
+        # sums are not needed to schedule, so EspPartition is bypassed.
+        blocks = tuple(tuple(sorted(b)) for b in raw_blocks)
+        padded = stagger.pad_partition(
+            numtheory.EspPartition(blocks, 0, (len(blocks[0]),))
+        )
+        ccm = golay(2) if len(blocks) == 2 else codes.gen_dft_set(len(blocks))
+        plan = stagger.decompose_to_antennas(padded, ccm, antenna_cap=32)
+        assert [(l.delay, l.indices) for l in plan.lanes] == reference_lanes(padded)
+        assert plan.slots_by_code() == lane_slots(plan.lanes, ccm.count)
+        # Any lane order: each code's slots by lane, then by offset.
+        lanes = rng.sample(plan.lanes, len(plan.lanes))
+        shuffled = stagger.StaggerPlan(ccm, tuple(lanes), padded)
+        assert shuffled.slots_by_code() == lane_slots(lanes, ccm.count)
+        assert (shuffled.last_slot, shuffled.span) == (plan.last_slot, plan.span)
+
+    @pytest.mark.parametrize("degree", [2, 3, 5])
+    def test_builtin_plans_match_the_greedy_sweep(self, degree):
+        padded = stagger.pad_partition(stagger.builtin_partition(degree))
+        plan = stagger.decompose_to_antennas(padded, golay())
+        assert [(l.delay, l.indices) for l in plan.lanes] == reference_lanes(padded)
+
 
 class TestPlanWeights:
     @settings(max_examples=60, deadline=None)
@@ -234,7 +314,7 @@ class TestPlanWeights:
         plan = stagger.decompose_to_antennas(mapped, codes.gen_dft_set(mapped.p))
         max_order = data.draw(stn.integers(0, degree + 4), label="max_order")
         weights = doppler._exact_weights(plan, max_order)
-        slots = plan.slots_by_code()
+        slots = lane_slots(plan.lanes, mapped.p)
         expected = [
             [numtheory.power_sum(s, m) for s in slots] for m in range(max_order + 1)
         ]
@@ -243,6 +323,36 @@ class TestPlanWeights:
         # Through the degree every code's weight is the padded Prouhet sum.
         for m in range(min(max_order, degree) + 1):
             assert weights[m] == [plan.partition.prouhet_sums[m]] * mapped.p
+
+    @pytest.mark.parametrize(
+        "lanes,passes",
+        [
+            # Code 0 fills 3 of slots 0..3, no slot twice: its empty slot.
+            ((stagger.Lane(0, (0, 0, 1, 0)),), [[2], [2]]),
+            # Code 0 fills slot 1 twice: its own slots.
+            (
+                (stagger.Lane(0, (0, 0, 0)), stagger.Lane(1, (0, 1))),
+                [[0, 1, 2, 1], [2]],
+            ),
+            # Code 0 fills exactly half of slots 0..3: its own slots.
+            ((stagger.Lane(0, (1, 0, 1, 0)),), [[1, 3], [1]]),
+        ],
+        ids=["complement", "repeated-slot", "exactly-half"],
+    )
+    def test_each_weight_branch(self, monkeypatch, lanes, passes):
+        plan = stagger.StaggerPlan(golay(2), lanes, stagger.builtin_partition(2))
+        calls = []
+
+        def counted(values, max_order):
+            calls.append(list(values))
+            return numtheory._power_sums(values, max_order)
+
+        monkeypatch.setattr(doppler, "_power_sums", counted)
+        weights = doppler._exact_weights(plan, 6)
+        assert calls == passes
+        slots = lane_slots(lanes, 2)
+        assert weights == [[numtheory.power_sum(s, m) for s in slots] for m in range(7)]
+        assert all(type(w) is int for row in weights for w in row)
 
 
 def report_schedules(data):
@@ -506,10 +616,13 @@ class TestPlanSerialization:
             ({"lanes": [{"delay": 0, "indices": [0, 1, 1, 0]},
                         {"delay": 3, "indices": [0, 1, 1, 0]}]}, "realise"),
             ({"lanes": [{"delay": 0, "indices": [0, 1, 1, 0]}]}, "realise"),
+            ({"lanes": [{"delay": 0, "indices": [0, 1, 1, 0]},
+                        {"delay": 10**30, "indices": [1, 0, 0, 1]}]}, "realise"),
         ],
         ids=[
             "index-minus-one", "index-past-K", "negative-delay", "no-lanes",
             "M-above", "M-below", "D", "swapped-codes", "missing-lane",
+            "delay-past-D",
         ],
     )
     def test_inconsistent_plans_refused(self, edit, message):
