@@ -35,7 +35,6 @@ from .doppler import (
 )
 from .numtheory import (
     EspPartition,
-    WeightTable,
     digit_sum_mod,
     esp_check,
     esp_search,
@@ -75,7 +74,6 @@ __all__ = [
     "build_ptm_train",
     "taylor_coeffs",
     "EspPartition",
-    "WeightTable",
     "digit_sum_mod",
     "esp_check",
     "esp_search",

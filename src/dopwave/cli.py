@@ -254,11 +254,17 @@ def cmd_stagger(args) -> int:
     return EXIT_OK if report.null_order >= args.order else EXIT_VERIFY_FAILED
 
 
+# argparse reads a negative number as an option unless this matches it; its
+# own pattern misses exponents (-1e-3).  No dopwave option looks like one.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dopwave",
         description="Doppler-tolerant pulse trains from complementary code sets",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.add_argument(
         "--tol", type=float, default=codes.CCM_TOL, help="verification tolerance"
     )
@@ -283,11 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", help="optional report JSON file")
 
     surface = sub.add_parser("surface", help="export an ambiguity surface CSV")
-    # argparse reads a negative number as an option unless this matches it;
-    # its own pattern misses exponents (-1e-3).  No option looks like one.
-    surface._negative_number_matcher = re.compile(
-        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
-    )
+    surface._negative_number_matcher = _NEGATIVE_NUMBER
     surface.add_argument("train", help="train JSON file")
     surface.add_argument("theta_min", type=float)
     surface.add_argument("theta_max", type=float)

@@ -227,26 +227,21 @@ class CcmValidation:
     peak_error: float
 
 
-def validate_ccm(columns, tol: float = CCM_TOL) -> CcmValidation:
+def validate_ccm(ccm: Ccm, tol: float = CCM_TOL) -> CcmValidation:
     """Check that summed autocorrelations equal N*K*delta within tol.
 
     Reports the worst absolute off-peak sum either way, so near-misses can
-    be inspected.  A Ccm is judged on code_acfs.  For phase orders 1, 2 and
-    4 those are Gaussian integers, so the sums are exact in float64 and the
-    set must meet N*K*delta exactly: tol is ignored.
+    be inspected.  The set is judged on code_acfs.  For phase orders 1, 2
+    and 4 those are Gaussian integers, so the sums are exact in float64 and
+    the set must meet N*K*delta exactly: tol is ignored.
     """
-    if isinstance(columns, Ccm):
-        acfs = code_acfs(columns)
-        if columns.phase_order in _EXACT_ROOTS:
-            tol = 0.0
-    else:  # acf rejects empty or non-1-D codes, column_stack unequal lengths
-        acfs = np.column_stack([acf(c) for c in columns])
-    total = acfs.sum(axis=1)
-    n, k = (acfs.shape[0] + 1) // 2, acfs.shape[1]
-    center = n - 1
+    if ccm.phase_order in _EXACT_ROOTS:
+        tol = 0.0
+    total = code_acfs(ccm).sum(axis=1)
+    center = ccm.length - 1
     off_peak = np.abs(np.delete(total, center))
     worst = float(off_peak.max()) if off_peak.size else 0.0
-    peak_error = float(abs(total[center] - n * k))
+    peak_error = float(abs(total[center] - ccm.length * ccm.count))
     return CcmValidation(worst <= tol and peak_error <= tol, worst, peak_error)
 
 

@@ -149,7 +149,7 @@ class PulseTrain:
         ccm = Ccm.from_json_dict(data["ccm"])
         indices, delay = data["indices"], data.get("delay", 0)
         _json_ints(chain(indices, [delay]), "indices and delay")
-        return cls(ccm, tuple(indices), delay)
+        return cls(ccm, indices, delay)  # __post_init__ makes the one tuple
 
 
 def build_ptm_train(ccm: Ccm, order: int) -> PulseTrain:

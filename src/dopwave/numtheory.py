@@ -32,7 +32,6 @@ __all__ = [
     "sidelobe_split_check",
     "EspPartition",
     "EspCheck",
-    "WeightTable",
     "SidelobeSplitReport",
 ]
 
@@ -426,21 +425,13 @@ def esp_search(
     return found
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Sign table of the 2^(p-1) Rademacher-style weight sequences.
+def weight_table(p: int) -> np.ndarray:
+    """Read-only 2^(p-1) x p int8 sign matrix of the Rademacher-style weights.
 
     rows[i, v] = (-1)**bit(i, p-1-v); row 0 is all ones.  A weight sequence
     is evaluated at general n through the PTM symbol: w_i(n) = rows[i, v]
     with v = digit_sum_mod(n, p).
     """
-
-    p: int
-    rows: np.ndarray
-
-
-def weight_table(p: int) -> WeightTable:
-    """Build the 2^(p-1) x p sign matrix of weight sequences."""
     if not 2 <= p <= 20:
         raise ValueError(f"symbol count must be in 2..20, got {p}")
     # Bit p-1-v of every row index i; int8 after the shift keeps that bit.
@@ -448,10 +439,10 @@ def weight_table(p: int) -> WeightTable:
     shifted = index >> np.arange(p - 1, -1, -1, dtype=np.int32)
     rows = 1 - 2 * (shifted.astype(np.int8) & 1)
     rows.setflags(write=False)
-    return WeightTable(p, rows)
+    return rows
 
 
-def forward_transform(values, table: WeightTable | None = None) -> np.ndarray:
+def forward_transform(values) -> np.ndarray:
     """Signed sums B_i = sum_n w_i(n) * A_n over the p input scalars.
 
     Produces 2^(p-1) components.  For p=2 this is (a0+a1, a0-a1).
@@ -459,14 +450,10 @@ def forward_transform(values, table: WeightTable | None = None) -> np.ndarray:
     a = np.asarray(values, dtype=complex)
     if a.ndim != 1:
         raise ValueError("expected a 1-D array of scalars")
-    if table is None:
-        table = weight_table(len(a))
-    if table.p != len(a):
-        raise ValueError(f"table is for p={table.p}, input has length {len(a)}")
-    return table.rows @ a
+    return weight_table(len(a)) @ a
 
 
-def inverse_transform(values, table: WeightTable | None = None) -> np.ndarray:
+def inverse_transform(values) -> np.ndarray:
     """Recover the p scalars from their 2^(p-1) signed sums.
 
     A_n = 2^(1-p) * sum_i w_i(n) * B_i; exact inverse of forward_transform
@@ -476,13 +463,9 @@ def inverse_transform(values, table: WeightTable | None = None) -> np.ndarray:
     b = np.asarray(values, dtype=complex)
     if b.ndim != 1:
         raise ValueError("expected a 1-D array of scalars")
-    if table is None:
-        if not b.size or b.size & (b.size - 1):
-            raise ValueError(f"length {b.size} is not a power of two")
-        table = weight_table(b.size.bit_length())
-    if (1 << (table.p - 1)) != len(b):
-        raise ValueError(f"table is for p={table.p}, input has length {len(b)}")
-    return (table.rows.T @ b) / float(1 << (table.p - 1))
+    if not b.size or b.size & (b.size - 1):
+        raise ValueError(f"length {b.size} is not a power of two")
+    return (weight_table(b.size.bit_length()).T @ b) / float(b.size)
 
 
 @dataclass(frozen=True)
@@ -516,13 +499,13 @@ def sidelobe_split_check(values, degree: int) -> SidelobeSplitReport:
     if a.ndim != 1:
         raise ValueError("expected a 1-D array of scalars")
     p = len(a)
-    table = weight_table(p)
+    rows = weight_table(p)
     size = _ptm_size(p, degree)
 
-    b = table.rows @ a
+    b = rows @ a
     # S(n) depends on n only through its PTM symbol; P_m is the weight of
     # symbol 0 and the range sum that of all symbols together.
-    s_by_symbol = table.rows[1:].T.astype(float) @ b[1:]
+    s_by_symbol = rows[1:].T.astype(float) @ b[1:]
     s_vals = s_by_symbol[_ptm_array(p, size)]
     weights = _ptm_weights(p, degree + 1, degree)
 

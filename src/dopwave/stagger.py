@@ -22,7 +22,7 @@ import numpy as np
 from .codes import Ccm
 from .codes import code_acfs  # noqa: F401  (bench/test_bench.py traces this binding)
 from .doppler import MAX_TRAIN_LENGTH, TaylorReport, build_ptm_train, taylor_coeffs
-from .numtheory import EspPartition, _json_ints, _power_sums, ptm_partition
+from .numtheory import EspPartition, _json_ints, _power_sums
 from .numtheory import _range_power_sums
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 DEFAULT_ANTENNA_CAP = 8
 
 # Known short two-block partitions by degree, each smaller than the PTM
-# partition of equal degree.  Validated on first use.
+# partition of equal degree.  Validated on every call.
 _BUILTIN_BLOCKS = {
     2: ((0, 4, 5), (1, 2, 6)),
     3: ((0, 4, 7, 11), (1, 2, 9, 10)),
@@ -250,18 +250,13 @@ def compare_ptm_vs_stagger(
 
     Returns (ptm_report, plan_report); each carries its schedule's span and
     pulse count, and both are verified to reach null order >= degree.
-    Without an explicit partition, the built-in table covers degrees 2/3/5
-    for two codes and the PTM partition covers every other case.  Both
-    reports are cross-checked in the z domain, so a disagreement raises
-    DomainMismatchError.
+    Without an explicit partition it takes builtin_partition(degree), as
+    `dopwave stagger` does; pass partition=ptm_partition(K, degree) for the
+    PTM split.  Both reports are cross-checked in the z domain, so a
+    disagreement raises DomainMismatchError.
     """
     if partition is None:
-        if ccm.count == 2 and degree in _BUILTIN_BLOCKS:
-            partition = builtin_partition(degree)
-        else:
-            # The PTM split itself, correct for any K: no partition of its
-            # slot range is shorter, so searching that range gains nothing.
-            partition = ptm_partition(ccm.count, degree)
+        partition = builtin_partition(degree)
     if partition.degree < degree:
         raise ValueError("partition degree is below the requested degree")
 

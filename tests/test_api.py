@@ -21,3 +21,10 @@ def test_no_object_has_two_exported_names(module):
     for name in module.__all__:
         names.setdefault(id(getattr(module, name)), []).append(name)
     assert [group for group in names.values() if len(group) > 1] == []
+
+
+@pytest.mark.parametrize("module", [dopwave, numtheory], ids=lambda m: m.__name__)
+def test_weight_table_is_the_matrix_itself(module):
+    # weight_table returns the sign matrix; no wrapper type is exported.
+    assert "WeightTable" not in module.__all__
+    assert not hasattr(module, "WeightTable")

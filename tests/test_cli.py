@@ -830,6 +830,11 @@ ERROR_CASES = [
                  f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="stagger-write-report"),
     pytest.param("--tol -1 gen golay 2 --out {t}/x.json", 2,
                  "tolerance must be positive and finite", id="tol-negative"),
+    # argparse's own pattern takes an exponent-form number for an option.
+    pytest.param("--tol -1e-3 gen golay 2 --out {t}/x.json", 2,
+                 "tolerance must be positive and finite", id="tol-negative-exponent"),
+    pytest.param("--tol -1E-3 gen golay 2 --out {t}/x.json", 2,
+                 "tolerance must be positive and finite", id="tol-negative-exponent-upper"),
     pytest.param("--tol 0 esp 0-7 2 1", 2, "tolerance must be positive and finite",
                  id="tol-zero"),
     pytest.param("--tol inf ptm {t}/pair.json 2 --out {t}/t.json", 2,
@@ -896,6 +901,20 @@ def test_each_failure_prints_one_error_line(
     t = str(error_inputs)
     assert run(*argv.format(t=t).split()) == code
     assert capsys.readouterr().err == f"error: {line.format(t=t)}\n"
+
+
+@pytest.mark.parametrize("case", ["stagger-no-builtin", "stagger-builtin-k3"])
+def test_compare_refuses_what_stagger_refuses(error_inputs, monkeypatch, case):
+    # compare_ptm_vs_stagger defaults like `stagger`, so it refuses its inputs
+    # in the CLI's words (less the hint), before any PTM train is built.
+    argv, _, line = next(p.values for p in ERROR_CASES if p.id == case)
+    _, path, degree = argv.format(t=error_inputs).split()[:3]
+    ccm = codes.Ccm.from_json_dict(json.loads(Path(path).read_text()))
+    builds = count_calls(monkeypatch, doppler.build_ptm_train)
+    with pytest.raises((KeyError, ValueError)) as refusal:
+        stagger.compare_ptm_vs_stagger(ccm, int(degree))
+    assert refusal.value.args[0] == line.removesuffix("; pass --partition FILE")
+    assert builds == []
 
 
 def test_domain_mismatch_prints_one_error_line(train_file, monkeypatch, capsys):

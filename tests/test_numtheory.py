@@ -522,12 +522,10 @@ class TestEspSearch:
 
 class TestWeightTable:
     def test_two_symbol_rows(self):
-        table = nt.weight_table(2)
-        assert table.rows.tolist() == [[1, 1], [1, -1]]
+        assert nt.weight_table(2).tolist() == [[1, 1], [1, -1]]
 
     def test_three_symbol_rows(self):
-        table = nt.weight_table(3)
-        assert table.rows.tolist() == [
+        assert nt.weight_table(3).tolist() == [
             [1, 1, 1],
             [1, 1, -1],
             [1, -1, 1],
@@ -536,7 +534,8 @@ class TestWeightTable:
 
     @pytest.mark.parametrize("p", range(2, 13))
     def test_rows_are_the_bit_signs(self, p):
-        rows = nt.weight_table(p).rows
+        rows = nt.weight_table(p)
+        assert isinstance(rows, np.ndarray)
         assert rows.dtype == np.int8 and not rows.flags.writeable
         assert rows.tolist() == [
             [(-1) ** ((i >> (p - 1 - v)) & 1) for v in range(p)]
@@ -545,12 +544,12 @@ class TestWeightTable:
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_row_zero_is_all_ones(self, p):
-        assert (nt.weight_table(p).rows[0] == 1).all()
+        assert (nt.weight_table(p)[0] == 1).all()
 
     def test_classical_sign_sequence(self):
         # Row 1 at p=2, evaluated along n, is the +/-1 Thue-Morse sequence.
-        table = nt.weight_table(2)
-        signs = [table.rows[1, nt.digit_sum_mod(n, 2)] for n in range(16)]
+        rows = nt.weight_table(2)
+        signs = [rows[1, nt.digit_sum_mod(n, 2)] for n in range(16)]
         assert signs == [1 if s == 0 else -1 for s in PTM_P2_16]
 
     def test_bounds(self):
@@ -591,14 +590,27 @@ class TestTransforms:
     def test_round_trip(self, p, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        table = nt.weight_table(p)
-        back = nt.inverse_transform(nt.forward_transform(a, table), table)
+        back = nt.inverse_transform(nt.forward_transform(a))
         assert np.max(np.abs(back - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
+    @pytest.mark.parametrize("p", range(2, 11))
+    def test_exact_on_gaussian_integers(self, p):
+        # Small Gaussian integers keep every sum, and the division by
+        # 2^(p-1), exact in float64: the results are pinned bit for bit.
+        rng = np.random.default_rng(p)
+        a = rng.integers(-9, 10, p) + 1j * rng.integers(-9, 10, p)
+        b = nt.forward_transform(a)
+        assert b.tolist() == [
+            sum(int(s) * x for s, x in zip(row, a.tolist()))
+            for row in nt.weight_table(p)
+        ]
+        assert nt.inverse_transform(b).tolist() == a.tolist()
+
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            nt.forward_transform([1, 2, 3], nt.weight_table(2))
-        # 0 and 3 are no power of two; 1 = 2^0 would mean a single symbol.
+        # The matrix comes from the length: one scalar is no symbol set; 0
+        # and 3 are no power of two and 1 = 2^0 would mean a single symbol.
+        with pytest.raises(ValueError, match="symbol count"):
+            nt.forward_transform([1])
         for length in (0, 1, 3):
             with pytest.raises(ValueError):
                 nt.inverse_transform(np.ones(length))
@@ -609,7 +621,7 @@ class TestSidelobeSplit:
     def brute_force_sides(values, degree):
         """Oracle: plain-Python evaluation of both sides of the identity."""
         p = len(values)
-        rows = nt.weight_table(p).rows
+        rows = nt.weight_table(p)
         b = [
             sum(int(rows[i, v]) * values[v] for v in range(p))
             for i in range(1 << (p - 1))
@@ -647,6 +659,21 @@ class TestSidelobeSplit:
         lhs, rhs = self.brute_force_sides([1.0, 1.0j, -1.0], 2)
         for left, right in zip(lhs, rhs):
             assert abs(left - right) <= 1e-9 * max(1.0, abs(right))
+
+    @pytest.mark.parametrize("p,degree", [(2, 1), (2, 5), (3, 2), (4, 2), (5, 1)])
+    def test_exact_on_gaussian_integers(self, p, degree):
+        # Small Gaussian integers keep both sides exact in float64, so the
+        # identity holds with residuals of exactly 0: pinned bit for bit.
+        rng = np.random.default_rng(p + degree)
+        a = rng.integers(-9, 10, p) + 1j * rng.integers(-9, 10, p)
+        report = nt.sidelobe_split_check(a, degree)
+        assert report.residuals.tolist() == [0.0] * degree
+        size = p ** (degree + 1)
+        assert report.n_coefficients == tuple(
+            (1 << (p - 1)) * nt.prouhet_sum(p, degree, m)
+            - sum(n ** m for n in range(size))
+            for m in range(1, degree + 1)
+        )
 
     def test_equal_entries(self):
         # With identical inputs the identity holds whatever the symbol count;

@@ -542,9 +542,10 @@ class TestComparison:
         assert ptm.span == 4
         assert ptm.null_order >= 1 and plan.null_order >= 1
 
-    def test_degree1_searches_when_needed(self):
-        ptm, plan = stagger.compare_ptm_vs_stagger(golay(), 1)
-        assert ptm.span == 4 and plan.null_order >= 1
+    def test_degree1_has_no_default_partition(self):
+        # Like `dopwave stagger`, the default is builtin_partition(degree).
+        with pytest.raises(KeyError, match="no built-in partition of degree 1"):
+            stagger.compare_ptm_vs_stagger(golay(), 1)
 
     @pytest.mark.parametrize(
         "ccm,degree",
@@ -552,7 +553,8 @@ class TestComparison:
         ids=["golay-4", "golay-6", "dft3-2"],
     )
     def test_falls_back_to_ptm_split(self, ccm, degree):
-        ptm, plan = stagger.compare_ptm_vs_stagger(ccm, degree)
+        partition = numtheory.ptm_partition(ccm.count, degree)
+        ptm, plan = stagger.compare_ptm_vs_stagger(ccm, degree, partition=partition)
         assert plan.span == ptm.span == ccm.count ** (degree + 1)
         assert ptm.null_order >= degree and plan.null_order >= degree
 
