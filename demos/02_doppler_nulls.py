@@ -20,7 +20,7 @@ from dopwave import (
 
 def report(name, train, order):
     rep = taylor_coeffs(train, order)
-    print(f"--- {name} (L={train.length}) ---")
+    print(f"--- {name} (L={train.total_pulses}) ---")
     for m in range(order + 1):
         flag = "null" if rep.max_sidelobe_residual[m] <= rep.thresholds[m] else "LIVE"
         print(
@@ -35,11 +35,11 @@ def main():
     pair = gen_golay_pair(3)
 
     ptm = build_ptm_train(pair, 3)
-    print("PTM order, first 16 slots:", "".join(str(i) for i in ptm.indices))
+    print("PTM order, first 16 slots:", "".join(str(i) for i in ptm.lanes[0].indices))
     report("binary pair, PTM order M=3", ptm, 3)
 
     cyclic = build_cyclic_train(pair, 16)
-    print("\ncyclic order, same codes: ", "".join(str(i) for i in cyclic.indices))
+    print("\ncyclic order, same codes: ", "".join(str(i) for i in cyclic.lanes[0].indices))
     report("binary pair, cyclic order", cyclic, 3)
 
     tri = gen_dft_set(3)

@@ -46,7 +46,7 @@ def export(ccm, out_dir):
         surface.write_csv(path)
         slope = fitted_slope(path)
         print(
-            f"M={order}: L={train.length:3d}  wrote {path.name}  "
+            f"M={order}: L={train.total_pulses:3d}  wrote {path.name}  "
             f"fitted off-peak growth ~ theta^{slope:.2f} (expect {order + 1})"
         )
 
@@ -59,7 +59,7 @@ def export(ccm, out_dir):
     print(
         f"\nwide grid {wide.magnitudes.shape} -> {wide_path.name}; "
         f"origin magnitude {wide.magnitudes[center]:.1f} "
-        f"(= N*L = {ccm.length * train.length})"
+        f"(= N*L = {ccm.length * train.total_pulses})"
     )
     print(f"CSV files under {out_dir}, removed when the demo ends")
 

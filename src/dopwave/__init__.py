@@ -6,9 +6,10 @@ The package splits into four layers:
                equal-power-sum partition search, sign transforms
     codes      unimodular codes, autocorrelation, one complementarity check
                (exact for orders 1, 2, 4), binary-pair and DFT-set generators
-    doppler    pulse trains, ambiguity function, Taylor-coefficient null
-               orders in the delay and z domains, surface sampling
-    stagger    multi-antenna staggered schedules built from equal-power-sum
+    doppler    pulse trains (one lane, or the lanes of a staggered plan),
+               ambiguity function, Taylor-coefficient null orders in the
+               delay and z domains, surface sampling
+    stagger    multi-antenna staggered plans built from equal-power-sum
                partitions, with Taylor-report null verification
 
 plus a ``dopwave`` command-line tool (see dopwave.cli).
@@ -25,6 +26,7 @@ from .codes import (
 from .doppler import (
     AmbiguitySurface,
     DomainMismatchError,
+    Lane,
     PulseTrain,
     TaylorReport,
     ambiguity,
@@ -48,7 +50,6 @@ from .numtheory import (
     weight_table,
 )
 from .stagger import (
-    StaggerPlan,
     builtin_partition,
     compare_ptm_vs_stagger,
     decompose_to_antennas,
@@ -66,6 +67,7 @@ __all__ = [
     "ztransform_eval",
     "AmbiguitySurface",
     "DomainMismatchError",
+    "Lane",
     "PulseTrain",
     "TaylorReport",
     "ambiguity",
@@ -85,7 +87,6 @@ __all__ = [
     "ptm_sequence",
     "sidelobe_split_check",
     "weight_table",
-    "StaggerPlan",
     "builtin_partition",
     "compare_ptm_vs_stagger",
     "decompose_to_antennas",

@@ -4,8 +4,9 @@ Subcommands::
 
     gen      generate a code set (golay | dft) and write it as JSON
     ptm      build a PTM-ordered pulse train from a code-set file
-    verify   check null orders of a train file in both domains (z at 2N points)
-    surface  export an ambiguity-magnitude grid as CSV
+    verify   check null orders of a train or plan file in both domains (z at
+             2N points)
+    surface  export a train or plan file's ambiguity-magnitude grid as CSV
     esp      search equal-power-sum partitions of a slot universe
     stagger  build a staggered multi-antenna schedule and report its nulls
 
@@ -137,11 +138,7 @@ def _first_partition(data) -> numtheory.EspPartition:
         if not data:
             raise ValueError("the file lists no partition")
         data = data[0]
-    cap = doppler.MAX_TAYLOR_ORDER  # no higher order is ever verified
-    degree = data.get("M") if isinstance(data, dict) else None
-    if isinstance(degree, int) and degree > cap:  # refused before any power sum
-        raise ValueError(f"degree must be at most {cap}, got {degree}")
-    return numtheory.EspPartition.from_json_dict(data)
+    return doppler._partition_from_json(data)
 
 
 def cmd_gen(args) -> int:
@@ -164,7 +161,7 @@ def cmd_ptm(args) -> int:
     with _exits(EXIT_USAGE):
         train = doppler.build_ptm_train(ccm, args.order)
     _write_text(args.out, json.dumps(train.to_json_dict()))
-    print(f"L={train.length} K={ccm.count} M={args.order}")
+    print(f"L={train.total_pulses} K={ccm.count} M={args.order}")
     return EXIT_OK
 
 
@@ -284,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     ptm.add_argument("--out", required=True)
 
     verify = sub.add_parser("verify", help="verify train null orders")
-    verify.add_argument("train", help="train JSON file")
+    verify.add_argument("train", help="train or plan JSON file")
     verify.add_argument("order", type=int, help="required null order M")
     verify.add_argument("--out", help="optional report JSON file")
 
     surface = sub.add_parser("surface", help="export an ambiguity surface CSV")
     surface._negative_number_matcher = _NEGATIVE_NUMBER
-    surface.add_argument("train", help="train JSON file")
+    surface.add_argument("train", help="train or plan JSON file")
     surface.add_argument("theta_min", type=float)
     surface.add_argument("theta_max", type=float)
     surface.add_argument("steps", type=int)

@@ -1,12 +1,14 @@
 """Pulse trains and their delay-Doppler behaviour.
 
-A pulse train transmits one code of a complementary set per slot; its
+A pulse train transmits one code of a complementary set per slot of each of
+its lanes: a train is one lane, a staggered plan several.  A train's
 ambiguity function is
 
     g(k, theta) = sum_n ACF_{x_n}(k) * exp(1j*(n+d)*theta)
 
-over delay lag k and per-pulse Doppler phase theta, with d the train delay
-in whole pulses.  Expanding about theta = 0 gives Taylor coefficients
+over delay lag k and per-pulse Doppler phase theta, with d the lane delay
+in whole pulses; a plan's is the sum over its lanes.  Expanding about
+theta = 0 gives Taylor coefficients
 
     c_m(k) = sum_n (n+d)^m * ACF_{x_n}(k)
 
@@ -24,16 +26,18 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
 
 from .codes import Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
-from .numtheory import POWER_CHUNK, _capped_power, _json_ints, _power_sums, _ptm_array
-from .numtheory import _ptm_weights, _range_power_sums
+from .numtheory import POWER_CHUNK, EspPartition, _capped_power, _json_ints, _power_sums
+from .numtheory import _ptm_array, _ptm_weights, _range_power_sums
 
 __all__ = [
+    "Lane",
     "PulseTrain",
     "TaylorReport",
     "AmbiguitySurface",
@@ -47,7 +51,7 @@ __all__ = [
     "ambiguity_surface",
 ]
 
-# Trains and padded plans of more pulses than this are refused outright.
+# Trains and plans of more pulses than this are refused outright.
 MAX_TRAIN_LENGTH = 1 << 20
 
 # Taylor orders above this cap are almost certainly a unit error upstream.
@@ -83,73 +87,156 @@ class DomainMismatchError(RuntimeError):
         self.z_deviation = z_deviation
 
 
-@dataclass(frozen=True)
-class PulseTrain:
-    """Sequence of code indices into a CCM, transmitted d slots late."""
+@dataclass(frozen=True, slots=True)
+class Lane:
+    """One antenna's contiguous transmission: code indices from slot `delay`."""
 
-    ccm: Ccm
+    delay: int
     indices: tuple[int, ...]
-    delay: int = 0
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices)
-        if idx.ndim != 1 or not idx.size:
-            raise ValueError("train must contain at least one pulse")
-        if idx.size > MAX_TRAIN_LENGTH:
-            raise ValueError(f"train length {idx.size} exceeds cap {MAX_TRAIN_LENGTH}")
-        if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= self.ccm.count:
-            raise ValueError("every index must be an integer code of the set")
-        try:
-            delay = operator.index(self.delay)
-        except TypeError:
-            raise ValueError("delay must be an integer") from None
-        # Keeps slots int64 and every weight W_c(32) a finite float.
-        if not 0 <= delay <= MAX_TRAIN_LENGTH:
-            raise ValueError(f"delay must be in 0..{MAX_TRAIN_LENGTH}")
-        object.__setattr__(self, "indices", tuple(idx.tolist()))
-        object.__setattr__(self, "delay", delay)
 
     @property
     def length(self) -> int:
         return len(self.indices)
 
-    @property
+
+@dataclass(frozen=True)
+class PulseTrain:
+    """Pulses of one code set on slots, as lanes of contiguous code indices.
+
+    A train is one lane and has no partition.  A staggered plan
+    (stagger.decompose_to_antennas) carries the padded ESP partition its
+    lanes realise: at every slot t the number of lanes transmitting code c
+    equals the multiplicity of t in padded block c.
+    """
+
+    ccm: Ccm
+    lanes: tuple[Lane, ...]
+    partition: EspPartition | None = None
+
+    def __post_init__(self):
+        lanes = tuple(self.lanes)
+        if not lanes:
+            raise ValueError("a train needs at least one lane")
+        if len(lanes) > 1 and self.partition is None:
+            raise ValueError("lanes beyond the first need their partition")
+        try:
+            delays = [operator.index(l.delay) for l in lanes]
+        except TypeError:
+            raise ValueError("delay must be an integer") from None
+        # Keeps slots int64 and every weight W_c(32) a finite float.
+        if not 0 <= min(delays) <= max(delays) <= MAX_TRAIN_LENGTH:
+            raise ValueError(f"delay must be in 0..{MAX_TRAIN_LENGTH}")
+        lengths = [len(l.indices) for l in lanes]
+        if not min(lengths):
+            raise ValueError("every lane must contain at least one pulse")
+        if sum(lengths) > MAX_TRAIN_LENGTH:
+            raise ValueError(f"train length {sum(lengths)} exceeds cap {MAX_TRAIN_LENGTH}")
+        # Every lane's codes in one array pass, each shared tuple once (a
+        # degree-16 plan's 10,241 lanes share 14); a train's become one tuple.
+        if len(lanes) == 1:
+            idx = np.asarray(lanes[0].indices)
+        else:
+            distinct = {id(l.indices): l.indices for l in lanes}.values()
+            idx = np.asarray(list(chain.from_iterable(distinct)))
+        not_ints = idx.ndim != 1 or idx.dtype.kind not in "iu"
+        if not_ints or idx.min() < 0 or idx.max() >= self.ccm.count:
+            raise ValueError("every index must be an integer code of the set")
+        if len(lanes) == 1:
+            lanes = (Lane(delays[0], tuple(idx.tolist())),)
+        object.__setattr__(self, "lanes", lanes)
+
+    @cached_property
     def last_slot(self) -> int:
-        return self.delay + self.length - 1
+        return max(l.delay + len(l.indices) for l in self.lanes) - 1
 
     @property
     def span(self) -> int:
-        """Slots from the first pulse to the last, inclusive: the length."""
-        return self.length
+        """Slots from the first transmitted pulse to the last, inclusive."""
+        return self.last_slot + 1 - min(l.delay for l in self.lanes)
+
+    @property
+    def total_pulses(self) -> int:
+        return sum(len(l.indices) for l in self.lanes)
 
     def slots_by_code(self) -> list[list[int]]:
-        """Slot n + delay of every pulse, grouped by code index."""
-        idx = np.asarray(self.indices)
-        slots = (np.flatnonzero(idx == c) + self.delay for c in range(self.ccm.count))
-        return [s.tolist() for s in slots]
+        """Slot of every pulse, grouped by code index; each code's in lane
+        order, then by offset."""
+        return list(map(np.ndarray.tolist, self._slot_arrays()))  # one array at a time
+
+    def _slot_arrays(self):
+        """Each code's slots of slots_by_code as an int64 array, in turn."""
+        lanes = self.lanes
+        lengths = np.fromiter((len(l.indices) for l in lanes), np.int64, len(lanes))
+        ends = np.cumsum(lengths)
+        # A pulse's slot is its place among all pulses plus its lane's shift.
+        shifts = np.fromiter((l.delay for l in lanes), np.int64, len(lanes))
+        shifts -= ends - lengths
+        pulses = chain.from_iterable(l.indices for l in lanes)
+        codes = np.fromiter(pulses, np.int64, int(ends[-1]))
+        for c in range(self.ccm.count):
+            places = np.flatnonzero(codes == c)
+            places += shifts[np.searchsorted(ends, places, side="right")]
+            yield places
 
     def is_ptm_ordered(self) -> bool:
-        """True when slot n carries code digit_sum_mod(n, K) and delay is 0.
+        """True for one lane at delay 0 whose slot n carries code
+        digit_sum_mod(n, K).
 
         A one-code set has no PTM sequence, so its trains are not ordered.
         """
-        if self.delay != 0 or self.ccm.count < 2:
+        count, indices = self.ccm.count, self.lanes[0].indices
+        if len(self.lanes) > 1 or self.lanes[0].delay != 0 or count < 2:
             return False
-        return np.array_equal(self.indices, _ptm_array(self.ccm.count, self.length))
+        return np.array_equal(indices, _ptm_array(count, len(indices)))
 
     def to_json_dict(self) -> dict:
+        """A train's {ccm, indices, delay} or a plan's {ccm, D, M, lanes, partition}."""
+        ccm = self.ccm.to_json_dict()
+        if self.partition is None:
+            (lane,) = self.lanes
+            return {"ccm": ccm, "indices": list(lane.indices), "delay": lane.delay}
         return {
-            "ccm": self.ccm.to_json_dict(),
-            "indices": list(self.indices),
-            "delay": self.delay,
+            "ccm": ccm,
+            "D": max(b[-1] for b in self.partition.blocks) + 1,  # blocks are sorted
+            "M": self.partition.degree,
+            "lanes": [{"delay": l.delay, "indices": list(l.indices)} for l in self.lanes],
+            "partition": self.partition.to_json_dict(),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PulseTrain":
+        """Read a train file or, when it has "lanes", a plan file.
+
+        A plan is refused unless M is its partition's degree, D is one past
+        the partition's last slot and the lanes realise the blocks.
+        """
         ccm = Ccm.from_json_dict(data["ccm"])
-        indices, delay = data["indices"], data.get("delay", 0)
-        _json_ints(chain(indices, [delay]), "indices and delay")
-        return cls(ccm, indices, delay)  # __post_init__ makes the one tuple
+        if "lanes" not in data:
+            indices, delay = data["indices"], data.get("delay", 0)
+            _json_ints(chain(indices, [delay]), "indices and delay")
+            return cls(ccm, (Lane(delay, indices),))  # __post_init__ makes the tuple
+        lanes = data["lanes"]
+        lane_ints = ([l["delay"], *l["indices"]] for l in lanes)
+        _json_ints(chain([data["D"], data["M"]], *lane_ints), "D, M and lanes")
+        partition = _partition_from_json(data["partition"])
+        lanes = tuple(Lane(l["delay"], tuple(l["indices"])) for l in lanes)
+        plan = cls(ccm, lanes, partition)
+        if data["M"] != partition.degree:
+            raise ValueError(f"M={data['M']} is not the partition degree")
+        if data["D"] != max(b[-1] for b in partition.blocks) + 1:
+            raise ValueError(f"D={data['D']} is not one past the last slot")
+        if list(map(sorted, plan.slots_by_code())) != list(map(list, partition.blocks)):
+            raise ValueError("lanes do not realise the partition's blocks")
+        return plan
+
+
+def _partition_from_json(data) -> EspPartition:
+    """EspPartition.from_json_dict, refusing a degree above MAX_TAYLOR_ORDER
+    (no higher order is ever verified) before any power sum."""
+    degree = data.get("M") if isinstance(data, dict) else None
+    if isinstance(degree, int) and degree > MAX_TAYLOR_ORDER:
+        raise ValueError(f"degree must be at most {MAX_TAYLOR_ORDER}, got {degree}")
+    return EspPartition.from_json_dict(data)
 
 
 def build_ptm_train(ccm: Ccm, order: int) -> PulseTrain:
@@ -162,7 +249,7 @@ def build_ptm_train(ccm: Ccm, order: int) -> PulseTrain:
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     length = _capped_power(ccm.count, order + 1, MAX_TRAIN_LENGTH, "train length")
-    return PulseTrain(ccm, _ptm_array(ccm.count, length))
+    return PulseTrain(ccm, (Lane(0, _ptm_array(ccm.count, length)),))
 
 
 def build_cyclic_train(ccm: Ccm, length: int) -> PulseTrain:
@@ -174,24 +261,23 @@ def build_cyclic_train(ccm: Ccm, length: int) -> PulseTrain:
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
-    return PulseTrain(ccm, np.arange(length) % ccm.count)
+    return PulseTrain(ccm, (Lane(0, np.arange(length) % ccm.count),))
 
 
 def _exact_weights(schedule, max_order: int) -> list[list[int]]:
     """Exact integer weights W_c(m) = sum(slot^m) over code c's slots.
 
-    Row m, column c, m = 0..max_order.  A PTM train of length L = K^J takes
-    the digit DP (_ptm_weights) unless its J*K^2 row shifts outnumber the
-    L pulses; every other schedule takes one pass per code, all orders at
-    once (_code_weights).
+    Row m, column c, m = 0..max_order.  A PTM-ordered schedule (one lane
+    at delay 0) of L = K^J pulses takes the digit DP (_ptm_weights) unless
+    its J*K^2 row shifts outnumber the L pulses; every other schedule takes
+    one pass per code, all orders at once (_code_weights).
     """
     if not 0 <= max_order <= MAX_TAYLOR_ORDER:
         raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
-    count = schedule.ccm.count
-    if isinstance(schedule, PulseTrain) and count >= 2:
-        levels = round(math.log(schedule.length, count))
-        full = count**levels == schedule.length >= levels * count * count
-        if full and schedule.is_ptm_ordered():
+    if schedule.is_ptm_ordered():
+        count, pulses = schedule.ccm.count, schedule.total_pulses
+        levels = round(math.log(pulses, count))
+        if count**levels == pulses >= levels * count * count:
             return _ptm_weights(count, levels, max_order)
     sums = [_code_weights(slots, max_order) for slots in schedule.slots_by_code()]
     return [list(row) for row in zip(*sums)]
@@ -218,19 +304,19 @@ def _code_weights(slots: list[int], max_order: int) -> list[int]:
     return _power_sums(slots, max_order)
 
 
-def _slot_phase_sums(slots_by_code, thetas: np.ndarray) -> np.ndarray:
+def _slot_phase_sums(schedule, thetas: np.ndarray) -> np.ndarray:
     """S_c(theta) = sum of exp(1j*theta*s) over code c's slots, shape (T, K).
 
     Theta is taken in blocks of at most PHASE_BLOCK phase factors per code.
     ValueError when max|theta| times the last slot is not a finite float.
     """
-    last = max(map(max, filter(None, slots_by_code)), default=0)
+    last = schedule.last_slot
     bound = float(np.abs(thetas).max(initial=0.0))
     if not math.isfinite(bound * last):  # Python floats overflow without a warning
         raise ValueError(f"|theta| {bound:g} times last slot {last} is not finite")
-    sums = np.empty((thetas.size, len(slots_by_code)), dtype=complex)
-    for c, slots in enumerate(slots_by_code):
-        slots = 1j * np.asarray(slots, dtype=float)
+    sums = np.empty((thetas.size, schedule.ccm.count), dtype=complex)
+    for c, slots in enumerate(schedule._slot_arrays()):
+        slots = 1j * slots
         rows = max(1, PHASE_BLOCK // max(1, slots.size))
         for lo in range(0, thetas.size, rows):
             phase = np.outer(thetas[lo : lo + rows], slots)
@@ -243,7 +329,7 @@ def ambiguity(train: PulseTrain, lag: int, theta: float) -> complex:
     n = train.ccm.length
     if abs(lag) > n - 1:
         raise ValueError(f"lag {lag} out of range for length-{n} codes")
-    sums = _slot_phase_sums(train.slots_by_code(), np.array([float(theta)]))[0]
+    sums = _slot_phase_sums(train, np.array([float(theta)]))[0]
     return complex(sums @ code_acfs(train.ccm)[n - 1 + lag, :])
 
 
@@ -347,9 +433,8 @@ class TaylorReport:
 def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorReport:
     """Taylor coefficients c_0..c_max_order of a train or staggered plan.
 
-    The one path from a schedule (`.ccm`, `.last_slot`, `.span`,
-    _exact_weights) to a report; thresholds use the last slot and the pulse
-    count is the sum of the order-0 weights.  Each order takes one pass: its
+    The one path from a schedule to a report; thresholds use its last slot.
+    Each order takes one pass: its
     coefficients, off-peak residual and C_m(z) samples on the code set's 2N
     grid (`ccm.spectra`), which go through _order_check, raising
     DomainMismatchError when the two domains disagree.  The null order is
@@ -380,7 +465,7 @@ def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorRepo
     lags = np.arange(1 - code_length, code_length)
     return TaylorReport(
         max_order, lags, coeffs, residuals, thresholds, null_order,
-        z_deviations, z_residuals, sum(weights[0]), schedule.span,
+        z_deviations, z_residuals, schedule.total_pulses, schedule.span,
     )
 
 
@@ -476,32 +561,30 @@ def ambiguity_surface(
 ) -> AmbiguitySurface:
     """Sample |g| over every lag and a uniform theta interval.
 
-    Any schedule works, a train or a staggered plan: only `.ccm` and
-    `.slots_by_code()` are read.  The grid is a direct sum of the defining
-    series, never Taylor data, so surfaces remain an independent view of
-    the schedule.  Grouped by code, it is |S @ ACF^T| with S from
+    Any schedule works, a train or a staggered plan.  The grid is a direct
+    sum of the defining series, never Taylor data, so surfaces remain an
+    independent view of the schedule.  Grouped by code, it is |S @ ACF^T| with S from
     _slot_phase_sums, filled into the magnitudes in theta blocks of at most
     PHASE_BLOCK cells.  More than MAX_SURFACE_CELLS theta_steps *
     max(pulses, 2N-1) cells raise ValueError before allocating.  The
-    description names the pulse count L and the first slot as the delay.
+    description names the pulse count L and the least lane delay.
     """
     if theta_steps < 2:
         raise ValueError(f"need at least 2 theta steps, got {theta_steps}")
     if not math.isfinite(theta_max - theta_min):  # also refuses inf/NaN bounds
         raise ValueError("theta bounds and their difference must be finite")
-    ccm, slots_by_code = schedule.ccm, schedule.slots_by_code()
-    pulses = sum(map(len, slots_by_code))
+    ccm, pulses = schedule.ccm, schedule.total_pulses
     n = ccm.length
     cells = theta_steps * max(pulses, 2 * n - 1)
     if cells > MAX_SURFACE_CELLS:
         raise ValueError(f"surface needs {cells} cells, cap {MAX_SURFACE_CELLS}")
     thetas = np.linspace(theta_min, theta_max, theta_steps)
-    sums = _slot_phase_sums(slots_by_code, thetas)
+    sums = _slot_phase_sums(schedule, thetas)
     acfs = code_acfs(ccm).T
     magnitudes = np.empty((theta_steps, 2 * n - 1))
     rows = max(1, PHASE_BLOCK // (2 * n - 1))
     for lo in range(0, theta_steps, rows):
         np.abs(sums[lo : lo + rows] @ acfs, out=magnitudes[lo : lo + rows])
-    first = min(min(slots) for slots in slots_by_code if slots)
+    first = min(l.delay for l in schedule.lanes)
     description = f"L={pulses} K={ccm.count} N={n} delay={first}"
     return AmbiguitySurface(thetas, np.arange(1 - n, n), magnitudes, description)

@@ -284,6 +284,8 @@ class EspPartition:
     @classmethod
     def from_json_dict(cls, data: dict) -> "EspPartition":
         """Rebuild from blocks and M; a declared p or prouhetSums must match."""
+        if not isinstance(data, dict):
+            raise TypeError("a partition is a JSON object")
         declared = [data.get("p", 0), *data.get("prouhetSums", [])]
         values = chain(*data["blocks"], [data["M"]], declared)
         _json_ints(values, "blocks, M, p and prouhetSums")

@@ -9,25 +9,24 @@ per-slot code multiplicities are exactly the padded blocks, so the composite
 coefficient c_m(k) collapses to P_m times the summed code autocorrelations
 for every m <= M.
 
-The schedule is shorter than the PTM train of equal null order whenever the
-partition spans fewer slots than K^(M+1).
+The plan is a doppler.PulseTrain of several lanes with the padded partition
+attached; its file (`to_json_dict`) is a train or plan file that `dopwave
+verify` and `dopwave surface` read.  The schedule is shorter than the PTM
+train of equal null order whenever the partition spans fewer slots than
+K^(M+1).
 """
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .codes import Ccm
 from .codes import code_acfs  # noqa: F401  (bench/test_bench.py traces this binding)
-from .doppler import MAX_TRAIN_LENGTH, TaylorReport, build_ptm_train, taylor_coeffs
-from .numtheory import EspPartition, _json_ints, _power_sums
-from .numtheory import _range_power_sums
+from .doppler import MAX_TRAIN_LENGTH, Lane, PulseTrain, TaylorReport, build_ptm_train
+from .doppler import taylor_coeffs
+from .numtheory import EspPartition, _power_sums, _range_power_sums
 
 __all__ = [
-    "Lane",
-    "StaggerPlan",
     "builtin_partition",
     "pad_partition",
     "decompose_to_antennas",
@@ -50,96 +49,6 @@ def builtin_partition(degree: int) -> EspPartition:
     if degree not in _BUILTIN_BLOCKS:
         raise KeyError(f"no built-in partition of degree {degree}")
     return EspPartition.from_blocks(_BUILTIN_BLOCKS[degree], degree)
-
-
-@dataclass(frozen=True, slots=True)
-class Lane:
-    """One antenna's contiguous transmission: code indices from slot `delay`."""
-
-    delay: int
-    indices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
-class StaggerPlan:
-    """Per-antenna lanes realizing a padded ESP partition's slot demand.
-
-    At every slot t the number of lanes transmitting code c equals the
-    multiplicity of t in padded block c; each lane is contiguous.
-    """
-
-    ccm: Ccm
-    lanes: tuple[Lane, ...]
-    partition: EspPartition
-
-    @cached_property
-    def last_slot(self) -> int:
-        return max(l.delay + len(l.indices) for l in self.lanes) - 1
-
-    @property
-    def span(self) -> int:
-        """Slots from the first transmitted pulse to the last, inclusive."""
-        return self.last_slot + 1 - min(l.delay for l in self.lanes)
-
-    @property
-    def total_pulses(self) -> int:
-        return sum(l.length for l in self.lanes)
-
-    def slots_by_code(self) -> list[list[int]]:
-        """Slot of every transmitted pulse, grouped by code index, each code's
-        in lane order, then by offset."""
-        lanes = self.lanes
-        lengths = np.fromiter((len(l.indices) for l in lanes), np.int64, len(lanes))
-        starts = np.fromiter((l.delay for l in lanes), np.int64, len(lanes))
-        starts -= np.cumsum(lengths) - lengths  # a pulse's slot: its place + start
-        pulses = chain.from_iterable(l.indices for l in lanes)
-        codes = np.fromiter(pulses, np.int64, int(lengths.sum()))
-        slots = np.repeat(starts, lengths) + np.arange(codes.size)
-        return [slots[codes == c].tolist() for c in range(self.ccm.count)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "D": max(b[-1] for b in self.partition.blocks) + 1,  # blocks are sorted
-            "M": self.partition.degree,
-            "lanes": [
-                {"delay": l.delay, "indices": list(l.indices)} for l in self.lanes
-            ],
-            "partition": self.partition.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, ccm: Ccm) -> "StaggerPlan":
-        """Read a plan file, refusing one whose lanes do not realise its blocks.
-
-        Every lane needs a non-negative delay, at least one pulse and code
-        indices of the set; M must be the partition degree and D one past
-        its last slot.
-        """
-        lanes = data["lanes"]
-        lane_ints = ([l["delay"], *l["indices"]] for l in lanes)
-        _json_ints(chain([data["D"], data["M"]], *lane_ints), "D, M and lanes")
-        partition = EspPartition.from_json_dict(data["partition"])
-        lanes = tuple(Lane(l["delay"], tuple(l["indices"])) for l in lanes)
-        plan = cls(ccm, lanes, partition)
-        if not plan.lanes:
-            raise ValueError("a plan needs at least one lane")
-        if any(l.delay < 0 or not l.indices for l in plan.lanes):
-            raise ValueError("every lane needs a non-negative delay and a pulse")
-        if any(not 0 <= c < ccm.count for l in plan.lanes for c in l.indices):
-            raise ValueError("every lane index must address a code of the set")
-        if data["M"] != partition.degree:
-            raise ValueError(f"M={data['M']} is not the partition degree")
-        if data["D"] != max(b[-1] for b in partition.blocks) + 1:
-            raise ValueError(f"D={data['D']} is not one past the last slot")
-        # A lane past slot D - 1 realises nothing (and its slots overflow int64).
-        slots = plan.slots_by_code() if plan.last_slot < data["D"] else []
-        if list(map(sorted, slots)) != list(map(list, partition.blocks)):
-            raise ValueError("lanes do not realise the partition's blocks")
-        return plan
 
 
 def pad_partition(partition: EspPartition) -> EspPartition:
@@ -180,7 +89,7 @@ def decompose_to_antennas(
     partition: EspPartition,
     ccm: Ccm,
     antenna_cap: int = DEFAULT_ANTENNA_CAP,
-) -> StaggerPlan:
+) -> PulseTrain:
     """The lanes of a greedy sweep over the slots, built in array passes.
 
     The partition is padded first (pad_partition), so every slot up to the
@@ -208,7 +117,7 @@ def decompose_to_antennas(
     for delay, lo, hi in zip(delays.tolist(), (ends - lengths).tolist(), ends.tolist()):
         indices = tuple(codes[lo:hi])
         lanes.append(Lane(delay, shared.setdefault(indices, indices)))
-    return StaggerPlan(ccm, tuple(lanes), padded)
+    return PulseTrain(ccm, tuple(lanes), padded)
 
 
 def _sweep(padded: EspPartition, antenna_cap: int):

@@ -215,8 +215,8 @@ def test_criterion_9_doppler_tolerance_scaling():
         for degree in (1, 2, 3):
             train = doppler.build_ptm_train(ccm, degree)
             acfs = doppler.code_acfs(ccm)
-            per_pulse = acfs[:, list(train.indices)]
-            phases = np.exp(1j * np.outer(thetas, np.arange(train.length)))
+            per_pulse = acfs[:, list(train.lanes[0].indices)]
+            phases = np.exp(1j * np.outer(thetas, np.arange(train.total_pulses)))
             grid = np.abs(phases @ per_pulse.T)
             center = ccm.length - 1
             peaks = np.delete(grid, center, axis=1).max(axis=1)

@@ -1,6 +1,9 @@
 """End-to-end command-line tests; commands run in-process via cli.main."""
 
+import contextlib
+import copy
 import gc
+import io
 import json
 import os
 import subprocess
@@ -11,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
 
 from dopwave import cli, codes, doppler, numtheory, stagger
 
@@ -103,7 +108,7 @@ class TestPtm:
         path = tmp_path / "train.json"
         assert run("ptm", golay_file, 3, "--out", path) == 0
         train = doppler.PulseTrain.from_json_dict(json.loads(path.read_text()))
-        assert list(train.indices) == TRAIN_K2_M3
+        assert list(train.lanes[0].indices) == TRAIN_K2_M3
         assert "L=16 K=2 M=3" in capsys.readouterr().out
 
     def test_tri_phase_train(self, tmp_path):
@@ -112,7 +117,7 @@ class TestPtm:
         path = tmp_path / "train3.json"
         assert run("ptm", tri, 2, "--out", path) == 0
         train = doppler.PulseTrain.from_json_dict(json.loads(path.read_text()))
-        assert train.length == 27
+        assert train.total_pulses == 27
 
     def test_invalid_ccm_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -467,11 +472,69 @@ class TestStagger:
         out = tmp_path / "plan.json"
         run("stagger", golay_file, 3, "--out", out)
         ccm = codes.Ccm.from_json_dict(json.loads(golay_file.read_text()))
-        plan = st.StaggerPlan.from_json_dict(json.loads(out.read_text()), ccm)
+        plan = doppler.PulseTrain.from_json_dict(json.loads(out.read_text()))
         rebuilt = st.decompose_to_antennas(
             st.pad_partition(st.builtin_partition(3)), ccm
         )
         assert plan == rebuilt
+
+
+
+def stagger_plan(tmp_path, kind):
+    """Run stagger for one built-in degree or an esp-found DFT-3 partition;
+    return (plan file, report file, M)."""
+    plan, report = tmp_path / "plan.json", tmp_path / "r1.json"
+    if kind == "dft3-esp":
+        tri, parts = tmp_path / "tri.json", tmp_path / "esp.json"
+        assert run("gen", "dft", 3, "--out", tri) == 0
+        assert run("esp", "0-17", 3, 2, "--max", 1, "--out", parts) == 0
+        argv, order = (tri, 2, "--partition", parts), 2
+    else:
+        pair = tmp_path / "pair.json"
+        assert run("gen", "golay", 3, "--out", pair) == 0
+        argv, order = (pair, kind), kind
+    assert run("stagger", *argv, "--out", plan, "--report", report) == 0
+    return plan, report, order
+
+
+class TestPlanFiles:
+    """verify and surface read the plan file stagger writes."""
+
+    @pytest.mark.parametrize("kind", [2, 3, 5, "dft3-esp"])
+    def test_verify_report_is_the_stagger_report(self, tmp_path, capsys, kind):
+        plan, report, order = stagger_plan(tmp_path, kind)
+        stagger_line = capsys.readouterr().out
+        again = tmp_path / "r2.json"
+        assert run("verify", plan, order, "--out", again) == 0
+        assert again.read_bytes() == report.read_bytes()
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        null_order = json.loads(report.read_text())["nullOrder"]
+        assert verdict == f"null order {null_order} (required {order})"
+        assert verdict in stagger_line
+
+    @pytest.mark.parametrize("kind", [2, "dft3-esp"])
+    def test_surface_of_a_plan(self, tmp_path, kind):
+        plan, _, _ = stagger_plan(tmp_path, kind)
+        csv, expected = tmp_path / "plan.csv", tmp_path / "expected.csv"
+        assert run("surface", plan, -0.2, 0.2, 11, "--out", csv) == 0
+        schedule = doppler.PulseTrain.from_json_dict(json.loads(plan.read_text()))
+        assert schedule.partition is not None
+        doppler.ambiguity_surface(schedule, -0.2, 0.2, 11).write_csv(expected)
+        assert csv.read_bytes() == expected.read_bytes()
+
+    def test_a_train_file_keeps_its_keys(self, train_file):
+        assert list(json.loads(train_file.read_text())) == ["ccm", "indices", "delay"]
+
+    def test_gapless_ptm_split_plan_takes_the_digits(self, tmp_path, monkeypatch):
+        pair, parts = tmp_path / "pair.json", tmp_path / "ptm.json"
+        plan = tmp_path / "plan.json"
+        assert run("gen", "golay", 2, "--out", pair) == 0
+        parts.write_text(json.dumps(numtheory.ptm_partition(2, 4).to_json_dict()))
+        digits = count_calls(monkeypatch, numtheory._ptm_weights)
+        assert run("stagger", pair, 4, "--partition", parts, "--out", plan) == 0
+        assert run("verify", plan, 4) == 0
+        assert len(digits) == 2  # once in stagger, once in verify
+        assert len(json.loads(plan.read_text())["lanes"]) == 1
 
 
 class TestTopLevel:
@@ -816,6 +879,28 @@ ERROR_CASES = [
                  id="stagger-degree-zero"),
     pytest.param("stagger {t}/pair.json 3 --partition {t}/part1.json --out {t}/p.json", 1,
                  "partition degree 1 is below M=3", id="stagger-low-degree"),
+    *(
+        pytest.param(f"stagger {{t}}/pair.json 2 --partition {{t}}/{name}.json "
+                     "--out {t}/p.json", 1,
+                     "partition file failed validation: a partition is a JSON object",
+                     id=f"stagger-{name}")
+        for name in ("part-null", "part-str", "part-ints", "part-pairs")
+    ),
+    pytest.param("verify {t}/plan-part.json 2", 3,
+                 "malformed train {t}/plan-part.json: a partition is a JSON object",
+                 id="verify-plan-partition-not-object"),
+    pytest.param("verify {t}/plan-m-huge.json 2", 3,
+                 "malformed train {t}/plan-m-huge.json: degree must be at most 32, "
+                 "got 100000000", id="verify-plan-partition-degree-over-cap"),
+    pytest.param("verify {t}/plan-swapped.json 2", 3,
+                 "malformed train {t}/plan-swapped.json: lanes do not realise the "
+                 "partition's blocks", id="verify-plan-swapped-codes"),
+    pytest.param("verify {t}/plan-d8.json 2", 3,
+                 "malformed train {t}/plan-d8.json: D=8 is not one past the last slot",
+                 id="verify-plan-D-off-by-one"),
+    pytest.param("surface {t}/plan-swapped.json -0.1 0.1 5 --out {t}/s.csv", 3,
+                 "malformed train {t}/plan-swapped.json: lanes do not realise the "
+                 "partition's blocks", id="surface-plan-swapped-codes"),
     pytest.param("stagger {t}/pair.json -1 --partition {t}/part1.json --out {t}/p.json", 2,
                  "max_order must be in 0..32", id="stagger-order"),
     pytest.param("stagger {t}/pair.json 2 --antenna-cap 0 --out {t}/p.json", 2,
@@ -852,11 +937,24 @@ CASE_PATCHES = {"esp-node-budget": (numtheory, "MAX_SEARCH_NODES", 1000)}
 def error_inputs(tmp_path, golay_file, train_file):
     assert run("gen", "dft", 3, "--out", tmp_path / "tri.json") == 0
     part = numtheory.EspPartition.from_blocks(((0, 3), (1, 2)), 1)
+    pair = codes.Ccm.from_json_dict(json.loads(golay_file.read_text()))
+    plan = stagger.decompose_to_antennas(stagger.builtin_partition(2), pair).to_json_dict()
+    swapped = [{**l, "indices": [1 - c for c in l["indices"]]} for l in plan["lanes"]]
     files = {
         "broken.json": "{",
         "empty.json": "{}",
         "list.json": "[1]",
         "none.json": "[]",
+        "part-null.json": "null",
+        "part-str.json": '"x"',
+        "part-ints.json": "[0, 1, 2, 3]",
+        "part-pairs.json": "[[0, 1], [2, 3]]",
+        "plan-part.json": json.dumps({**plan, "partition": [[0, 4, 5], [1, 2, 6]]}),
+        "plan-swapped.json": json.dumps({**plan, "lanes": swapped}),
+        "plan-m-huge.json": json.dumps(
+            {**plan, "partition": {**plan["partition"], "M": 10**8}}
+        ),
+        "plan-d8.json": json.dumps({**plan, "D": 8}),
         "part1.json": json.dumps(part.to_json_dict()),
         "p5.json": json.dumps({"p": 5, "M": 1, "blocks": [[0, 3], [1, 2]],
                                "prouhetSums": [9, 9]}),
@@ -967,3 +1065,86 @@ def test_failed_generator_prints_one_error_line(tmp_path, monkeypatch, capsys):
         "error: code set is not complementary: worst sidelobe sum 5.000000e-01, "
         "peak error 0.000000e+00\n"
     )
+
+
+# Values a mutation puts in place of one JSON value (or of the whole file).
+MUTANTS = stn.one_of(
+    stn.integers(-3, 3),
+    stn.sampled_from([2**63, -(2**63), 2**64, 10**30]),
+    stn.floats(allow_nan=True, allow_infinity=True),
+    stn.sampled_from([float("nan"), True, False, None]),
+    stn.text(max_size=3),
+    stn.lists(stn.integers(-2, 3), max_size=4),
+    stn.dictionaries(stn.sampled_from(["M", "p", "N", "blocks"]), stn.integers(0, 3),
+                     max_size=2),
+)
+
+
+def json_paths(doc, path=()):
+    """The path of every value in a JSON document, the root's first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from json_paths(value, (*path, key))
+
+
+def mutated(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A code set, a train, a plan and a partition, each as parsed JSON."""
+    pair = codes.gen_golay_pair(1)
+    partition = stagger.builtin_partition(2)
+    return tmp_path_factory.mktemp("fuzz"), {
+        "code-set": pair.to_json_dict(),
+        "train": doppler.build_ptm_train(pair, 2).to_json_dict(),
+        "plan": stagger.decompose_to_antennas(partition, pair).to_json_dict(),
+        "partition": partition.to_json_dict(),
+    }
+
+
+FUZZ_COMMANDS = {
+    "code-set": [["ptm", "{f}", "2", "--out", "{d}/t.json"]],
+    "train": [["verify", "{f}", "2"], ["surface", "{f}", "-0.1", "0.1", "3", "--out",
+                                        "{d}/s.csv"]],
+    "plan": [["verify", "{f}", "2"], ["surface", "{f}", "-0.1", "0.1", "3", "--out",
+                                       "{d}/s.csv"]],
+    "partition": [["stagger", "{d}/pair.json", "2", "--partition", "{f}", "--out",
+                   "{d}/p.json"]],
+}
+
+
+@pytest.mark.parametrize("kind", list(FUZZ_COMMANDS))
+@settings(max_examples=60, deadline=2000, derandomize=True)
+@given(data=stn.data())
+def test_mutated_files_end_in_one_error_line(fuzz_files, kind, data):
+    """One value of a good file replaced: a refusal exits 1, 2 or 3 with one
+    ``error:`` line, never a traceback; a file still valid gets a verdict."""
+    folder, docs = fuzz_files
+    doc = docs[kind]
+    path = data.draw(stn.sampled_from(list(json_paths(doc))), label="path")
+    text = json.dumps(mutated(doc, path, data.draw(MUTANTS, label="value")))
+    target = folder / f"{kind}.json"
+    target.write_text(text)
+    (folder / "pair.json").write_text(json.dumps(docs["code-set"]))
+    for argv in FUZZ_COMMANDS[kind]:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([a.format(f=target, d=folder) for a in argv])
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if err:
+            assert code in (1, 2, 3), err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert code in (0, 1)  # a verdict on a file that stayed valid

@@ -30,6 +30,11 @@ def golay(exponent=3):
     return codes.gen_golay_pair(exponent)
 
 
+def one_lane(ccm, indices, delay=0):
+    """A train: its pulses on one lane from slot `delay`."""
+    return doppler.PulseTrain(ccm, (doppler.Lane(delay, indices),))
+
+
 def finite_difference_derivative(train, lag, order, step):
     """Oracle: central finite differences of g(lag, theta) at theta = 0.
 
@@ -48,8 +53,8 @@ def finite_difference_derivative(train, lag, order, step):
 def naive_response(train, thetas):
     """Oracle: g summed pulse by pulse, one ACF column and phase per pulse."""
     acfs = doppler.code_acfs(train.ccm)
-    per_pulse = acfs[:, list(train.indices)]
-    slots = np.arange(train.length) + train.delay
+    per_pulse = acfs[:, list(train.lanes[0].indices)]
+    slots = np.arange(train.total_pulses) + train.lanes[0].delay
     phase = np.exp(1j * np.outer(thetas, slots))
     return phase @ per_pulse.T
 
@@ -60,7 +65,7 @@ def naive_surface(train, thetas):
 
 def naive_plan_surface(plan, thetas):
     """Oracle: |g| of a staggered plan, its lanes' per-pulse sums added."""
-    lanes = (doppler.PulseTrain(plan.ccm, l.indices, l.delay) for l in plan.lanes)
+    lanes = (one_lane(plan.ccm, l.indices, l.delay) for l in plan.lanes)
     return np.abs(sum(naive_response(lane, thetas) for lane in lanes))
 
 
@@ -83,53 +88,60 @@ def fitted_sidelobe_slope(train, theta_lo, theta_hi, samples=25):
 class TestTrainConstruction:
     def test_two_code_train(self):
         train = doppler.build_ptm_train(golay(), 3)
-        assert list(train.indices) == TRAIN_K2_M3
-        assert train.delay == 0
+        assert list(train.lanes[0].indices) == TRAIN_K2_M3
+        assert train.lanes[0].delay == 0
 
     def test_three_code_train(self):
         train = doppler.build_ptm_train(codes.gen_dft_set(3), 2)
-        assert list(train.indices) == TRAIN_K3_M2
+        assert list(train.lanes[0].indices) == TRAIN_K3_M2
 
     def test_four_code_train(self):
         train = doppler.build_ptm_train(codes.gen_dft_set(4), 2)
-        assert list(train.indices) == TRAIN_K4_M2
+        assert list(train.lanes[0].indices) == TRAIN_K4_M2
 
     def test_is_ptm_ordered(self):
         assert doppler.build_ptm_train(golay(), 2).is_ptm_ordered()
         assert not doppler.build_cyclic_train(golay(), 16).is_ptm_ordered()
         # One code has no PTM sequence: not ordered.
         single = codes.Ccm.from_phases(np.zeros((1, 1), dtype=np.int64), 2)
-        assert not doppler.PulseTrain(single, (0, 0, 0)).is_ptm_ordered()
+        assert not one_lane(single, (0, 0, 0)).is_ptm_ordered()
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            doppler.PulseTrain(golay(), (0, 2))
+            one_lane(golay(), (0, 2))
         with pytest.raises(ValueError):
+            one_lane(golay(), ())
+        with pytest.raises(ValueError):
+            one_lane(golay(), (0,), delay=-1)
+
+    def test_lanes_beyond_the_first_need_a_partition(self):
+        lanes = (doppler.Lane(0, (0, 1)), doppler.Lane(2, (1, 0)))
+        with pytest.raises(ValueError, match="need their partition"):
+            doppler.PulseTrain(golay(), lanes)
+        with pytest.raises(ValueError, match="at least one lane"):
             doppler.PulseTrain(golay(), ())
-        with pytest.raises(ValueError):
-            doppler.PulseTrain(golay(), (0,), delay=-1)
 
     def test_non_integer_indices_and_far_delays_refused(self):
         with pytest.raises(ValueError, match="integer code"):
-            doppler.PulseTrain(golay(), (0, 1.0))
+            one_lane(golay(), (0, 1.0))
         with pytest.raises(ValueError, match="integer code"):
-            doppler.PulseTrain(golay(), ("0", "1"))
+            one_lane(golay(), ("0", "1"))
         with pytest.raises(ValueError, match="delay"):
-            doppler.PulseTrain(golay(), (0,), delay=doppler.MAX_TRAIN_LENGTH + 1)
-        train = doppler.PulseTrain(golay(), np.array([0, 1, 1], dtype=np.uint8), 3)
-        assert train.indices == (0, 1, 1)
-        assert all(type(i) is int for i in train.indices)
+            one_lane(golay(), (0,), delay=doppler.MAX_TRAIN_LENGTH + 1)
+        train = one_lane(golay(), np.array([0, 1, 1], dtype=np.uint8), 3)
+        assert train.lanes[0].indices == (0, 1, 1)
+        assert all(type(i) is int for i in train.lanes[0].indices)
         assert train.slots_by_code() == [[3], [4, 5]]
         assert all(type(s) is int for slots in train.slots_by_code() for s in slots)
 
     def test_trains_over_the_length_cap_refused(self):
         cap = doppler.MAX_TRAIN_LENGTH
-        assert doppler.build_cyclic_train(golay(1), cap).length == cap
+        assert doppler.build_cyclic_train(golay(1), cap).total_pulses == cap
         with pytest.raises(ValueError, match=f"train length {cap + 1} exceeds cap"):
             doppler.build_cyclic_train(golay(1), cap + 1)
         # The cap comes before the index scan: code 7 is not in a pair.
         with pytest.raises(ValueError, match="exceeds cap"):
-            doppler.PulseTrain(golay(1), np.full(cap + 1, 7))
+            one_lane(golay(1), np.full(cap + 1, 7))
 
     @pytest.mark.parametrize(
         "delay", [1.5, np.float64(2.0), "2", None],
@@ -137,14 +149,14 @@ class TestTrainConstruction:
     )
     def test_non_integer_delay_refused(self, delay):
         with pytest.raises(ValueError, match="delay must be an integer"):
-            doppler.PulseTrain(golay(), (0, 1), delay)
+            one_lane(golay(), (0, 1), delay)
 
     @pytest.mark.parametrize("delay", [np.int64(2), np.uint8(2)], ids=["int64", "uint8"])
     def test_integer_delay_stored_as_python_int(self, delay):
-        train = doppler.PulseTrain(golay(), (0, 1), delay)
-        assert type(train.delay) is int and train.delay == 2
+        train = one_lane(golay(), (0, 1), delay)
+        assert type(train.lanes[0].delay) is int and train.lanes[0].delay == 2
         data = json.loads(json.dumps(train.to_json_dict()))
-        assert doppler.PulseTrain.from_json_dict(data).delay == 2
+        assert doppler.PulseTrain.from_json_dict(data).lanes[0].delay == 2
 
     def test_length_cap(self):
         with pytest.raises(ValueError):
@@ -175,7 +187,7 @@ class TestExactWeights:
         levels = data.draw(stn.integers(1, int(np.log(4096) / np.log(count) + 1e-9)))
         max_order = data.draw(stn.integers(0, 32))
         ccm, length = codes.gen_dft_set(count), count**levels
-        train = doppler.PulseTrain(ccm, numtheory.ptm_sequence(count, length))
+        train = one_lane(ccm, numtheory.ptm_sequence(count, length))
         expected = self.direct(train, max_order)
         with self.counted_power_sums() as power_sum:
             weights = doppler._exact_weights(train, max_order)
@@ -191,8 +203,8 @@ class TestExactWeights:
         "make",
         [
             lambda ccm: doppler.build_cyclic_train(ccm, 16),
-            lambda ccm: doppler.PulseTrain(ccm, numtheory.ptm_sequence(2, 16), 3),
-            lambda ccm: doppler.PulseTrain(ccm, numtheory.ptm_sequence(2, 24)),
+            lambda ccm: one_lane(ccm, numtheory.ptm_sequence(2, 16), 3),
+            lambda ccm: one_lane(ccm, numtheory.ptm_sequence(2, 24)),
         ],
         ids=["cyclic", "delayed", "not-K^J"],
     )
@@ -220,7 +232,7 @@ class TestAmbiguity:
         for ccm, order in ((golay(), 3), (codes.gen_dft_set(3), 2)):
             train = doppler.build_ptm_train(ccm, order)
             peak = doppler.ambiguity(train, 0, 0.0)
-            assert abs(peak - ccm.length * train.length) <= 1e-9 * train.length
+            assert abs(peak - ccm.length * train.total_pulses) <= 1e-9 * train.total_pulses
 
     def test_zero_doppler_sidelobes_cancel(self):
         train = doppler.build_ptm_train(golay(), 2)
@@ -231,7 +243,7 @@ class TestAmbiguity:
     def test_single_pulse_train(self):
         single = codes.Ccm(np.array([[1.0], [1.0]], dtype=complex))
         for d in (0, 3):
-            train = doppler.PulseTrain(single, (0,), delay=d)
+            train = one_lane(single, (0,), delay=d)
             for theta in (0.0, 0.4, -1.1):
                 value = doppler.ambiguity(train, 1, theta)
                 assert np.isclose(value, np.exp(1j * d * theta))
@@ -243,7 +255,7 @@ class TestAmbiguity:
 
     def test_delay_shifts_phase_only(self):
         base = doppler.build_ptm_train(golay(), 2)
-        shifted = doppler.PulseTrain(base.ccm, base.indices, delay=5)
+        shifted = one_lane(base.ccm, base.lanes[0].indices, delay=5)
         for lag in (0, 1, 3):
             for theta in (0.05, 0.7):
                 g0 = doppler.ambiguity(base, lag, theta)
@@ -284,7 +296,7 @@ class TestTaylorCoeffs:
             train = doppler.build_ptm_train(ccm, order)
             for asked in (order + 1, min(order + 6, doppler.MAX_TAYLOR_ORDER)):
                 assert doppler.taylor_coeffs(train, asked).null_order == order
-            cyclic = doppler.build_cyclic_train(ccm, train.length)
+            cyclic = doppler.build_cyclic_train(ccm, train.total_pulses)
             assert doppler.taylor_coeffs(cyclic, order + 1).null_order == 0
             order += 1
         assert order > 2  # at least the orders 1 and 2 were checked
@@ -302,7 +314,7 @@ class TestTaylorCoeffs:
         train = doppler.build_cyclic_train(golay(), 6)
         report = doppler.taylor_coeffs(train, 0)
         acfs = doppler.code_acfs(train.ccm)
-        expected = sum(acfs[:, c] for c in train.indices)
+        expected = sum(acfs[:, c] for c in train.lanes[0].indices)
         assert np.allclose(report.coeffs[0], expected)
 
     def test_finite_difference_cross_check(self):
@@ -319,7 +331,7 @@ class TestTaylorCoeffs:
 
     def test_delay_enters_weights(self):
         base = doppler.build_ptm_train(golay(), 1)
-        shifted = doppler.PulseTrain(base.ccm, base.indices, delay=2)
+        shifted = one_lane(base.ccm, base.lanes[0].indices, delay=2)
         r0 = doppler.taylor_coeffs(base, 1)
         rd = doppler.taylor_coeffs(shifted, 1)
         # c_1 weights become (n+2), adding 2*c_0 to each coefficient.
@@ -375,7 +387,7 @@ class TestZDomain:
         # C_0(z) is the summed per-pulse energy L*N at every sample.
         train = doppler.build_ptm_train(golay(), 2)
         samples = doppler.zdomain_samples(train, 0)
-        expected = train.length * train.ccm.length
+        expected = train.total_pulses * train.ccm.length
         assert np.allclose(samples, expected, rtol=1e-12)
 
     def test_direct_evaluation_oracle(self):
@@ -387,7 +399,7 @@ class TestZDomain:
         for t, z in enumerate(zs):
             direct = sum(
                 n**2 * abs(codes.ztransform_eval(train.ccm.code(c), z)) ** 2
-                for n, c in enumerate(train.indices)
+                for n, c in enumerate(train.lanes[0].indices)
             )
             assert abs(samples[t] - direct) <= 1e-9 * max(1.0, abs(direct))
 
@@ -395,7 +407,7 @@ class TestZDomain:
         "schedule",
         [
             doppler.build_cyclic_train(golay(), 40),
-            doppler.PulseTrain(golay(), numtheory.ptm_sequence(2, 16), 3),
+            one_lane(golay(), numtheory.ptm_sequence(2, 16), 3),
             doppler.build_ptm_train(codes.gen_dft_set(3), 2),
             stagger.decompose_to_antennas(stagger.builtin_partition(2), golay()),
             stagger.decompose_to_antennas(
@@ -493,7 +505,7 @@ class TestEquivalence:
             ccm = sets[rng.integers(len(sets))]
             length = int(rng.integers(4, 65))
             indices = tuple(int(i) for i in rng.integers(0, ccm.count, length))
-            train = doppler.PulseTrain(ccm, indices, delay=int(rng.integers(0, 5)))
+            train = one_lane(ccm, indices, delay=int(rng.integers(0, 5)))
             time_nulls, z_nulls = domain_nulls(train, 4)
             assert time_nulls == z_nulls
 
@@ -505,7 +517,7 @@ class TestSurface:
         n = train.ccm.length
         center_theta = 2  # theta = 0 sample
         peak = surface.magnitudes[center_theta, n - 1]
-        assert abs(peak - n * train.length) <= 1e-6 * n * train.length
+        assert abs(peak - n * train.total_pulses) <= 1e-6 * n * train.total_pulses
 
     def test_zero_doppler_column_matches_summed_acf(self):
         train = doppler.build_cyclic_train(golay(), 8)
@@ -664,7 +676,7 @@ class TestSurface:
         rng = np.random.default_rng(seed)
         ccm = codes.Ccm.from_phases(rng.integers(0, 4, (n, k)), 4)
         indices = tuple(int(i) for i in rng.integers(0, k, length))
-        train = doppler.PulseTrain(ccm, indices, delay=delay)
+        train = one_lane(ccm, indices, delay=delay)
         with mock.patch.object(doppler, "PHASE_BLOCK", block):
             surface = doppler.ambiguity_surface(train, lo, lo + width, steps)
             t, lag = int(rng.integers(steps)), int(rng.integers(1 - n, n))
@@ -678,7 +690,7 @@ class TestSurface:
         # L = 4096 pulses and 1001 thetas: the per-pulse sum holds a
         # 1001 x 4096 phase matrix (62.6 MiB) and a 31 x 4096 ACF matrix.
         train = doppler.build_ptm_train(golay(4), 11)
-        assert train.length == 4096
+        assert train.total_pulses == 4096
         tracemalloc.start()
         try:
             doppler.ambiguity_surface(train, -0.1, 0.1, 1001)
@@ -709,7 +721,7 @@ class TestSurface:
 
 class TestTrainSerialization:
     def test_round_trip(self, tmp_path):
-        train = doppler.PulseTrain(golay(), tuple(TRAIN_K2_M3), delay=2)
+        train = one_lane(golay(), tuple(TRAIN_K2_M3), delay=2)
         path = tmp_path / "train.json"
         with open(path, "w") as fh:
             json.dump(train.to_json_dict(), fh)
@@ -723,6 +735,6 @@ class TestTrainSerialization:
         [("indices", [0, 1.0]), ("indices", [0, True]), ("delay", 2.9), ("delay", "2")],
     )
     def test_non_integers_refused(self, key, value):
-        data = {**doppler.PulseTrain(golay(), (0, 1)).to_json_dict(), key: value}
+        data = {**one_lane(golay(), (0, 1)).to_json_dict(), key: value}
         with pytest.raises(ValueError, match="must be integers"):
             doppler.PulseTrain.from_json_dict(data)

@@ -288,7 +288,7 @@ class TestDecompose:
         assert plan.slots_by_code() == lane_slots(plan.lanes, ccm.count)
         # Any lane order: each code's slots by lane, then by offset.
         lanes = rng.sample(plan.lanes, len(plan.lanes))
-        shuffled = stagger.StaggerPlan(ccm, tuple(lanes), padded)
+        shuffled = doppler.PulseTrain(ccm, tuple(lanes), padded)
         assert shuffled.slots_by_code() == lane_slots(lanes, ccm.count)
         assert (shuffled.last_slot, shuffled.span) == (plan.last_slot, plan.span)
 
@@ -328,19 +328,19 @@ class TestPlanWeights:
         "lanes,passes",
         [
             # Code 0 fills 3 of slots 0..3, no slot twice: its empty slot.
-            ((stagger.Lane(0, (0, 0, 1, 0)),), [[2], [2]]),
+            ((doppler.Lane(0, (0, 0, 1, 0)),), [[2], [2]]),
             # Code 0 fills slot 1 twice: its own slots.
             (
-                (stagger.Lane(0, (0, 0, 0)), stagger.Lane(1, (0, 1))),
+                (doppler.Lane(0, (0, 0, 0)), doppler.Lane(1, (0, 1))),
                 [[0, 1, 2, 1], [2]],
             ),
             # Code 0 fills exactly half of slots 0..3: its own slots.
-            ((stagger.Lane(0, (1, 0, 1, 0)),), [[1, 3], [1]]),
+            ((doppler.Lane(0, (1, 0, 1, 0)),), [[1, 3], [1]]),
         ],
         ids=["complement", "repeated-slot", "exactly-half"],
     )
     def test_each_weight_branch(self, monkeypatch, lanes, passes):
-        plan = stagger.StaggerPlan(golay(2), lanes, stagger.builtin_partition(2))
+        plan = doppler.PulseTrain(golay(2), lanes, stagger.builtin_partition(2))
         calls = []
 
         def counted(values, max_order):
@@ -352,6 +352,21 @@ class TestPlanWeights:
         assert calls == passes
         slots = lane_slots(lanes, 2)
         assert weights == [[numtheory.power_sum(s, m) for s in slots] for m in range(7)]
+        assert all(type(w) is int for row in weights for w in row)
+
+    @pytest.mark.parametrize("count,degree", [(2, 4), (3, 2)])
+    def test_gapless_ptm_split_takes_the_digits(self, count, degree):
+        # The plan of the PTM split is one lane at delay 0 in PTM order.
+        ccm = golay(2) if count == 2 else codes.gen_dft_set(count)
+        plan = stagger.decompose_to_antennas(numtheory.ptm_partition(count, degree), ccm)
+        assert len(plan.lanes) == 1 and plan.is_ptm_ordered()
+        with mock.patch.object(
+            doppler, "_ptm_weights", wraps=numtheory._ptm_weights
+        ) as digits:
+            weights = doppler._exact_weights(plan, degree + 3)
+        assert digits.call_count == 1
+        per_code = [doppler._code_weights(s, degree + 3) for s in plan.slots_by_code()]
+        assert weights == [list(row) for row in zip(*per_code)]
         assert all(type(w) is int for row in weights for w in row)
 
 
@@ -367,7 +382,8 @@ def report_schedules(data):
     if kind == "delayed":
         length = data.draw(stn.integers(1, 40), label="length")
         delay = data.draw(stn.integers(0, 50), label="delay")
-        return doppler.PulseTrain(ccm, numtheory.ptm_sequence(count, length), delay)
+        indices = numtheory.ptm_sequence(count, length)
+        return doppler.PulseTrain(ccm, (doppler.Lane(delay, indices),))
     partition = data.draw(stn.sampled_from(PLAN_PARTITIONS), label="partition")
     a, b = data.draw(stn.integers(1, 3), "a"), data.draw(stn.integers(0, 20), "b")
     blocks = [[a * x + b for x in block] for block in partition.blocks]
@@ -401,10 +417,9 @@ class TestSingleReport:
     def test_every_report_carries_its_costs(self, data):
         schedule = report_schedules(data)
         report = doppler.taylor_coeffs(schedule, data.draw(stn.integers(0, 4), "M"))
-        if isinstance(schedule, stagger.StaggerPlan):
-            costs = (schedule.total_pulses, schedule.span)
-        else:
-            costs = (schedule.length, schedule.length)
+        costs = (schedule.total_pulses, schedule.span)
+        if schedule.partition is None:  # a train spans its length
+            assert costs == (len(schedule.lanes[0].indices),) * 2
         assert (report.total_pulses, report.span) == costs
         assert type(report.total_pulses) is int and type(report.span) is int
 
@@ -581,7 +596,7 @@ class TestPlanSerialization:
             stagger.pad_partition(stagger.builtin_partition(3)), ccm
         )
         data = json.loads(json.dumps(plan.to_json_dict()))
-        back = stagger.StaggerPlan.from_json_dict(data, ccm)
+        back = doppler.PulseTrain.from_json_dict(data)
         assert back == plan
         assert back.to_json_dict() == plan.to_json_dict()
 
@@ -600,17 +615,17 @@ class TestPlanSerialization:
             stagger.pad_partition(stagger.builtin_partition(2)), ccm
         )
         with pytest.raises(ValueError, match="must be integers"):
-            stagger.StaggerPlan.from_json_dict({**plan.to_json_dict(), **edit}, ccm)
+            doppler.PulseTrain.from_json_dict({**plan.to_json_dict(), **edit})
 
     @pytest.mark.parametrize(
         "edit,message",
         [
             ({"lanes": [{"delay": 0, "indices": [0, -1, 1, 0]},
-                        {"delay": 3, "indices": [1, 0, 0, 1]}]}, "address a code"),
+                        {"delay": 3, "indices": [1, 0, 0, 1]}]}, "integer code"),
             ({"lanes": [{"delay": 0, "indices": [0, 2, 1, 0]},
-                        {"delay": 3, "indices": [1, 0, 0, 1]}]}, "address a code"),
+                        {"delay": 3, "indices": [1, 0, 0, 1]}]}, "integer code"),
             ({"lanes": [{"delay": -1, "indices": [0, 0, 1, 1, 0]},
-                        {"delay": 3, "indices": [1, 0, 0, 1]}]}, "non-negative"),
+                        {"delay": 3, "indices": [1, 0, 0, 1]}]}, "delay must be in"),
             ({"lanes": []}, "at least one lane"),
             ({"M": 9}, "partition degree"),
             ({"M": 1}, "partition degree"),
@@ -619,7 +634,7 @@ class TestPlanSerialization:
                         {"delay": 3, "indices": [0, 1, 1, 0]}]}, "realise"),
             ({"lanes": [{"delay": 0, "indices": [0, 1, 1, 0]}]}, "realise"),
             ({"lanes": [{"delay": 0, "indices": [0, 1, 1, 0]},
-                        {"delay": 10**30, "indices": [1, 0, 0, 1]}]}, "realise"),
+                        {"delay": 10**30, "indices": [1, 0, 0, 1]}]}, "delay must be in"),
         ],
         ids=[
             "index-minus-one", "index-past-K", "negative-delay", "no-lanes",
@@ -631,13 +646,13 @@ class TestPlanSerialization:
         ccm = golay()
         plan = stagger.decompose_to_antennas(stagger.builtin_partition(2), ccm)
         with pytest.raises(ValueError, match=message):
-            stagger.StaggerPlan.from_json_dict({**plan.to_json_dict(), **edit}, ccm)
+            doppler.PulseTrain.from_json_dict({**plan.to_json_dict(), **edit})
 
     def test_json_shape(self):
         plan = stagger.decompose_to_antennas(
             stagger.pad_partition(stagger.builtin_partition(2)), golay()
         )
         data = plan.to_json_dict()
-        assert set(data) == {"D", "M", "lanes", "partition"}
+        assert list(data) == ["ccm", "D", "M", "lanes", "partition"]
         assert data["D"] == 7 and data["M"] == 2
         assert data["lanes"][0] == {"delay": 0, "indices": [0, 1, 1, 0]}
