@@ -15,10 +15,11 @@ theta = 0 gives Taylor coefficients
 and, in the z-domain, C_m(z) = sum_n (n+d)^m * |X_n(z)|^2.  PTM-ordered
 trains of length K^(M+1) drive c_m(k) to zero at every non-zero lag for all
 m <= M, which is what the null-order report measures.  Every path reads a
-schedule through its slots grouped per code (`slots_by_code()`):
-g = sum_c S_c(theta) * ACF_c(k) with S_c(theta) = sum of exp(1j*theta*s)
-over code c's slots, and the coefficients use exact integer weights
-W_c(m) = sum of s^m; numerical differentiation of g is never used here.
+schedule through its slots grouped per code, an int64 array per code
+(`slots_by_code()`): g = sum_c S_c(theta) * ACF_c(k) with S_c(theta) = sum
+of exp(1j*theta*s) over code c's slots, and the coefficients use exact
+integer weights W_c(m) = sum of s^m, made as Python ints in numtheory;
+numerical differentiation of g is never used here.
 """
 
 import json
@@ -33,7 +34,7 @@ import numpy as np
 
 from .codes import Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
-from .numtheory import POWER_CHUNK, EspPartition, _capped_power, _json_ints, _power_sums
+from .numtheory import EspPartition, _capped_power, _json_ints, _power_sums
 from .numtheory import _ptm_array, _ptm_weights, _range_power_sums
 
 __all__ = [
@@ -158,13 +159,9 @@ class PulseTrain:
     def total_pulses(self) -> int:
         return sum(len(l.indices) for l in self.lanes)
 
-    def slots_by_code(self) -> list[list[int]]:
-        """Slot of every pulse, grouped by code index; each code's in lane
-        order, then by offset."""
-        return list(map(np.ndarray.tolist, self._slot_arrays()))  # one array at a time
-
-    def _slot_arrays(self):
-        """Each code's slots of slots_by_code as an int64 array, in turn."""
+    def slots_by_code(self) -> list[np.ndarray]:
+        """Slot of every pulse as int64 arrays, one per code index; each
+        code's in lane order, then by offset."""
         lanes = self.lanes
         lengths = np.fromiter((len(l.indices) for l in lanes), np.int64, len(lanes))
         ends = np.cumsum(lengths)
@@ -173,10 +170,11 @@ class PulseTrain:
         shifts -= ends - lengths
         pulses = chain.from_iterable(l.indices for l in lanes)
         codes = np.fromiter(pulses, np.int64, int(ends[-1]))
-        for c in range(self.ccm.count):
-            places = np.flatnonzero(codes == c)
+        slots = [np.flatnonzero(codes == c) for c in range(self.ccm.count)]
+        del codes  # the per-pulse array goes before any caller's pass
+        for places in slots:
             places += shifts[np.searchsorted(ends, places, side="right")]
-            yield places
+        return slots
 
     def is_ptm_ordered(self) -> bool:
         """True for one lane at delay 0 whose slot n carries code
@@ -225,7 +223,9 @@ class PulseTrain:
             raise ValueError(f"M={data['M']} is not the partition degree")
         if data["D"] != max(b[-1] for b in partition.blocks) + 1:
             raise ValueError(f"D={data['D']} is not one past the last slot")
-        if list(map(sorted, plan.slots_by_code())) != list(map(list, partition.blocks)):
+        slots = plan.slots_by_code()
+        realised = map(np.array_equal, map(np.sort, slots), partition.blocks)
+        if len(slots) != partition.p or not all(realised):
             raise ValueError("lanes do not realise the partition's blocks")
         return plan
 
@@ -283,44 +283,43 @@ def _exact_weights(schedule, max_order: int) -> list[list[int]]:
     return [list(row) for row in zip(*sums)]
 
 
-def _code_weights(slots: list[int], max_order: int) -> list[int]:
+def _code_weights(slots: np.ndarray, max_order: int) -> list[int]:
     """sum(slot^m) over one code's slots, m = 0..max_order.
 
     A code that fills more than half of range(last + 1), no slot twice,
-    takes the range's sums less those of its empty slots, made into ints
-    POWER_CHUNK at a time; any other code sums its own slots.
+    takes the range's sums less those of its empty slots; any other code
+    sums its own slots.
     """
-    last = max(slots, default=-1)
-    if 2 * len(slots) > last + 1:  # bounds the counts by twice the slots
+    last = int(slots.max(initial=-1))
+    if 2 * slots.size > last + 1:  # bounds the counts by twice the slots
         counts = np.bincount(slots)
         if counts.max() == 1:
             empty = np.flatnonzero(counts == 0)
             del counts
             sums = _range_power_sums(last + 1, max_order)
-            for lo in range(0, empty.size, POWER_CHUNK):
-                chunk = _power_sums(empty[lo : lo + POWER_CHUNK].tolist(), max_order)
-                sums = list(map(operator.sub, sums, chunk))
-            return sums
+            return list(map(operator.sub, sums, _power_sums(empty, max_order)))
     return _power_sums(slots, max_order)
 
 
 def _slot_phase_sums(schedule, thetas: np.ndarray) -> np.ndarray:
     """S_c(theta) = sum of exp(1j*theta*s) over code c's slots, shape (T, K).
 
-    Theta is taken in blocks of at most PHASE_BLOCK phase factors per code.
-    ValueError when max|theta| times the last slot is not a finite float.
+    Blocks hold at most PHASE_BLOCK phase factors per code: theta rows of
+    all its slots, or one row of a slice of them.  ValueError when
+    max|theta| times the last slot is not a finite float.
     """
     last = schedule.last_slot
     bound = float(np.abs(thetas).max(initial=0.0))
     if not math.isfinite(bound * last):  # Python floats overflow without a warning
         raise ValueError(f"|theta| {bound:g} times last slot {last} is not finite")
-    sums = np.empty((thetas.size, schedule.ccm.count), dtype=complex)
-    for c, slots in enumerate(schedule._slot_arrays()):
-        slots = 1j * slots
+    sums = np.zeros((thetas.size, schedule.ccm.count), dtype=complex)
+    for c, slots in enumerate(schedule.slots_by_code()):
         rows = max(1, PHASE_BLOCK // max(1, slots.size))
-        for lo in range(0, thetas.size, rows):
-            phase = np.outer(thetas[lo : lo + rows], slots)
-            sums[lo : lo + rows, c] = np.exp(phase, out=phase).sum(axis=1)
+        for start in range(0, slots.size, PHASE_BLOCK):
+            part = 1j * slots[start : start + PHASE_BLOCK]
+            for lo in range(0, thetas.size, rows):
+                phase = np.outer(thetas[lo : lo + rows], part)
+                sums[lo : lo + rows, c] += np.exp(phase, out=phase).sum(axis=1)
     return sums
 
 

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import comb, inf
-from operator import le, mul, sub
+from operator import add, le, mul, sub
 
 import numpy as np
 
@@ -91,18 +91,13 @@ def _ptm_array(p: int, length: int) -> np.ndarray:
 def _ptm_weights(p: int, levels: int, max_order: int) -> list[list[int]]:
     """W[m][c] = sum of n^m over n < p^levels of PTM symbol c, exact: level j
     moves the n < p^j of symbol c to d*p^j + n, of symbol (c+d) mod p."""
-    orders = range(max_order + 1)
-    sums = [[int(c == m == 0) for m in orders] for c in range(p)]  # n = 0 alone
+    sums = [[int(c == m == 0) for m in range(max_order + 1)] for c in range(p)]
     for j in range(levels):
-        new = [[0] * len(orders) for _ in range(p)]
-        for d in range(p):
-            a = d * p**j  # (a + n)^m = sum_i C(m, i) a^(m-i) n^i
-            rows = [[comb(m, i) * a ** (m - i) for i in range(m + 1)] for m in orders]
-            for c, row in enumerate(sums):
-                if row[0]:  # symbol c has slots below p^j
-                    for m, coeffs in enumerate(rows):
-                        new[(c + d) % p][m] += sum(map(mul, coeffs, row))
-        sums = new
+        moved = [_shift_sums(sums, d * p**j) for d in range(p)]
+        sums = [
+            list(map(sum, zip(*(moved[d][(c - d) % p] for d in range(p)))))
+            for c in range(p)
+        ]
     return [list(col) for col in zip(*sums)]
 
 
@@ -160,17 +155,16 @@ def power_sum(values, m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"power must be non-negative, got {m}")
-    return sum(v ** m for v in values)
+    return sum(int(v) ** m for v in values)  # numpy ints would wrap
 
 
 def _power_sums(values, max_order: int) -> list[int]:
-    """[power_sum(values, m) for m = 0..max_order] in one pass of running
-    products over object arrays of at most POWER_CHUNK values: exact Python
-    ints, 0**0 = 1, and no entry for a negative max_order."""
-    values = np.array(values, dtype=object)
-    sums = [values.size] + [0] * max_order
-    for lo in range(0, values.size, POWER_CHUNK):
-        base = values[lo : lo + POWER_CHUNK]
+    """[power_sum(values, m) for m = 0..max_order] of any integer sequence or
+    array, in one pass of running products over object arrays of Python ints
+    made POWER_CHUNK values at a time: 0**0 = 1, no entry for max_order < 0."""
+    sums = [len(values)] + [0] * max_order
+    for lo in range(0, len(values), POWER_CHUNK):
+        base = np.array(values[lo : lo + POWER_CHUNK], dtype=object)
         powers = np.ones_like(base)
         for m in range(1, max_order + 1):
             powers *= base
@@ -178,16 +172,22 @@ def _power_sums(values, max_order: int) -> list[int]:
     return sums[: max_order + 1]
 
 
+def _shift_sums(rows, a: int) -> list[list[int]]:
+    """Each row of power sums S_0..S_M of a multiset A, moved to A + a:
+    S_m(A + a) = sum_i C(m, i) a^(m-i) S_i(A), one table of C(m, i) a^(m-i)
+    for every row.  An empty multiset (S_0 = 0) stays empty."""
+    orders = range(len(rows[0]))
+    table = [[comb(m, i) * a ** (m - i) for i in range(m + 1)] for m in orders]
+    return [[sum(map(mul, t, row)) for t in table] if row[0] else row for row in rows]
+
+
 def _range_power_sums(stop: int, max_order: int) -> list[int]:
     """_power_sums(range(stop), max_order) from the binary digits of stop:
-    doubling [0, h) adds sum_i C(m, i) h^(m-i) S_i(h) to S_m(h), as
-    (h + t)^m = sum_i C(m, i) h^(m-i) t^i, and a 1 digit adds (2h)^m."""
+    doubling [0, h) adds the sums of [h, 2h), its shift by h, and a 1 digit
+    adds (2h)^m."""
     sums, h = [0] * (max_order + 1), 0
     for digit in bin(stop)[2:]:
-        sums = [
-            s + sum(comb(m, i) * h ** (m - i) * sums[i] for i in range(m + 1))
-            for m, s in enumerate(sums)
-        ]
+        sums = list(map(add, sums, *_shift_sums([sums], h)))
         h *= 2
         if digit == "1":
             sums = [s + h**m for m, s in enumerate(sums)]

@@ -72,7 +72,7 @@ def pad_partition(partition: EspPartition) -> EspPartition:
         return partition
     counts = np.bincount(np.concatenate(partition.blocks), minlength=horizon)
     missing = tuple(np.flatnonzero(counts == 0).tolist())
-    copies = np.repeat(np.arange(horizon), np.maximum(counts - 1, 0)).tolist()
+    copies = np.repeat(np.arange(horizon), np.maximum(counts - 1, 0))
     del counts
     # Sorting two sorted runs merges them, and every block shares the ints.
     blocks = tuple(tuple(sorted(block + missing)) for block in partition.blocks)

@@ -247,8 +247,12 @@ class TestVerify:
         ffts = count_ffts(monkeypatch)
         assert run("verify", train_path, order) == 1
         assert len(power_sums) == ccm.count  # one pass per code for every order
-        assert all(type(v) is int for args in power_sums for v in args[0])
         assert sum(ffts) == ccm.count
+        slots = train.slots_by_code()
+        weights = doppler._exact_weights(train, order)
+        oracle = [[numtheory.power_sum(s, m) for s in slots] for m in range(order + 1)]
+        assert weights == oracle
+        assert all(type(w) is int for row in weights for w in row)
 
 
 class TestSurface:

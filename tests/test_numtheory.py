@@ -148,8 +148,11 @@ class TestPowerSumsKernel:
         # A chunk of a few values puts chunk boundaries inside short inputs.
         with mock.patch.object(nt, "POWER_CHUNK", chunk):
             sums = nt._power_sums(values, max_order)
+            # An int64 array's slices become Python ints before any power.
+            array_sums = nt._power_sums(np.array(values, dtype=np.int64), max_order)
         assert sums == [nt.power_sum(values, m) for m in range(max_order + 1)]
-        assert all(type(s) is int for s in sums)
+        assert array_sums == sums
+        assert all(type(s) is int for s in sums + array_sums)
 
     @pytest.mark.parametrize(
         "stop", [0, 1, 2, *(2**k + d for k in range(1, 11) for d in (-1, 1))]
@@ -277,6 +280,11 @@ class TestPowerSums:
 
     def test_zero_power_counts_elements(self):
         assert nt.power_sum((0, 1, 2), 0) == 3
+
+    def test_numpy_ints_do_not_wrap(self):
+        # int64 powers would wrap 2^80 to 0 without a warning.
+        assert nt.power_sum(np.array([1 << 20, 3]), 4) == 2**80 + 81
+        assert type(nt.power_sum(np.array([2, 3], dtype=np.uint8), 9)) is int
 
     def test_prouhet_values(self):
         assert nt.prouhet_sum(2, 3, 1) == 60

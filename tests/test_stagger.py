@@ -285,11 +285,13 @@ class TestDecompose:
         ccm = golay(2) if len(blocks) == 2 else codes.gen_dft_set(len(blocks))
         plan = stagger.decompose_to_antennas(padded, ccm, antenna_cap=32)
         assert [(l.delay, l.indices) for l in plan.lanes] == reference_lanes(padded)
-        assert plan.slots_by_code() == lane_slots(plan.lanes, ccm.count)
+        slots = [s.tolist() for s in plan.slots_by_code()]
+        assert slots == lane_slots(plan.lanes, ccm.count)
         # Any lane order: each code's slots by lane, then by offset.
         lanes = rng.sample(plan.lanes, len(plan.lanes))
         shuffled = doppler.PulseTrain(ccm, tuple(lanes), padded)
-        assert shuffled.slots_by_code() == lane_slots(lanes, ccm.count)
+        slots = [s.tolist() for s in shuffled.slots_by_code()]
+        assert slots == lane_slots(lanes, ccm.count)
         assert (shuffled.last_slot, shuffled.span) == (plan.last_slot, plan.span)
 
     @pytest.mark.parametrize("degree", [2, 3, 5])
@@ -635,11 +637,13 @@ class TestPlanSerialization:
             ({"lanes": [{"delay": 0, "indices": [0, 1, 1, 0]}]}, "realise"),
             ({"lanes": [{"delay": 0, "indices": [0, 1, 1, 0]},
                         {"delay": 10**30, "indices": [1, 0, 0, 1]}]}, "delay must be in"),
+            # A third code with no slots is not one of the two blocks.
+            ({"ccm": codes.gen_dft_set(3).to_json_dict()}, "realise"),
         ],
         ids=[
             "index-minus-one", "index-past-K", "negative-delay", "no-lanes",
             "M-above", "M-below", "D", "swapped-codes", "missing-lane",
-            "delay-past-D",
+            "delay-past-D", "more-codes-than-blocks",
         ],
     )
     def test_inconsistent_plans_refused(self, edit, message):
