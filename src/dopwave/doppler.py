@@ -169,11 +169,11 @@ class PulseTrain:
         shifts = np.fromiter((l.delay for l in lanes), np.int64, len(lanes))
         shifts -= ends - lengths
         pulses = chain.from_iterable(l.indices for l in lanes)
-        codes = np.fromiter(pulses, np.int64, int(ends[-1]))
+        codes = np.fromiter(pulses, np.min_scalar_type(self.ccm.count - 1), int(ends[-1]))
         slots = [np.flatnonzero(codes == c) for c in range(self.ccm.count)]
         del codes  # the per-pulse array goes before any caller's pass
-        for places in slots:
-            places += shifts[np.searchsorted(ends, places, side="right")]
+        for places in slots:  # each lane's shift, repeated for its share of places
+            places += np.repeat(shifts, np.diff(np.searchsorted(places, ends), prepend=0))
         return slots
 
     def is_ptm_ordered(self) -> bool:
@@ -365,20 +365,19 @@ _SPLICE = "\0"
 class TaylorReport:
     """Ambiguity Taylor coefficients and the null order they certify.
 
-    coeffs[m] is c_m over all lags (lag k at column N-1+k); c_0 is the plain
-    summed autocorrelation of the schedule.  max_sidelobe_residual[m] is the
-    worst off-peak magnitude of c_m, and null_order is the largest m such
-    that every coefficient up to m is within its scale-aware threshold.
-    z_deviations[m] is the spread max_z |C_m(z) - mean| on the 2N grid and
-    z_residuals[m] max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)), W_0(m)
-    being code 0's exact weight (P_m for a PTM train); neither goes to JSON.
-    total_pulses and span are the schedule's costs: the pulses transmitted
-    and the slots from its first pulse to its last.
+    weights[m][c] is code c's exact weight W_c(m) and acfs the code set's
+    shared ACF table; coeffs[m] = acfs @ weights[m], formed on each access,
+    is c_m over all lags (lag k at column N-1+k).  max_sidelobe_residual[m]
+    is the worst off-peak |c_m|, and null_order the largest m with every
+    c_0..c_m within its threshold.  z_deviations[m] is the spread
+    max_z |C_m(z) - mean| on the 2N grid and z_residuals[m]
+    max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)); neither goes to JSON.
+    total_pulses counts the schedule's pulses, span its first to last slot.
     """
 
     max_order: int
-    lags: np.ndarray
-    coeffs: np.ndarray
+    weights: list[list[int]]
+    acfs: np.ndarray
     max_sidelobe_residual: np.ndarray
     thresholds: np.ndarray
     null_order: int
@@ -387,15 +386,18 @@ class TaylorReport:
     total_pulses: int
     span: int
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        return np.array([_coeff_row(self.acfs, row) for row in self.weights])
+
     def to_json_dict(self) -> dict:
-        pairs = np.stack([self.coeffs.real, self.coeffs.imag], -1)
-        return self._json_dict(pairs.tolist())
+        return self._json_dict(self.coeffs[..., None].view(float).tolist())  # [re, im]
 
     def _json_dict(self, coeffs) -> dict:
         """The JSON fields in file order, with `coeffs` as the coeffs value."""
         return {
             "M": self.max_order,
-            "lags": self.lags.tolist(),
+            "lags": list(range(-(len(self.acfs) // 2), len(self.acfs) // 2 + 1)),
             "coeffs": coeffs,
             "maxSidelobeResidual": self.max_sidelobe_residual.tolist(),
             "thresholds": self.thresholds.tolist(),
@@ -407,18 +409,17 @@ class TaylorReport:
     def write_json(self, path) -> None:
         """Write json.dumps(self.to_json_dict()) + "\\n" to path.
 
-        The coefficients go one order at a time, in slices of at most
-        PHASE_BLOCK values, each distinct complex value of a slice formatted
-        once as json.dumps([re, im]); the other fields come from one
-        json.dumps with the coefficients spliced in.
+        Each order's row is formed as it is written, in slices of at most
+        PHASE_BLOCK values, each distinct value formatted once per slice as
+        json.dumps([re, im]); the other fields are one json.dumps around it.
         """
         fields = json.dumps(self._json_dict(_SPLICE))
         head, _, tail = fields.partition(json.dumps(_SPLICE))
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(head + "[")
-            for m, row in enumerate(coeffs):
+            for m, weights in enumerate(self.weights):
                 fh.write(", [" if m else "[")
+                row = _coeff_row(self.acfs, weights)
                 for lo in range(0, row.size, PHASE_BLOCK):
                     if lo:
                         fh.write(", ")
@@ -433,9 +434,9 @@ def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorRepo
     """Taylor coefficients c_0..c_max_order of a train or staggered plan.
 
     The one path from a schedule to a report; thresholds use its last slot.
-    Each order takes one pass: its
-    coefficients, off-peak residual and C_m(z) samples on the code set's 2N
-    grid (`ccm.spectra`), which go through _order_check, raising
+    Each order takes one pass: its coefficients, formed and dropped, give
+    the off-peak residual, and its C_m(z) samples on the code set's 2N grid
+    (`ccm.spectra`) go with it through _order_check, raising
     DomainMismatchError when the two domains disagree.  The null order is
     the last of the leading delay-domain nulls; a NaN residual is no null.
     """
@@ -446,31 +447,30 @@ def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorRepo
     base = float(max(1, schedule.last_slot))
     thresholds = tol * code_length * base ** np.arange(max_order + 1)
 
-    coeffs = np.empty((max_order + 1, acfs.shape[0]), dtype=complex)
     residuals, z_deviations, z_residuals = np.empty((3, max_order + 1))
     for m, row in enumerate(weights):
-        # One product per order, like _zsamples, so that an order's digits do
-        # not depend on how many orders were asked for.
-        coeffs[m] = acfs @ np.array(row, dtype=float)
         # The worst off-peak magnitude; N = 1 has no off-peak lag.
-        residuals[m] = np.delete(np.abs(coeffs[m]), code_length - 1).max(initial=0.0)
+        off_peak = np.delete(np.abs(_coeff_row(acfs, row)), code_length - 1)
+        residuals[m] = residual = float(off_peak.max(initial=0.0))
         samples = _zsamples(ccm.spectra, row)
-        residual, threshold = float(residuals[m]), float(thresholds[m])
-        z_deviations[m] = _order_check(m, residual, threshold, samples, code_length)
+        z_deviations[m] = _order_check(m, residual, thresholds[m], samples, code_length)
         target = code_length * ccm.count * row[0]
         z_residuals[m] = np.max(np.abs(samples - target)) / max(1.0, target)
     nulls = (residuals <= thresholds).tolist()
     null_order = (nulls + [False]).index(False) - 1
-    lags = np.arange(1 - code_length, code_length)
     return TaylorReport(
-        max_order, lags, coeffs, residuals, thresholds, null_order,
+        max_order, weights, acfs, residuals, thresholds, null_order,
         z_deviations, z_residuals, schedule.total_pulses, schedule.span,
     )
 
 
+# One matrix-vector product per order, for c_m as for C_m(z): a single product
+# over all orders rounds differently and shifts the printed residuals.
+def _coeff_row(acfs: np.ndarray, weights_m: list[int]) -> np.ndarray:
+    return acfs @ np.array(weights_m, dtype=float)
+
+
 def _zsamples(spectra: np.ndarray, weights_m: list[int]) -> np.ndarray:
-    # One matrix-vector product per order: a single product over all orders
-    # rounds differently and shifts the printed residuals.
     return spectra @ np.array(weights_m, dtype=float)
 
 

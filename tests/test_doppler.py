@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -134,6 +133,20 @@ class TestTrainConstruction:
         slots = train.slots_by_code()
         assert [s.tolist() for s in slots] == [[3], [4, 5]]
         assert all(s.dtype == np.int64 for s in slots)
+
+    def test_slots_memory(self):
+        # 2^17 pulses give 1 MiB of int64 slots.  Codes read in uint8 and each
+        # code's lane shifts repeated over its places peak at 12 B per pulse;
+        # int64 codes and a gathered lane index per code took 17 B.
+        train = doppler.build_cyclic_train(golay(1), 1 << 17)
+        tracemalloc.start()
+        try:
+            slots = train.slots_by_code()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [s.tolist() for s in slots] == [list(range(c, 1 << 17, 2)) for c in (0, 1)]
+        assert peak < 14 * (1 << 17)
 
     def test_trains_over_the_length_cap_refused(self):
         cap = doppler.MAX_TRAIN_LENGTH
@@ -355,6 +368,24 @@ class TestTaylorCoeffs:
         with pytest.raises(ValueError):
             doppler.taylor_coeffs(train, 33)
 
+    def test_report_keeps_weights_not_the_matrix(self):
+        # Order 32 at code length 2^14: the 33 x 32,767 complex matrix alone
+        # is 16.5 MiB (17.3 MiB traced peak while the report stored it); each
+        # order's row formed and dropped peaks at 1.3 MiB.
+        train = doppler.build_ptm_train(golay(14), 1)
+        train.ccm.acfs  # the code set's table, built once and shared
+        tracemalloc.start()
+        try:
+            report = doppler.taylor_coeffs(train, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * (1 << 20)
+        assert report.weights == doppler._exact_weights(train, 32)
+        assert report.acfs is train.ccm.acfs
+        row = report.acfs @ np.array(report.weights[32], dtype=float)
+        assert report.coeffs[32].tobytes() == row.tobytes()
+
     def test_report_json(self):
         report = doppler.taylor_coeffs(doppler.build_ptm_train(golay(), 1), 1)
         data = report.to_json_dict()
@@ -380,11 +411,18 @@ class TestTaylorCoeffs:
             complex(0.0, np.nan), complex(-np.nan, 1.5),
         ]
         coeffs[2, 7:10] = coeffs[1, :3]
-        for case in (report, replace(report, coeffs=coeffs)):
+        # The same values through the row expression, which the writer and
+        # the coeffs property both form each order's row with.
+        rows = dict(zip(map(id, report.weights), coeffs))
+        special = lambda acfs, weights_m: rows[id(weights_m)]
+        for form_row in (doppler._coeff_row, special):
             path = tmp_path / "report.json"
-            with mock.patch.object(doppler, "PHASE_BLOCK", block):
-                case.write_json(path)
-            assert path.read_text() == json.dumps(case.to_json_dict()) + "\n"
+            with mock.patch.object(doppler, "PHASE_BLOCK", block), \
+                    mock.patch.object(doppler, "_coeff_row", form_row):
+                report.write_json(path)
+                text = json.dumps(report.to_json_dict()) + "\n"
+            assert path.read_text() == text
+            assert ("Infinity" in text) == (form_row is special)
 
 
 class TestZDomain:
