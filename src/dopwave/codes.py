@@ -121,8 +121,8 @@ class Ccm:
     @cached_property
     def spectra(self) -> np.ndarray:
         """|FFT(x_k, 2N)|^2 per code, (2N, K): `acfs`' source, z-domain spectra."""
-        out = np.empty((2 * self.length, self.count))
-        for k in range(self.count):  # C order: z-sample products round by layout
+        out = np.empty((2 * self.length, self.count), order="F")  # columns contiguous
+        for k in range(self.count):
             np.abs(np.fft.fft(self.code(k), 2 * self.length), out=out[:, k])
         np.square(out, out=out)
         out.setflags(write=False)

@@ -227,12 +227,14 @@ class TestVerify:
         assert run("ptm", ccm_path, order, "--out", train_path) == 0
         power_sums = count_calls(monkeypatch, numtheory._power_sums)
         ffts = count_ffts(monkeypatch)
-        zsamples = count_calls(monkeypatch, doppler._zsamples)
+        sums = count_calls(monkeypatch, doppler._weighted_sum)
         assert run("verify", train_path, order) == 0
         k = 2 if kind == "golay" else size
         assert not power_sums  # PTM weights come from the digits
         assert sum(ffts) == k  # one spectrum per code: ACFs and z domain share it
-        assert len(zsamples) == order + 1  # each order's C_m(z) sampled once
+        # Each order's c_m row from the complex ACFs, then its C_m(z) samples
+        # from the real spectra, each formed once.
+        assert [args[0].dtype.kind for args in sums] == ["c", "f"] * (order + 1)
 
     @pytest.mark.parametrize("kind,size,order", [("golay", 3, 4), ("dft", 3, 2)])
     def test_cyclic_train_sums_powers_per_code_and_order(
@@ -454,11 +456,12 @@ class TestStagger:
 
     def test_builds_each_intermediate_once(self, tmp_path, golay_file, monkeypatch):
         builtin = stagger.builtin_partition(2)  # padded: (0,3,4,5), (1,2,3,6)
-        zsamples = count_calls(monkeypatch, doppler._zsamples)
+        rows = count_calls(monkeypatch, doppler._weighted_sum)
         ffts = count_ffts(monkeypatch)
         sums = count_calls(monkeypatch, numtheory._power_sums)
         assert run("stagger", golay_file, 2, "--out", tmp_path / "plan.json") == 0
-        assert len(zsamples) == 3  # orders 0..2, each sampled once
+        # Orders 0..2: each c_m row (complex ACFs) and C_m(z) (real spectra) once.
+        assert [args[0].dtype.kind for args in rows] == ["c", "f"] * 3
         assert sum(ffts) == 2  # one per code: validation, report and z domain share them
         # One pass per block in esp_check and one over the slots' repeated
         # copies (none: the blocks are disjoint); the padded sums are derived.
@@ -579,6 +582,40 @@ class TestTopLevel:
         )
         assert result.stdout.splitlines()[-1] == "0 False True"
         assert out.exists()
+
+    def test_verdicts_and_reports_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # OpenBLAS picks its kernels by CPU unless OPENBLAS_CORETYPE names one;
+        # every Taylor row and z sample is a fixed-order sum, so the commands
+        # print and write the same bytes under each.
+        for kind, size in (("golay", 4), ("dft", 64), ("golay", 6)):
+            assert run("gen", kind, size, "--out", tmp_path / f"{kind}{size}.json") == 0
+        for name, order in (("golay4", 11), ("dft64", 1)):
+            train = tmp_path / f"{name}t.json"
+            assert run("ptm", tmp_path / f"{name}.json", order, "--out", train) == 0
+        commands = [
+            (["verify", "golay4t.json", "11", "--out", "r.json"], ["r.json"]),
+            (["verify", "dft64t.json", "1", "--out", "r.json"], ["r.json"]),
+            (["stagger", "golay6.json", "5", "--out", "p.json", "--report", "r.json"],
+             ["p.json", "r.json"]),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env.pop("OPENBLAS_CORETYPE", None)
+        results = []
+        for coretype in (None, "Prescott", "Sandybridge"):
+            kernel_env = {**env, "OPENBLAS_CORETYPE": coretype} if coretype else env
+            outcome = []
+            for argv, outputs in commands:
+                done = subprocess.run(
+                    [sys.executable, "-m", "dopwave.cli", *argv],
+                    capture_output=True, cwd=tmp_path, env=kernel_env,
+                )
+                written = [(tmp_path / name).read_bytes() for name in outputs]
+                for name in outputs:
+                    (tmp_path / name).unlink()
+                outcome.append((done.returncode, done.stdout, done.stderr, written))
+            results.append(outcome)
+        assert [rc for rc, *_ in results[0]] == [0, 0, 0]
+        assert results[1:] == [results[0]] * 2
 
     def test_console_script_is_the_process_entry(self):
         text = (Path(__file__).parents[1] / "pyproject.toml").read_text()

@@ -210,7 +210,7 @@ class TestExactWeights:
         # Only short trains over many codes (J*K^2 > L) sum their powers.
         assert power_sum.called == (levels * count**2 > length)
         np.testing.assert_array_equal(
-            samples, ccm.spectra @ np.array(expected[max_order], dtype=float)
+            samples, doppler._weighted_sum(ccm.spectra, expected[max_order])
         )
 
     @pytest.mark.parametrize(
@@ -383,7 +383,7 @@ class TestTaylorCoeffs:
         assert peak < 6 * (1 << 20)
         assert report.weights == doppler._exact_weights(train, 32)
         assert report.acfs is train.ccm.acfs
-        row = report.acfs @ np.array(report.weights[32], dtype=float)
+        row = doppler._weighted_sum(report.acfs, report.weights[32])
         assert report.coeffs[32].tobytes() == row.tobytes()
 
     def test_report_json(self):
@@ -414,18 +414,58 @@ class TestTaylorCoeffs:
         # The same values through the row expression, which the writer and
         # the coeffs property both form each order's row with.
         rows = dict(zip(map(id, report.weights), coeffs))
-        special = lambda acfs, weights_m: rows[id(weights_m)]
-        for form_row in (doppler._coeff_row, special):
+        special = lambda table, weights_m: rows[id(weights_m)]
+        for form_row in (doppler._weighted_sum, special):
             path = tmp_path / "report.json"
             with mock.patch.object(doppler, "PHASE_BLOCK", block), \
-                    mock.patch.object(doppler, "_coeff_row", form_row):
+                    mock.patch.object(doppler, "_weighted_sum", form_row):
                 report.write_json(path)
                 text = json.dumps(report.to_json_dict()) + "\n"
             assert path.read_text() == text
             assert ("Infinity" in text) == (form_row is special)
 
 
+class TestWeightedSum:
+    @pytest.mark.parametrize("block", [1, 3, 1 << 14])
+    @pytest.mark.parametrize(
+        "table",
+        [lambda: golay().acfs, lambda: codes.gen_dft_set(64).spectra],
+        ids=["golay3-acfs", "dft64-spectra"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_code_order_sum_in_any_block(self, block, table, seed):
+        # Exact weights of 1 to 600 bits; every block size gives the bits of
+        # one unblocked sum that adds the codes' columns in code order.
+        table, rng = table(), np.random.default_rng(seed)
+        count = table.shape[1]
+        shifts = rng.integers(539, size=count).tolist()
+        weights = [int(rng.integers(1 << 62)) << shift for shift in shifts]
+        floats = np.array(weights, dtype=float)
+        expected = table[:, 0] * floats[0]
+        for c in range(1, count):
+            expected = expected + table[:, c] * floats[c]
+        with mock.patch.object(doppler, "SUM_BLOCK", block):
+            got = doppler._weighted_sum(table, weights)
+        assert got.dtype == table.dtype
+        assert got.tobytes() == expected.tobytes()
+        # Any summation order lies within K ulps of the terms' magnitudes.
+        bound = count * np.finfo(float).eps * np.abs(table * floats).sum(axis=1)
+        assert np.all(np.abs(got - table @ floats) <= bound)
+
+
 class TestZDomain:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spread_from_the_extremes_is_the_elementwise_max(self, seed):
+        # The z deviation (about the mean) and residual (about an exact
+        # N*K*W_0 target up to 2^700) read only the samples' extremes.
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(1e6, 1.0, 257) * 10.0 ** rng.integers(-200, 200)
+        for centre in (samples.mean(), 7 * 3**300 + 1, 1 << 700, 0):
+            expected = np.max(np.abs(samples - centre))
+            assert doppler._spread(samples, centre) == expected
+        samples[seed] = np.nan
+        assert np.isnan(doppler._spread(samples, samples.mean()))
+
     def test_two_code_constancy(self):
         train = doppler.build_ptm_train(golay(), 3)
         assert doppler.taylor_coeffs(train, 3).z_residuals.max() <= 1e-9
