@@ -87,11 +87,6 @@ def _write_text(path: str, text: str) -> None:
             print(text, file=fh)
 
 
-def _write_report(path: str, report: doppler.TaylorReport) -> None:
-    with _exits(EXIT_IO, f"cannot write {path}: ", OSError):
-        report.write_json(path)
-
-
 def parse_universe(spec: str) -> list[int]:
     """Parse a slot-universe spec such as ``0-2,4-6`` or ``0,1,5``."""
     values: set[int] = set()
@@ -181,7 +176,7 @@ def cmd_verify(args) -> int:
     print(f"null order {report.null_order} (required {args.order})")
 
     if args.out:
-        _write_report(args.out, report)
+        _write_text(args.out, json.dumps(report.to_json_dict()))
     return EXIT_OK if report.null_order >= args.order else EXIT_VERIFY_FAILED
 
 
@@ -243,7 +238,7 @@ def cmd_stagger(args) -> int:
         report = doppler.taylor_coeffs(plan, args.order, args.tol)
     _write_text(args.out, json.dumps(plan.to_json_dict()))
     if args.report:
-        _write_report(args.report, report)
+        _write_text(args.report, json.dumps(report.to_json_dict()))
     print(
         f"lanes={len(plan.lanes)} span={report.span} pulses={report.total_pulses} "
         f"null order {report.null_order} (required {args.order})"

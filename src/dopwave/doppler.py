@@ -22,7 +22,6 @@ integer weights W_c(m) = sum of s^m, made as Python ints in numtheory;
 numerical differentiation of g is never used here.
 """
 
-import json
 import math
 import operator
 import struct
@@ -338,8 +337,8 @@ def ambiguity(train: PulseTrain, lag: int, theta: float) -> complex:
 class _Texts(dict):
     """The text `formatter` gives each key, made once on first use.
 
-    Keys are float64 bit patterns as ints (or pairs of them), so -0.0, NaN
-    and +-inf read exactly as they do formatted one by one.
+    Keys are float64 bit patterns as ints, so -0.0, NaN and +-inf read
+    exactly as they do formatted one by one.
     """
 
     def __init__(self, formatter):
@@ -351,17 +350,8 @@ class _Texts(dict):
         return text
 
 
-def _pair_json(bits) -> str:  # json.dumps([re, im]) of a complex128
-    return json.dumps(struct.unpack("=2d", struct.pack("=2q", *bits)))
-
-
 def _magnitude_line(bits: int) -> str:  # a CSV magnitude field and newline
     return "%.17g\n" % struct.unpack("=d", struct.pack("=q", bits))
-
-
-# Stands in for the coefficients in the JSON of the other report fields; no
-# other value of a report is a string, so its JSON text occurs once.
-_SPLICE = "\0"
 
 
 @dataclass(frozen=True)
@@ -370,13 +360,13 @@ class TaylorReport:
 
     weights[m][c] is code c's exact weight W_c(m) and acfs the code set's
     shared ACF table; coeffs[m], c_m over all lags (lag k at column N-1+k),
-    is formed on each access as their code-order sum (_weighted_sum), the
-    bits `write_json` writes.  max_sidelobe_residual[m] is the worst off-peak
-    |c_m|, and null_order the largest m with every c_0..c_m within its
-    threshold.  z_deviations[m] is the spread max_z |C_m(z) - mean| on the
-    2N grid and z_residuals[m] max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m));
-    neither goes to JSON.  total_pulses counts the schedule's pulses, span
-    its first to last slot.
+    is formed on each access as their code-order sum (_weighted_sum); the
+    JSON keeps the weights, from which the rows rebuild bit for bit.
+    max_sidelobe_residual[m] is the worst off-peak |c_m|, and null_order
+    the largest m with every c_0..c_m within its threshold.  z_deviations[m]
+    is the spread max_z |C_m(z) - mean| on the 2N grid and z_residuals[m]
+    max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)); neither goes to JSON.
+    total_pulses counts the schedule's pulses, span its first to last slot.
     """
 
     max_order: int
@@ -395,43 +385,15 @@ class TaylorReport:
         return np.array([_weighted_sum(self.acfs, row) for row in self.weights])
 
     def to_json_dict(self) -> dict:
-        return self._json_dict(self.coeffs[..., None].view(float).tolist())  # [re, im]
-
-    def _json_dict(self, coeffs) -> dict:
-        """The JSON fields in file order, with `coeffs` as the coeffs value."""
         return {
             "M": self.max_order,
-            "lags": list(range(-(len(self.acfs) // 2), len(self.acfs) // 2 + 1)),
-            "coeffs": coeffs,
+            "weights": [list(row) for row in self.weights],
             "maxSidelobeResidual": self.max_sidelobe_residual.tolist(),
             "thresholds": self.thresholds.tolist(),
             "nullOrder": self.null_order,
             "totalPulses": self.total_pulses,
             "span": self.span,
         }
-
-    def write_json(self, path) -> None:
-        """Write json.dumps(self.to_json_dict()) + "\\n" to path.
-
-        Each order's row is formed as it is written, in slices of at most
-        PHASE_BLOCK values, each distinct value formatted once per slice as
-        json.dumps([re, im]); the other fields are one json.dumps around it.
-        """
-        fields = json.dumps(self._json_dict(_SPLICE))
-        head, _, tail = fields.partition(json.dumps(_SPLICE))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(head + "[")
-            for m, weights in enumerate(self.weights):
-                fh.write(", [" if m else "[")
-                row = _weighted_sum(self.acfs, weights)
-                for lo in range(0, row.size, PHASE_BLOCK):
-                    if lo:
-                        fh.write(", ")
-                    texts = _Texts(_pair_json)
-                    bits = iter(row[lo : lo + PHASE_BLOCK].view(np.int64).tolist())
-                    fh.write(", ".join(map(texts.__getitem__, zip(bits, bits))))
-                fh.write("]")
-            fh.write("]" + tail + "\n")
 
 
 def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorReport:

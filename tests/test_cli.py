@@ -544,6 +544,43 @@ class TestPlanFiles:
         assert len(json.loads(plan.read_text())["lanes"]) == 1
 
 
+class TestReportFiles:
+    """A report file keeps the exact weights, and every c_m row rebuilds
+    from them and the code set of the schedule file."""
+
+    @pytest.mark.parametrize(
+        "size, command, degree, order, digits",
+        [(3, "ptm", 3, 3, 1), (3, "stagger", 2, 2, 1), (1, "ptm", 19, 32, 150)],
+        ids=["train", "plan", "2^20-train-order-32"],
+    )
+    def test_weights_rebuild_every_row(
+        self, tmp_path, size, command, degree, order, digits
+    ):
+        # The 2^20-pulse train's W_c(32) run to about 200 decimal digits,
+        # well inside json's 4300-digit limit on int strings.
+        pair, schedule_file = tmp_path / "pair.json", tmp_path / "schedule.json"
+        report_file = tmp_path / "report.json"
+        assert run("gen", "golay", size, "--out", pair) == 0
+        if command == "ptm":
+            assert run("ptm", pair, degree, "--out", schedule_file) == 0
+            code = run("verify", schedule_file, order, "--out", report_file)
+        else:
+            code = run("stagger", pair, degree, "--out", schedule_file,
+                       "--report", report_file)
+        data = json.loads(schedule_file.read_text())
+        schedule = doppler.PulseTrain.from_json_dict(data)
+        report = doppler.taylor_coeffs(schedule, order)
+        assert code == (0 if report.null_order >= order else 1)
+        text = json.dumps(report.to_json_dict()) + "\n"
+        assert report_file.read_bytes() == text.encode()
+        weights = json.loads(text)["weights"]
+        assert weights == doppler._exact_weights(schedule, order)
+        assert len(str(max(weights[order]))) >= digits
+        acfs = codes.Ccm.from_json_dict(data["ccm"]).acfs
+        for weights_m, row in zip(weights, report.coeffs, strict=True):
+            assert doppler._weighted_sum(acfs, weights_m).tobytes() == row.tobytes()
+
+
 class TestTopLevel:
     def test_usage_error_exit_code(self):
         assert run("gen", "golay") == 2  # missing size and --out

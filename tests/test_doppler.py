@@ -386,44 +386,6 @@ class TestTaylorCoeffs:
         row = doppler._weighted_sum(report.acfs, report.weights[32])
         assert report.coeffs[32].tobytes() == row.tobytes()
 
-    def test_report_json(self):
-        report = doppler.taylor_coeffs(doppler.build_ptm_train(golay(), 1), 1)
-        data = report.to_json_dict()
-        json.dumps(data)
-        assert data["M"] == 1 and data["nullOrder"] >= 1
-        assert len(data["coeffs"]) == 2
-        assert len(data["coeffs"][0]) == 15
-
-    @pytest.mark.parametrize("kind", ["train", "plan"])
-    @pytest.mark.parametrize("block", [doppler.PHASE_BLOCK, 4, 1])
-    def test_report_file_is_the_json_dict(self, tmp_path, kind, block):
-        # A train's report and a plan's, with repeated coefficients and
-        # -0.0, NaN and +-inf in either part; blocks of 4 and 1 values cut
-        # each 15-lag order into slices.
-        if kind == "train":
-            report = doppler.taylor_coeffs(doppler.build_ptm_train(golay(), 2), 3)
-        else:
-            plan = stagger.decompose_to_antennas(stagger.builtin_partition(2), golay())
-            report = doppler.taylor_coeffs(plan, 3)
-        coeffs = report.coeffs.copy()
-        coeffs[1, :5] = [
-            complex(-0.0, 0.0), complex(np.nan, -0.0), complex(np.inf, -np.inf),
-            complex(0.0, np.nan), complex(-np.nan, 1.5),
-        ]
-        coeffs[2, 7:10] = coeffs[1, :3]
-        # The same values through the row expression, which the writer and
-        # the coeffs property both form each order's row with.
-        rows = dict(zip(map(id, report.weights), coeffs))
-        special = lambda table, weights_m: rows[id(weights_m)]
-        for form_row in (doppler._weighted_sum, special):
-            path = tmp_path / "report.json"
-            with mock.patch.object(doppler, "PHASE_BLOCK", block), \
-                    mock.patch.object(doppler, "_weighted_sum", form_row):
-                report.write_json(path)
-                text = json.dumps(report.to_json_dict()) + "\n"
-            assert path.read_text() == text
-            assert ("Infinity" in text) == (form_row is special)
-
 
 class TestWeightedSum:
     @pytest.mark.parametrize("block", [1, 3, 1 << 14])
