@@ -68,7 +68,8 @@ def _read_json(path: str, what: str, parse, invalid=None):
 
     Decoding includes nesting too deep for json's recursion limit.  A file
     that parse refuses exits with `invalid`, an (exit code, message)
-    pair; the default is (3, "malformed <what> <path>").
+    pair; the default is (3, "malformed <what> <path>").  A missing field
+    is named as one: "…: missing field 'ccm'".
     """
     code, message = invalid or (EXIT_IO, f"malformed {what} {path}")
     try:
@@ -77,7 +78,9 @@ def _read_json(path: str, what: str, parse, invalid=None):
         return parse(data)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(EXIT_IO, f"cannot read {what} {path}: {exc}") from None
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except KeyError as exc:
+        raise CliError(code, f"{message}: missing field {exc}") from None
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CliError(code, f"{message}: {exc}") from None
 
 

@@ -47,65 +47,57 @@ _EXACT_ROOTS = {
 ROUNDING_LIMIT = 0.25
 
 
-def entries_from_phases(phases, order: int) -> np.ndarray:
-    """Complex p-th roots of unity exp(2j*pi*phase/order).
-
-    Orders 1, 2 and 4 are produced from an exact lookup so binary and
-    quaternary codes carry no rounding at all.  An order below 1 raises.
-    """
-    if order < 1:
-        raise ValueError("phase_order must be positive")
-    ph = np.asarray(phases) % order
-    if order in _EXACT_ROOTS:
-        return _EXACT_ROOTS[order][ph]
-    return np.exp(2j * np.pi * ph / order)
-
-
 @dataclass(frozen=True, eq=False)
 class Ccm:
     """K unimodular codes of common length N, stored as matrix columns.
 
-    Construction checks unit magnitude (and, when integer phases are given,
-    that they reproduce the entries) but not complementarity; use
-    validate_ccm for that, so candidate sets can be represented and then
-    judged.  Phase orders 1, 2 and 4 are judged exactly, with no tolerance.
+    A set given by integer phases (``from_phases``) is defined by them: its
+    entries are the roots exp(2j*pi*phase/order), built once, exactly for
+    orders 1, 2 and 4, and columns passed alongside must agree with them.  A
+    set given by columns alone is checked for unit magnitude.  Neither is
+    checked for complementarity; use validate_ccm for that, so candidate sets
+    can be represented and then judged.  Phase orders 1, 2 and 4 are judged
+    exactly, with no tolerance.
     """
 
-    columns: np.ndarray
+    columns: np.ndarray | None
     phase_order: int | None = None
     phases: np.ndarray | None = None
 
     def __post_init__(self):
-        cols = np.array(self.columns, dtype=complex)
-        if cols.ndim != 2 or cols.shape[0] < 1 or cols.shape[1] < 1:
-            raise ValueError("columns must form a non-empty 2-D matrix")
-        # Formed in place, freed before the phase check; a NaN entry fails.
-        deviation = np.abs(cols)
-        deviation -= 1.0
-        if not np.max(np.abs(deviation, out=deviation)) <= UNIT_TOL:
-            raise ValueError("all entries must have unit magnitude")
-        del deviation
         if (self.phases is None) != (self.phase_order is None):
             raise ValueError("phase_order and phases must be given together")
-        ph = None
-        if self.phases is not None:
-            ph = np.array(self.phases, dtype=np.int64)
-            if ph.shape != cols.shape:
-                raise ValueError("phases must match the column matrix shape")
-            rebuilt = entries_from_phases(ph, self.phase_order)
-            rebuilt -= cols
-            if np.max(np.abs(rebuilt)) > UNIT_TOL:
-                raise ValueError("phases do not reproduce the stored entries")
-            ph %= self.phase_order
+        if self.phases is None:
+            cols = np.array(self.columns, dtype=complex)
+        else:
+            order = self.phase_order
+            if order < 1:
+                raise ValueError("phase_order must be positive")
+            ph = np.asarray(self.phases, dtype=np.int64) % order
             ph.setflags(write=False)
+            object.__setattr__(self, "phases", ph)
+            if order in _EXACT_ROOTS:
+                cols = _EXACT_ROOTS[order][ph]
+            else:
+                cols = np.exp(2j * np.pi * ph / order)
+        if cols.ndim != 2 or cols.shape[0] < 1 or cols.shape[1] < 1:
+            raise ValueError("columns must form a non-empty 2-D matrix")
+        if self.phases is None:
+            # Formed in place; a NaN entry fails.
+            deviation = np.abs(cols)
+            deviation -= 1.0
+            if not np.max(np.abs(deviation, out=deviation)) <= UNIT_TOL:
+                raise ValueError("all entries must have unit magnitude")
+        elif self.columns is not None:
+            given = np.asarray(self.columns, dtype=complex)
+            if given.shape != cols.shape or not np.max(np.abs(given - cols)) <= UNIT_TOL:
+                raise ValueError("phases do not reproduce the stored entries")
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "phases", ph)
 
     @classmethod
     def from_phases(cls, phases, order: int) -> "Ccm":
-        ph = np.asarray(phases, dtype=np.int64)
-        return cls(entries_from_phases(ph, order), order, ph)
+        return cls(None, order, phases)
 
     @property
     def length(self) -> int:
@@ -154,10 +146,8 @@ class Ccm:
             return NotImplemented
         if self.phase_order != other.phase_order:
             return False
-        if (self.phases is None) != (other.phases is None):
-            return False
-        if self.phases is not None and not np.array_equal(self.phases, other.phases):
-            return False
+        if self.phases is not None:  # equal orders: other has phases too
+            return np.array_equal(self.phases, other.phases)
         return np.array_equal(self.columns, other.columns)
 
     def to_json_dict(self) -> dict:

@@ -834,7 +834,7 @@ ERROR_CASES = [
     pytest.param("ptm {t}/broken.json 3 --out {t}/x.json", 3,
                  f"cannot read code set {{t}}/broken.json: {BAD_JSON}", id="ptm-bad-json"),
     pytest.param("ptm {t}/empty.json 3 --out {t}/x.json", 3,
-                 "malformed code set {t}/empty.json: 'columns'", id="ptm-malformed"),
+                 "malformed code set {t}/empty.json: missing field 'columns'", id="ptm-malformed"),
     pytest.param("ptm {t}/list.json 3 --out {t}/x.json", 3,
                  "malformed code set {t}/list.json: a code set is a JSON object",
                  id="ptm-not-object"),
@@ -862,7 +862,7 @@ ERROR_CASES = [
                  id="verify-missing"),
     pytest.param("verify {t}/broken.json 3", 3,
                  f"cannot read train {{t}}/broken.json: {BAD_JSON}", id="verify-bad-json"),
-    pytest.param("verify {t}/pair.json 3", 3, "malformed train {t}/pair.json: 'ccm'",
+    pytest.param("verify {t}/pair.json 3", 3, "malformed train {t}/pair.json: missing field 'ccm'",
                  id="verify-malformed"),
     pytest.param("verify {t}/nan.json 1", 3,
                  "malformed train {t}/nan.json: all entries must have unit magnitude",
@@ -930,7 +930,7 @@ ERROR_CASES = [
                  f"cannot read partition {{t}}/broken.json: {BAD_JSON}",
                  id="stagger-bad-json"),
     pytest.param("stagger {t}/pair.json 2 --partition {t}/empty.json --out {t}/p.json", 1,
-                 "partition file failed validation: 'blocks'", id="stagger-malformed"),
+                 "partition file failed validation: missing field 'blocks'", id="stagger-malformed"),
     pytest.param("stagger {t}/pair.json 2 --partition {t}/none.json --out {t}/p.json", 1,
                  "partition file failed validation: the file lists no partition",
                  id="stagger-empty-list"),

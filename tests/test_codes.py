@@ -322,8 +322,9 @@ class TestCcmSerialization:
             codes.Ccm.from_json_dict([1])
 
     def test_load_peak_is_bounded_by_the_entries(self):
-        # The unit-magnitude deviations and the phase check's differences
-        # are formed in place: at most 5x the complex entries' bytes.
+        # The phases are reduced into one owned array and the entries built
+        # from it once, with no copy and no check against themselves: at
+        # most 2.5x the complex entries' bytes (2x on this pair).
         data = codes.gen_golay_pair(16).to_json_dict()
         tracemalloc.start()
         try:
@@ -331,7 +332,7 @@ class TestCcmSerialization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * ccm.columns.nbytes
+        assert peak <= 2.5 * ccm.columns.nbytes
 
     def test_construction_guards(self):
         with pytest.raises(ValueError):
@@ -344,6 +345,17 @@ class TestCcmSerialization:
                 phase_order=2,
                 phases=np.array([[1], [1]]),  # says -1, entries are +1
             )
+        ph = np.array([[0, 1], [1, 1], [0, 0]])
+        built = codes.Ccm.from_phases(ph, 2)
+        assert codes.Ccm(None, 2, ph) == built
+        agreeing = codes.Ccm(built.columns.copy(), 2, ph)  # columns and phases agree
+        assert agreeing == built
+        assert np.array_equal(agreeing.columns, built.columns)
+        for columns in (built.columns[:2], built.columns.T, -built.columns):
+            with pytest.raises(ValueError, match="do not reproduce"):
+                codes.Ccm(columns, 2, ph)  # mis-shaped or disagreeing
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            codes.Ccm(None)
 
     @pytest.mark.parametrize("order", [0, -2])
     def test_phase_order_below_one_refused(self, order):

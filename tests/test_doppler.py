@@ -327,6 +327,24 @@ class TestTaylorCoeffs:
             order += 1
         assert order > 2  # at least the orders 1 and 2 were checked
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.parametrize("make,size,order,asked", [
+        (codes.gen_golay_pair, 4, 11, 13), (codes.gen_golay_pair, 1, 10, 32),
+        (codes.gen_golay_pair, 4, 8, 9), (codes.gen_dft_set, 3, 9, 11),
+    ], ids=["golay4-L4096", "golay1-L2048", "golay4-L512", "dft3-L59049"])
+    def test_null_order_is_the_exact_one(self, make, size, order, asked):
+        """The reported null order is the last m with equal exact weights.
+
+        The float verdict reads 13, 20, a DomainMismatchError and 11 here,
+        where every code's W_c(m) is equal up to 11, 10, 8 and 9.
+        """
+        train = doppler.build_ptm_train(make(size), order)
+        weights = doppler._exact_weights(train, asked)
+        exact = -1
+        while exact < asked and len(set(weights[exact + 1])) == 1:
+            exact += 1
+        assert doppler.taylor_coeffs(train, asked).null_order == exact
+
     def test_cyclic_train_fails_first_order(self):
         train = doppler.build_cyclic_train(golay(), 16)
         report = doppler.taylor_coeffs(train, 1)
