@@ -35,6 +35,7 @@ UNIT_TOL = 1e-12
 
 # Default per-lag tolerance on summed autocorrelations, unused for the exact
 # orders 1, 2, 4; otherwise FFT error is ~1e-10 at N = 2^20, ten times below.
+# Also doppler.taylor_coeffs' default, scaled there by N and the last slot^m.
 CCM_TOL = 1e-9
 
 _EXACT_ROOTS = {
@@ -229,9 +230,10 @@ def validate_ccm(ccm: Ccm, tol: float = CCM_TOL) -> CcmValidation:
         tol = 0.0
     total = code_acfs(ccm).sum(axis=1)
     center = ccm.length - 1
-    off_peak = np.abs(np.delete(total, center))
-    worst = float(off_peak.max()) if off_peak.size else 0.0
     peak_error = float(abs(total[center] - ccm.length * ccm.count))
+    magnitudes = np.abs(total)
+    magnitudes[center] = 0.0  # the peak lag; the off-peak max is 0 at N = 1
+    worst = float(magnitudes.max())
     return CcmValidation(worst <= tol and peak_error <= tol, worst, peak_error)
 
 

@@ -31,7 +31,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .codes import Ccm, code_acfs
+from .codes import CCM_TOL, Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
 from .numtheory import EspPartition, _capped_power, _json_ints, _power_sums
 from .numtheory import _ptm_array, _ptm_weights, _range_power_sums
@@ -65,11 +65,6 @@ SUM_BLOCK = 1 << 14
 
 # Surfaces over theta_steps * max(L, 2N-1) cells are refused up front.
 MAX_SURFACE_CELLS = 1 << 24
-
-# Scale-aware null test: coefficient m "vanishes" when its worst off-peak
-# magnitude is at most NULL_TOL * N * max(1, last_slot)^m.  Raw weights grow
-# like slot^m, so a flat tolerance would misjudge high orders.
-NULL_TOL = 1e-9
 
 
 class DomainMismatchError(RuntimeError):
@@ -334,24 +329,14 @@ def ambiguity(train: PulseTrain, lag: int, theta: float) -> complex:
     return complex(sums @ code_acfs(train.ccm)[n - 1 + lag, :])
 
 
-class _Texts(dict):
-    """The text `formatter` gives each key, made once on first use.
-
-    Keys are float64 bit patterns as ints, so -0.0, NaN and +-inf read
-    exactly as they do formatted one by one.
-    """
-
-    def __init__(self, formatter):
-        super().__init__()
-        self.formatter = formatter
+class _MagnitudeLines(dict):
+    """The CSV magnitude field and newline of each float64 bit pattern, made
+    with %.17g on first use.  Keyed by bits, so -0.0, NaN and +-inf read
+    exactly as they do formatted one by one."""
 
     def __missing__(self, bits):
-        text = self[bits] = self.formatter(bits)
+        text = self[bits] = "%.17g\n" % struct.unpack("=d", struct.pack("=q", bits))
         return text
-
-
-def _magnitude_line(bits: int) -> str:  # a CSV magnitude field and newline
-    return "%.17g\n" % struct.unpack("=d", struct.pack("=q", bits))
 
 
 @dataclass(frozen=True)
@@ -396,7 +381,7 @@ class TaylorReport:
         }
 
 
-def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorReport:
+def taylor_coeffs(schedule, max_order: int, tol: float = CCM_TOL) -> TaylorReport:
     """Taylor coefficients c_0..c_max_order of a train or staggered plan.
 
     The one path from a schedule to a report; thresholds use its last slot.
@@ -405,12 +390,18 @@ def taylor_coeffs(schedule, max_order: int, tol: float = NULL_TOL) -> TaylorRepo
     (`ccm.spectra`) go with it through _order_check, raising
     DomainMismatchError when the two domains disagree.  The null order is
     the last of the leading delay-domain nulls; a NaN residual is no null.
+    ValueError when the widest bound, the z test's at max_order, overflows.
     """
     ccm = schedule.ccm
     weights = _exact_weights(schedule, max_order)
     code_length = ccm.length
-    acfs = code_acfs(ccm)
     base = float(max(1, schedule.last_slot))
+    widest = 2 * max(1, code_length - 1) * tol * code_length * base**max_order
+    if not math.isfinite(widest):  # Python floats overflow without a warning
+        raise ValueError(f"tolerance {tol:g} gives an order-{max_order} threshold "
+                         "that is not finite")
+    acfs = code_acfs(ccm)
+    # Raw weights grow like slot^m, so a flat tolerance would misjudge high orders.
     thresholds = tol * code_length * base ** np.arange(max_order + 1)
 
     residuals, z_deviations, z_residuals = np.empty((3, max_order + 1))
@@ -500,9 +491,9 @@ class AmbiguitySurface:
 
         Cells go in blocks of at most PHASE_BLOCK: whole rows when a row
         fits, else one slice of a row.  Each distinct magnitude of a block
-        is formatted once with %.17g (_Texts, so the bytes are a per-cell
-        formatter's) and each row is joined from those texts; the cost
-        follows the distinct values per block more than the cells.  A
+        is formatted once (_MagnitudeLines, one per block, so the bytes are
+        a per-cell formatter's) and each row is joined from those texts; the
+        cost follows the distinct values per block more than the cells.  A
         slice's lag fields are kept until the next slice starts elsewhere.
         """
         rows = max(1, PHASE_BLOCK // self.lags.size)
@@ -517,7 +508,7 @@ class AmbiguitySurface:
                     if lo != start:
                         start = lo
                         lag_fields = [f",{k}," for k in self.lags[lo:hi].tolist()]
-                    texts = _Texts(_magnitude_line)
+                    texts = _MagnitudeLines()
                     block = bits[top : top + rows, lo:hi]
                     for theta, row in zip(thetas[top : top + rows], block):
                         line = map(texts.__getitem__, row.tolist())

@@ -847,6 +847,8 @@ ERROR_CASES = [
     pytest.param("--tol 3 ptm {t}/binflat.json 1 --out {t}/t.json", 1,
                  "code set is not complementary: worst sidelobe sum 2.000000e+00, "
                  "peak error 0.000000e+00", id="ptm-binary-not-complementary"),
+    pytest.param("ptm {t}/one.json 3 --out {t}/x.json", 2,
+                 "base must be at least 2, got 1", id="ptm-one-code"),
     pytest.param("ptm {t}/pair.json 0 --out {t}/x.json", 2,
                  "order must be positive, got 0", id="ptm-order-zero"),
     pytest.param("ptm {t}/pair.json 20 --out {t}/x.json", 2,
@@ -869,6 +871,9 @@ ERROR_CASES = [
                  id="verify-nan-entry"),
     pytest.param("verify {t}/train.json 33", 2, "max_order must be in 0..32",
                  id="verify-order"),
+    pytest.param("--tol 1e300 verify {t}/train.json 32 --out {t}/r.json", 2,
+                 "tolerance 1e+300 gives an order-32 threshold that is not finite",
+                 id="verify-tol-overflow"),
     pytest.param("verify {t}/train.json 3 --out {t}/no/r.json", 3,
                  "output directory does not exist: {t}/no", id="verify-no-dir"),
     pytest.param("verify {t}/train.json 3 --out {t}", 3,
@@ -1047,6 +1052,8 @@ def error_inputs(tmp_path, golay_file, train_file):
         "unequal.json": json.dumps({"M": 1, "blocks": [[0, 1, 2], [3]]}),
         "m0.json": json.dumps({"M": 0, "blocks": [[0, 3], [1, 2]]}),
         "hollow.json": json.dumps({"M": 1, "blocks": [[], []]}),
+        # Complementary (N = 1) but one code: no PTM sequence.
+        "one.json": json.dumps({"N": 1, "K": 1, "phaseOrder": 2, "phases": [[0]]}),
         "order0.json": json.dumps({"N": 2, "K": 2, "phaseOrder": 0,
                                    "phases": [[0, 0], [0, 1]]}),
         # json.load reads the bare NaN that json.dumps writes for float("nan").
@@ -1075,8 +1082,11 @@ def test_each_failure_prints_one_error_line(
     if request.node.callspec.id in CASE_PATCHES:
         monkeypatch.setattr(*CASE_PATCHES[request.node.callspec.id])
     t = str(error_inputs)
+    files = sorted(os.listdir(t))
     assert run(*argv.format(t=t).split()) == code
     assert capsys.readouterr().err == f"error: {line.format(t=t)}\n"
+    if request.node.callspec.id != "stagger-write-report":  # its plan file goes first
+        assert sorted(os.listdir(t)) == files  # a failure writes no file
 
 
 @pytest.mark.parametrize("case", ["stagger-no-builtin", "stagger-builtin-k3"])

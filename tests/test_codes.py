@@ -116,6 +116,12 @@ class TestValidateCcm:
         assert result.is_ccm
         assert result.worst_sidelobe <= 1e-9
 
+    def test_one_lag_set_has_no_sidelobe(self):
+        # N = 1: the zeroed peak is the only lag, so the off-peak max is 0.
+        result = codes.validate_ccm(codes.Ccm.from_phases([[0, 0]], 2))
+        assert result.is_ccm
+        assert result.worst_sidelobe == 0.0
+
     def test_corrupted_set_detected(self):
         ccm = codes.gen_golay_pair(3)
         cols = np.array(ccm.columns)
@@ -219,6 +225,11 @@ class TestZtransform:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             codes.ztransform_eval([1, 1], 0)
+
+    @pytest.mark.parametrize("code", [[[1, 1]], []], ids=["2-D", "empty"])
+    def test_non_vector_rejected(self, code):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            codes.ztransform_eval(code, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(stn.integers(1, 24), stn.integers(0, 2**32 - 1))
@@ -356,6 +367,14 @@ class TestCcmSerialization:
                 codes.Ccm(columns, 2, ph)  # mis-shaped or disagreeing
         with pytest.raises(ValueError, match="non-empty 2-D"):
             codes.Ccm(None)
+
+    def test_equality(self):
+        pair = codes.gen_golay_pair(1)
+        assert pair.__eq__(pair.columns) is NotImplemented  # not a Ccm
+        assert pair != "pair"
+        # A phase set never equals a column set, even with the same entries.
+        assert codes.Ccm(pair.columns) != pair
+        assert codes.Ccm(pair.columns) == codes.Ccm(pair.columns.copy())
 
     @pytest.mark.parametrize("order", [0, -2])
     def test_phase_order_below_one_refused(self, order):

@@ -1,6 +1,7 @@
 """Pulse-train ambiguity, Taylor-coefficient nulls, and surface tests."""
 
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -328,17 +329,21 @@ class TestTaylorCoeffs:
         assert order > 2  # at least the orders 1 and 2 were checked
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
-    @pytest.mark.parametrize("make,size,order,asked", [
-        (codes.gen_golay_pair, 4, 11, 13), (codes.gen_golay_pair, 1, 10, 32),
-        (codes.gen_golay_pair, 4, 8, 9), (codes.gen_dft_set, 3, 9, 11),
-    ], ids=["golay4-L4096", "golay1-L2048", "golay4-L512", "dft3-L59049"])
-    def test_null_order_is_the_exact_one(self, make, size, order, asked):
+    @pytest.mark.parametrize("make,size,order,asked,delay", [
+        (codes.gen_golay_pair, 4, 11, 13, 0), (codes.gen_golay_pair, 1, 10, 32, 0),
+        (codes.gen_golay_pair, 4, 8, 9, 0), (codes.gen_dft_set, 3, 9, 11, 0),
+        (codes.gen_golay_pair, 2, 1, 32, 1 << 20),
+        (codes.gen_golay_pair, 1, 3, 32, 1 << 20),
+    ], ids=["golay4-L4096", "golay1-L2048", "golay4-L512", "dft3-L59049",
+            "golay2-L4-delayed", "golay1-L16-delayed"])
+    def test_null_order_is_the_exact_one(self, make, size, order, asked, delay):
         """The reported null order is the last m with equal exact weights.
 
-        The float verdict reads 13, 20, a DomainMismatchError and 11 here,
-        where every code's W_c(m) is equal up to 11, 10, 8 and 9.
+        The float verdict reads 13, 20, a DomainMismatchError, 11, 32 and 32
+        here, where every code's W_c(m) is equal up to 11, 10, 8, 9, 1 and 3.
         """
         train = doppler.build_ptm_train(make(size), order)
+        train = one_lane(train.ccm, train.lanes[0].indices, delay)
         weights = doppler._exact_weights(train, asked)
         exact = -1
         while exact < asked and len(set(weights[exact + 1])) == 1:
@@ -381,10 +386,24 @@ class TestTaylorCoeffs:
         # c_1 weights become (n+2), adding 2*c_0 to each coefficient.
         assert np.allclose(rd.coeffs[1], r0.coeffs[1] + 2 * r0.coeffs[0])
 
+    def test_cyclic_train_needs_a_pulse(self):
+        with pytest.raises(ValueError, match="length must be positive, got 0"):
+            doppler.build_cyclic_train(golay(), 0)
+
     def test_order_cap(self):
         train = doppler.build_ptm_train(golay(), 1)
         with pytest.raises(ValueError):
             doppler.taylor_coeffs(train, 33)
+
+    def test_thresholds_that_overflow_refused(self):
+        # The README train (N = 8, last slot 15): the z test's order-32 bound,
+        # 2 * 7 * tol * 8 * 15^32, is a finite float up to tol = 3.7e268.
+        train = doppler.build_ptm_train(golay(), 3)
+        assert np.isfinite(doppler.taylor_coeffs(train, 32, 1e268).thresholds).all()
+        message = "tolerance 1e+269 gives an order-32 threshold that is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            doppler.taylor_coeffs(train, 32, 1e269)
+        assert doppler.taylor_coeffs(train, 3, 1e269).null_order == 3
 
     def test_report_keeps_weights_not_the_matrix(self):
         # Order 32 at code length 2^14: the 33 x 32,767 complex matrix alone

@@ -118,6 +118,10 @@ class TestPtmSequence:
         with pytest.raises(ValueError):
             nt.ptm_sequence(2, 0)
 
+    def test_rejects_base_one(self):
+        with pytest.raises(ValueError, match="base must be at least 2, got 1"):
+            nt.ptm_sequence(1, 4)
+
 
 class TestPowerSumsKernel:
     """The private all-orders kernel against the per-order oracle."""
@@ -281,6 +285,12 @@ class TestPowerSums:
     def test_zero_power_counts_elements(self):
         assert nt.power_sum((0, 1, 2), 0) == 3
 
+    def test_negative_power_refused(self):
+        with pytest.raises(ValueError, match="power must be non-negative, got -1"):
+            nt.power_sum([1], -1)
+        with pytest.raises(ValueError, match="power must be non-negative, got -1"):
+            nt.prouhet_sum(2, 2, -1)
+
     def test_numpy_ints_do_not_wrap(self):
         # int64 powers would wrap 2^80 to 0 without a warning.
         assert nt.power_sum(np.array([1 << 20, 3]), 4) == 2**80 + 81
@@ -387,6 +397,14 @@ class TestEspSearch:
 
     def test_tiny_universe_has_no_solution(self):
         assert nt.esp_search({0, 1}, 2, 1) == []
+
+    @pytest.mark.parametrize("universe,message", [
+        ([0, 0, 1, 2], "must not contain duplicate values"),
+        ([-1, 0, 1, 2], "values must be non-negative"),
+    ], ids=["duplicate", "negative"])
+    def test_rejects_bad_universe_values(self, universe, message):
+        with pytest.raises(ValueError, match=message):
+            nt.esp_search(universe, 2, 1)
 
     def test_matches_brute_force_on_octave(self):
         oracle = brute_force_balanced_splits(range(8), 2)
@@ -622,6 +640,14 @@ class TestTransforms:
         for length in (0, 1, 3):
             with pytest.raises(ValueError):
                 nt.inverse_transform(np.ones(length))
+
+    @pytest.mark.parametrize("call", [
+        nt.forward_transform, nt.inverse_transform,
+        lambda values: nt.sidelobe_split_check(values, 1),
+    ], ids=["forward", "inverse", "sidelobe-split"])
+    def test_two_dimensional_input_refused(self, call):
+        with pytest.raises(ValueError, match="expected a 1-D array of scalars"):
+            call(np.ones((2, 2)))
 
 
 class TestSidelobeSplit:

@@ -575,6 +575,16 @@ class TestComparison:
         assert plan.span == ptm.span == ccm.count ** (degree + 1)
         assert ptm.null_order >= degree and plan.null_order >= degree
 
+    def test_partition_below_the_degree_refused(self):
+        part = numtheory.EspPartition.from_blocks(((0, 3), (1, 2)), 1)
+        with pytest.raises(ValueError, match="partition degree is below"):
+            stagger.compare_ptm_vs_stagger(golay(), 3, partition=part)
+
+    def test_non_complementary_pair_refused(self):
+        flat = codes.Ccm(np.column_stack([[1, 1], [1, 1]]))
+        with pytest.raises(ValueError, match="failed to reach the requested null order"):
+            stagger.compare_ptm_vs_stagger(flat, 2)
+
     def test_mismatched_partition_rejected(self):
         part = numtheory.EspPartition.from_blocks(((0, 3), (1, 2)), 1)
         with pytest.raises(ValueError):
