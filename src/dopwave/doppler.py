@@ -330,9 +330,11 @@ def ambiguity(train: PulseTrain, lag: int, theta: float) -> complex:
 
 
 class _MagnitudeLines(dict):
-    """The CSV magnitude field and newline of each float64 bit pattern, made
-    with %.17g on first use.  Keyed by bits, so -0.0, NaN and +-inf read
-    exactly as they do formatted one by one."""
+    """The CSV magnitude field and newline of each float64 bit pattern.
+
+    Made with %.17g on first use.  Keyed by bits, so -0.0, NaN and +-inf
+    read exactly as they do formatted one by one.
+    """
 
     def __missing__(self, bits):
         text = self[bits] = "%.17g\n" % struct.unpack("=d", struct.pack("=q", bits))

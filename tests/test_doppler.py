@@ -99,6 +99,10 @@ class TestTrainConstruction:
         train = doppler.build_ptm_train(codes.gen_dft_set(4), 2)
         assert list(train.lanes[0].indices) == TRAIN_K4_M2
 
+    def test_cyclic_train_needs_a_pulse(self):
+        with pytest.raises(ValueError, match="length must be positive, got 0"):
+            doppler.build_cyclic_train(golay(), 0)
+
     def test_is_ptm_ordered(self):
         assert doppler.build_ptm_train(golay(), 2).is_ptm_ordered()
         assert not doppler.build_cyclic_train(golay(), 16).is_ptm_ordered()
@@ -385,10 +389,6 @@ class TestTaylorCoeffs:
         rd = doppler.taylor_coeffs(shifted, 1)
         # c_1 weights become (n+2), adding 2*c_0 to each coefficient.
         assert np.allclose(rd.coeffs[1], r0.coeffs[1] + 2 * r0.coeffs[0])
-
-    def test_cyclic_train_needs_a_pulse(self):
-        with pytest.raises(ValueError, match="length must be positive, got 0"):
-            doppler.build_cyclic_train(golay(), 0)
 
     def test_order_cap(self):
         train = doppler.build_ptm_train(golay(), 1)
