@@ -20,6 +20,7 @@ has no effect: every command is deterministic.
 
 import argparse
 import contextlib
+import errno
 import gc
 import json
 import math
@@ -53,14 +54,18 @@ def _exits(code: int, prefix: str = "", errors=ValueError):
         raise CliError(code, f"{prefix}{exc}") from None
 
 
-def _precheck_outputs(*paths) -> None:
-    """Fail fast when an output location cannot work, before computing."""
+def _precheck_outputs(args) -> None:
+    """Refuse the outputs a command could not write, before any input is read."""
+    paths = [p for p in (args.out, getattr(args, "report", None)) if p is not None]
     for path in paths:
-        if path is None:
-            continue
-        parent = os.path.dirname(os.path.abspath(str(path)))
+        if os.path.isdir(path):
+            error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            raise CliError(EXIT_IO, f"cannot write {path}: {error}")
+        parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise CliError(EXIT_IO, f"output directory does not exist: {parent}")
+    if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise CliError(EXIT_USAGE, "--out and --report name one file")
 
 
 def _read_json(path: str, what: str, parse, invalid=None):
@@ -140,7 +145,6 @@ def _first_partition(data) -> numtheory.EspPartition:
 
 
 def cmd_gen(args) -> int:
-    _precheck_outputs(args.out)
     generate = codes.gen_golay_pair if args.kind == "golay" else codes.gen_dft_set
     with _exits(EXIT_USAGE):  # the generator refuses a size out of its range
         ccm = generate(args.size)
@@ -154,7 +158,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ptm(args) -> int:
-    _precheck_outputs(args.out)
     ccm = _read_ccm(args.ccm, args.tol)
     with _exits(EXIT_USAGE):
         train = doppler.build_ptm_train(ccm, args.order)
@@ -164,27 +167,23 @@ def cmd_ptm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _precheck_outputs(args.out)
     train = _read_json(args.train, "train", doppler.PulseTrain.from_json_dict)
     # An order outside 0..32 exits 2 before any weight; a DomainMismatchError
     # from the cross-check of any order exits 4 (see `main`).
     with _exits(EXIT_USAGE):
         report = doppler.taylor_coeffs(train, args.order, args.tol)
-
+    if args.out:  # before printing, so that a failed write prints nothing
+        _write_text(args.out, json.dumps(report.to_json_dict()))
     for m in range(args.order + 1):
         print(
             f"m={m} off-peak |c_m| {report.max_sidelobe_residual[m]:.3e} (threshold "
             f"{report.thresholds[m]:.3e}) z-residual {report.z_residuals[m]:.3e}"
         )
     print(f"null order {report.null_order} (required {args.order})")
-
-    if args.out:
-        _write_text(args.out, json.dumps(report.to_json_dict()))
     return EXIT_OK if report.null_order >= args.order else EXIT_VERIFY_FAILED
 
 
 def cmd_surface(args) -> int:
-    _precheck_outputs(args.out)
     train = _read_json(args.train, "train", doppler.PulseTrain.from_json_dict)
     with _exits(EXIT_USAGE):
         surface = doppler.ambiguity_surface(
@@ -200,7 +199,6 @@ def cmd_surface(args) -> int:
 
 
 def cmd_esp(args) -> int:
-    _precheck_outputs(args.out)
     with _exits(EXIT_USAGE, "bad universe spec: "):
         universe = parse_universe(args.universe)
     with _exits(EXIT_USAGE):
@@ -217,7 +215,6 @@ def cmd_esp(args) -> int:
 
 
 def cmd_stagger(args) -> int:
-    _precheck_outputs(args.out, args.report)
     ccm = _read_ccm(args.ccm, args.tol)
     if args.partition:
         partition = _read_json(
@@ -241,7 +238,11 @@ def cmd_stagger(args) -> int:
         report = doppler.taylor_coeffs(plan, args.order, args.tol)
     _write_text(args.out, json.dumps(plan.to_json_dict()))
     if args.report:
-        _write_text(args.report, json.dumps(report.to_json_dict()))
+        try:
+            _write_text(args.report, json.dumps(report.to_json_dict()))
+        except CliError:
+            os.remove(args.out)  # a failed command leaves no file
+            raise
     print(
         f"lanes={len(plan.lanes)} span={report.span} pulses={report.total_pulses} "
         f"null order {report.null_order} (required {args.order})"
@@ -269,21 +270,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a code set")
+    gen.set_defaults(handler=cmd_gen)
     gen.add_argument("kind", choices=("golay", "dft"))
     gen.add_argument("size", type=int, help="golay exponent or dft code count")
     gen.add_argument("--out", required=True)
 
     ptm = sub.add_parser("ptm", help="build a PTM pulse train")
+    ptm.set_defaults(handler=cmd_ptm)
     ptm.add_argument("ccm", help="code-set JSON file")
     ptm.add_argument("order", type=int, help="null order M")
     ptm.add_argument("--out", required=True)
 
     verify = sub.add_parser("verify", help="verify train null orders")
+    verify.set_defaults(handler=cmd_verify)
     verify.add_argument("train", help="train or plan JSON file")
     verify.add_argument("order", type=int, help="required null order M")
     verify.add_argument("--out", help="optional report JSON file")
 
     surface = sub.add_parser("surface", help="export an ambiguity surface CSV")
+    surface.set_defaults(handler=cmd_surface)
     surface._negative_number_matcher = _NEGATIVE_NUMBER
     surface.add_argument("train", help="train or plan JSON file")
     surface.add_argument("theta_min", type=float)
@@ -292,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     surface.add_argument("--out", required=True)
 
     esp = sub.add_parser("esp", help="search equal-power-sum partitions")
+    esp.set_defaults(handler=cmd_esp)
     esp.add_argument("universe", help="slot spec, e.g. 0-2,4-6")
     esp.add_argument("blocks", type=int, help="block count p")
     esp.add_argument("order", type=int, help="degree M")
@@ -299,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     esp.add_argument("--out", help="output JSON file (stdout when omitted)")
 
     stag = sub.add_parser("stagger", help="build a staggered schedule")
+    stag.set_defaults(handler=cmd_stagger)
     stag.add_argument("ccm", help="code-set JSON file")
     stag.add_argument("order", type=int, help="null order M")
     stag.add_argument("--partition", help="partition JSON file")
@@ -307,16 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     stag.add_argument("--out", required=True)
 
     return parser
-
-
-_HANDLERS = {
-    "gen": cmd_gen,
-    "ptm": cmd_ptm,
-    "verify": cmd_verify,
-    "surface": cmd_surface,
-    "esp": cmd_esp,
-    "stagger": cmd_stagger,
-}
 
 
 def main(argv=None) -> int:
@@ -329,7 +326,8 @@ def main(argv=None) -> int:
     try:
         if not 0 < args.tol < math.inf:  # refuses NaN too
             raise CliError(EXIT_USAGE, "tolerance must be positive and finite")
-        return _HANDLERS[args.command](args)
+        _precheck_outputs(args)
+        return args.handler(args)
     except doppler.DomainMismatchError as exc:
         error = CliError(EXIT_MISMATCH, str(exc))
     except CliError as exc:

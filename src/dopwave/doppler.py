@@ -258,6 +258,7 @@ def build_cyclic_train(ccm: Ccm, length: int) -> PulseTrain:
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
+    _capped_power(length, 1, MAX_TRAIN_LENGTH, "train length")  # before any array
     return PulseTrain(ccm, (Lane(0, np.arange(length) % ccm.count),))
 
 

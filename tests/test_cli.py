@@ -811,6 +811,8 @@ class TestRefusals:
 
 NO_FILE = "[Errno 2] No such file or directory"
 IS_DIR = "[Errno 21] Is a directory"
+LONG = "a" * 300  # a name open() refuses but the output check passes
+TOO_LONG = f"cannot write {{t}}/{LONG}: [Errno 36] File name too long: '{{t}}/{LONG}'"
 BAD_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 
 # argv, exit code and the one stderr line of each failure; "{t}" stands for
@@ -878,6 +880,10 @@ ERROR_CASES = [
                  "output directory does not exist: {t}/no", id="verify-no-dir"),
     pytest.param("verify {t}/train.json 3 --out {t}", 3,
                  f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="verify-write"),
+    pytest.param("verify {t}/absent.json 3 --out {t}", 3,
+                 f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="verify-write-before-read"),
+    pytest.param(f"verify {{t}}/train.json 3 --out {{t}}/{LONG}", 3, TOO_LONG,
+                 id="verify-write-long-name"),
     pytest.param("surface {t}/train.json -0.1 0.1 1 --out {t}/s.csv", 2,
                  "need at least 2 theta steps, got 1", id="surface-steps"),
     pytest.param("surface {t}/train.json -0.1 0.1 1048577 --out {t}/s.csv", 2,
@@ -996,6 +1002,10 @@ ERROR_CASES = [
                  f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="stagger-write"),
     pytest.param("stagger {t}/pair.json 2 --out {t}/p.json --report {t}", 3,
                  f"cannot write {{t}}: {IS_DIR}: '{{t}}'", id="stagger-write-report"),
+    pytest.param(f"stagger {{t}}/pair.json 2 --out {{t}}/p.json --report {{t}}/{LONG}", 3,
+                 TOO_LONG, id="stagger-write-report-long-name"),
+    pytest.param("stagger {t}/pair.json 2 --out {t}/x.json --report {t}/./x.json", 2,
+                 "--out and --report name one file", id="stagger-one-file"),
     pytest.param("--tol -1 gen golay 2 --out {t}/x.json", 2,
                  "tolerance must be positive and finite", id="tol-negative"),
     # argparse's own pattern takes an exponent-form number for an option.
@@ -1084,9 +1094,8 @@ def test_each_failure_prints_one_error_line(
     t = str(error_inputs)
     files = sorted(os.listdir(t))
     assert run(*argv.format(t=t).split()) == code
-    assert capsys.readouterr().err == f"error: {line.format(t=t)}\n"
-    if request.node.callspec.id != "stagger-write-report":  # its plan file goes first
-        assert sorted(os.listdir(t)) == files  # a failure writes no file
+    assert capsys.readouterr() == ("", f"error: {line.format(t=t)}\n")
+    assert sorted(os.listdir(t)) == files  # a failure writes no file
 
 
 @pytest.mark.parametrize("case", ["stagger-no-builtin", "stagger-builtin-k3"])

@@ -154,10 +154,17 @@ class TestTrainConstruction:
         assert peak < 14 * (1 << 17)
 
     def test_trains_over_the_length_cap_refused(self):
-        cap = doppler.MAX_TRAIN_LENGTH
-        assert doppler.build_cyclic_train(golay(1), cap).total_pulses == cap
-        with pytest.raises(ValueError, match=f"train length {cap + 1} exceeds cap"):
-            doppler.build_cyclic_train(golay(1), cap + 1)
+        cap, pair = doppler.MAX_TRAIN_LENGTH, golay(1)
+        assert doppler.build_cyclic_train(pair, cap).total_pulses == cap
+        # Refused before any array is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"train length {cap + 1} exceeds cap"):
+                doppler.build_cyclic_train(pair, cap + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
         # The cap comes before the index scan: code 7 is not in a pair.
         with pytest.raises(ValueError, match="exceeds cap"):
             one_lane(golay(1), np.full(cap + 1, 7))
