@@ -43,7 +43,6 @@ from .numtheory import (
     forward_transform,
     inverse_transform,
     power_sum,
-    prouhet_sum,
     ptm_partition,
     ptm_sequence,
     sidelobe_split_check,
@@ -82,7 +81,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "power_sum",
-    "prouhet_sum",
     "ptm_partition",
     "ptm_sequence",
     "sidelobe_split_check",

@@ -58,8 +58,9 @@ def _precheck_outputs(args) -> None:
     """Refuse the outputs a command could not write, before any input is read."""
     paths = [p for p in (args.out, getattr(args, "report", None)) if p is not None]
     for path in paths:
-        if os.path.isdir(path):
-            error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not path or os.path.isdir(path):  # refused in open()'s words
+            number = errno.EISDIR if path else errno.ENOENT
+            error = OSError(number, os.strerror(number), path)
             raise CliError(EXIT_IO, f"cannot write {path}: {error}")
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
@@ -172,7 +173,7 @@ def cmd_verify(args) -> int:
     # from the cross-check of any order exits 4 (see `main`).
     with _exits(EXIT_USAGE):
         report = doppler.taylor_coeffs(train, args.order, args.tol)
-    if args.out:  # before printing, so that a failed write prints nothing
+    if args.out is not None:  # before printing, so that a failed write prints nothing
         _write_text(args.out, json.dumps(report.to_json_dict()))
     for m in range(args.order + 1):
         print(
@@ -205,7 +206,7 @@ def cmd_esp(args) -> int:
         partitions = numtheory.esp_search(universe, args.blocks, args.order, args.max)
     # json.dumps of the list, one partition's dict at a time.
     text = "[" + ", ".join(json.dumps(p.to_json_dict()) for p in partitions) + "]"
-    if args.out:
+    if args.out is not None:
         _write_text(args.out, text)
         print(f"found {len(partitions)} partition(s) -> {args.out}")
     else:
@@ -237,7 +238,7 @@ def cmd_stagger(args) -> int:
         plan = stagger.decompose_to_antennas(partition, ccm, args.antenna_cap)
         report = doppler.taylor_coeffs(plan, args.order, args.tol)
     _write_text(args.out, json.dumps(plan.to_json_dict()))
-    if args.report:
+    if args.report is not None:
         try:
             _write_text(args.report, json.dumps(report.to_json_dict()))
         except CliError:

@@ -92,10 +92,6 @@ class Lane:
     delay: int
     indices: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.indices)
-
 
 @dataclass(frozen=True)
 class PulseTrain:
@@ -483,11 +479,6 @@ class AmbiguitySurface:
     lags: np.ndarray
     magnitudes: np.ndarray
     description: str = ""
-
-    def sidelobe_peaks(self) -> np.ndarray:
-        """Worst off-peak magnitude at each theta sample."""
-        center = (self.lags.size - 1) // 2
-        return np.delete(self.magnitudes, center, axis=1).max(axis=1, initial=0.0)
 
     def write_csv(self, path) -> None:
         """Rows theta-major: header theta,k,magnitude; theta to 12 digits.

@@ -10,7 +10,6 @@ partition checks are integer equality tests.  Floating point enters only when
 a transform is applied to complex data.
 """
 
-import warnings
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import comb, inf
@@ -23,7 +22,6 @@ __all__ = [
     "ptm_sequence",
     "ptm_partition",
     "power_sum",
-    "prouhet_sum",
     "esp_check",
     "esp_search",
     "weight_table",
@@ -193,26 +191,6 @@ def _range_power_sums(stop: int, max_order: int) -> list[int]:
             sums = [s + h**m for m, s in enumerate(sums)]
             h += 1
     return sums
-
-
-def prouhet_sum(p: int, degree: int, m: int) -> int:
-    """Common m-th power sum of the blocks of the (p, degree) PTM partition.
-
-    For m <= degree every block has the same sum and this value times p
-    equals sum(n^m) over the whole range.  Requesting m > degree is allowed
-    but the cross-block equality no longer holds, so a warning is issued and
-    the block-0 sum is returned.
-    """
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
-    if m > degree:
-        warnings.warn(
-            f"m={m} exceeds partition degree {degree}; blocks no longer share "
-            "this power sum",
-            stacklevel=2,
-        )
-    _ptm_size(p, degree)  # refuses a bad base or degree and oversized partitions
-    return _ptm_weights(p, degree + 1, m)[m][0]
 
 
 @dataclass(frozen=True)

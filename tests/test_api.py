@@ -1,4 +1,4 @@
-"""The public API: every exported name resolves, and no object has two."""
+"""The public API: its names, every exported name resolves, and no object has two."""
 
 import pytest
 
@@ -6,6 +6,22 @@ import dopwave
 from dopwave import codes, doppler, numtheory, stagger
 
 MODULES = [dopwave, numtheory, codes, doppler, stagger]
+
+# dopwave.__all__, sorted; a change to the public API edits this list on purpose.
+PUBLIC_API = [
+    "AmbiguitySurface", "Ccm", "DomainMismatchError", "EspPartition", "Lane",
+    "PulseTrain", "TaylorReport", "acf", "ambiguity", "ambiguity_surface",
+    "build_cyclic_train", "build_ptm_train", "builtin_partition",
+    "compare_ptm_vs_stagger", "decompose_to_antennas", "digit_sum_mod",
+    "esp_check", "esp_search", "forward_transform", "gen_dft_set",
+    "gen_golay_pair", "inverse_transform", "pad_partition", "power_sum",
+    "ptm_partition", "ptm_sequence", "sidelobe_split_check", "taylor_coeffs",
+    "validate_ccm", "weight_table", "ztransform_eval",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(dopwave.__all__) == PUBLIC_API
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

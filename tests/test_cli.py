@@ -1098,6 +1098,27 @@ def test_each_failure_prints_one_error_line(
     assert sorted(os.listdir(t)) == files  # a failure writes no file
 
 
+# ERROR_CASES split their argv on spaces, so they cannot hold an empty name.
+@pytest.mark.parametrize("argv", [
+    ["gen", "golay", "3", "--out", ""],
+    ["surface", "{t}/train.json", "-0.1", "0.1", "5", "--out", ""],
+    ["verify", "{t}/train.json", "3", "--out", ""],
+    ["esp", "0-11", "2", "2", "--out", ""],
+    ["stagger", "{t}/pair.json", "2", "--out", "{t}/plan.json", "--report", ""],
+], ids=lambda argv: argv[0])
+def test_empty_output_name_refused_before_reading(error_inputs, capsys, monkeypatch, argv):
+    capsys.readouterr()  # drop the fixture commands' output
+    t = str(error_inputs)
+    monkeypatch.chdir(t)
+    for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args: pytest.fail("the handler ran"))
+    files = sorted(os.listdir(t))
+    assert run(*(arg.format(t=t) for arg in argv)) == 3
+    line = f"error: cannot write : {NO_FILE}: ''\n"
+    assert capsys.readouterr() == ("", line)
+    assert sorted(os.listdir(t)) == files
+
+
 @pytest.mark.parametrize("case", ["stagger-no-builtin", "stagger-builtin-k3"])
 def test_compare_refuses_what_stagger_refuses(error_inputs, monkeypatch, case):
     # compare_ptm_vs_stagger defaults like `stagger`, so it refuses its inputs

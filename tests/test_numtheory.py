@@ -204,9 +204,7 @@ class TestPtmKernel:
         start = time.perf_counter()
         part = nt.ptm_partition(2, 21)
         assert time.perf_counter() - start < 1.0
-        start = time.perf_counter()
-        total = nt.prouhet_sum(2, 21, 5)
-        assert time.perf_counter() - start < 1.0
+        total = part.prouhet_sums[5]
         assert len(part.blocks[0]) == 1 << 21
         # Degree 21 >= 5: both blocks share the fifth power sum, half the
         # range's, which is s^2 (s+1)^2 (2s^2 + 2s - 1) / 12 up to s (Faulhaber).
@@ -240,19 +238,26 @@ class TestPtmPartition:
         size = p ** (degree + 1)
         if size > 1024:
             pytest.skip("outside the swept range")
+        sums = nt.ptm_partition(p, degree).prouhet_sums
         for m in range(1, degree + 1):
-            assert nt.prouhet_sum(p, degree, m) * p == nt.power_sum(range(size), m)
+            assert sums[m] * p == nt.power_sum(range(size), m)
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
             nt.ptm_partition(2, 40)
 
+    @pytest.mark.parametrize("p,degree,message", [
+        pytest.param(1, 2, "base must be at least 2, got 1", id="1-2"),
+        pytest.param(2, 0, "degree must be positive, got 0", id="2-0"),
+    ])
+    def test_bad_base_and_degree_refused(self, p, degree, message):
+        with pytest.raises(ValueError, match=message):
+            nt.ptm_partition(p, degree)
+
     @pytest.mark.parametrize("p", [2, 64])
     def test_huge_degree_refused_before_the_power(self, p):
         with pytest.raises(ValueError, match=rf"size {p}\^100000001 exceeds cap"):
             nt.ptm_partition(p, 10**8)
-        with pytest.raises(ValueError, match="exceeds cap"):
-            nt.prouhet_sum(p, 10**8, 1)
 
     @pytest.mark.parametrize("p,degree", [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1)])
     def test_is_an_esp_partition_with_checked_sums(self, p, degree):
@@ -288,8 +293,6 @@ class TestPowerSums:
     def test_negative_power_refused(self):
         with pytest.raises(ValueError, match="power must be non-negative, got -1"):
             nt.power_sum([1], -1)
-        with pytest.raises(ValueError, match="power must be non-negative, got -1"):
-            nt.prouhet_sum(2, 2, -1)
 
     def test_numpy_ints_do_not_wrap(self):
         # int64 powers would wrap 2^80 to 0 without a warning.
@@ -297,33 +300,11 @@ class TestPowerSums:
         assert type(nt.power_sum(np.array([2, 3], dtype=np.uint8), 9)) is int
 
     def test_prouhet_values(self):
-        assert nt.prouhet_sum(2, 3, 1) == 60
-        assert nt.prouhet_sum(3, 2, 0) == 9
+        sums = nt.ptm_partition(2, 3).prouhet_sums
+        assert sums[1] == 60
+        assert nt.ptm_partition(3, 2).prouhet_sums[0] == 9
         s0, s1 = PART_P2_M3
-        assert nt.prouhet_sum(2, 3, 2) == nt.power_sum(s0, 2) == nt.power_sum(s1, 2)
-
-    def test_prouhet_warns_beyond_degree(self):
-        with pytest.warns(UserWarning):
-            nt.prouhet_sum(2, 3, 4)
-
-    def test_prouhet_sum_reads_block_zero_without_the_partition(self, monkeypatch):
-        expected = {
-            (p, d, m): nt.power_sum(nt.ptm_partition(p, d).blocks[0], m)
-            for p, d in ((2, 3), (3, 2), (5, 1))
-            for m in range(d + 1)
-        }
-
-        def no_partition(*args):
-            raise AssertionError("prouhet_sum built the whole partition")
-
-        monkeypatch.setattr(nt, "ptm_partition", no_partition)
-        for (p, d, m), value in expected.items():
-            assert nt.prouhet_sum(p, d, m) == value
-
-    @pytest.mark.parametrize("p,degree", [(1, 2), (2, 0), (2, 40)])
-    def test_prouhet_sum_bounds(self, p, degree):
-        with pytest.raises(ValueError):
-            nt.prouhet_sum(p, degree, 0)
+        assert sums[2] == nt.power_sum(s0, 2) == nt.power_sum(s1, 2)
 
 
 class TestEspCheck:
@@ -661,6 +642,7 @@ class TestSidelobeSplit:
             for i in range(1 << (p - 1))
         ]
         size = p ** (degree + 1)
+        block = nt.ptm_partition(p, degree).blocks[0]
         lhs = []
         rhs = []
         for m in range(1, degree + 1):
@@ -672,7 +654,7 @@ class TestSidelobeSplit:
                 )
                 total += n ** m * s_n
             lhs.append(total)
-            n_m = (1 << (p - 1)) * nt.prouhet_sum(p, degree, m) - sum(
+            n_m = (1 << (p - 1)) * nt.power_sum(block, m) - sum(
                 n ** m for n in range(size)
             )
             rhs.append(n_m * b[0])
@@ -703,8 +685,9 @@ class TestSidelobeSplit:
         report = nt.sidelobe_split_check(a, degree)
         assert report.residuals.tolist() == [0.0] * degree
         size = p ** (degree + 1)
+        block = nt.ptm_partition(p, degree).blocks[0]
         assert report.n_coefficients == tuple(
-            (1 << (p - 1)) * nt.prouhet_sum(p, degree, m)
+            (1 << (p - 1)) * nt.power_sum(block, m)
             - sum(n ** m for n in range(size))
             for m in range(1, degree + 1)
         )

@@ -71,7 +71,7 @@ def assert_plan_realizes_partition(plan):
     for code, block in enumerate(plan.partition.blocks):
         assert sorted(slots[code]) == list(block)
     for lane in plan.lanes:
-        assert lane.length >= 1  # contiguity: lanes carry no internal gaps
+        assert len(lane.indices) >= 1  # contiguity: lanes carry no internal gaps
 
 
 class TestBuiltinPartitions:
@@ -203,7 +203,7 @@ class TestDecompose:
             stagger.pad_partition(stagger.builtin_partition(3)), golay()
         )
         assert [l.delay for l in plan.lanes] == [0, 3, 5, 8]
-        assert all(l.length == 4 for l in plan.lanes)
+        assert all(len(l.indices) == 4 for l in plan.lanes)
         assert plan.span == 12 and plan.total_pulses == 16
         assert_plan_realizes_partition(plan)
 
