@@ -249,6 +249,7 @@ class TestPtmPartition:
     @pytest.mark.parametrize("p,degree,message", [
         pytest.param(1, 2, "base must be at least 2, got 1", id="1-2"),
         pytest.param(2, 0, "degree must be positive, got 0", id="2-0"),
+        pytest.param(2, 40, r"partition size 2\^41 exceeds cap", id="2-40"),
     ])
     def test_bad_base_and_degree_refused(self, p, degree, message):
         with pytest.raises(ValueError, match=message):
