@@ -142,7 +142,7 @@ def _first_partition(data) -> numtheory.EspPartition:
         if not data:
             raise ValueError("the file lists no partition")
         data = data[0]
-    return doppler._partition_from_json(data)
+    return numtheory.EspPartition.from_json_dict(data)
 
 
 def cmd_gen(args) -> int:

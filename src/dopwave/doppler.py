@@ -33,8 +33,8 @@ import numpy as np
 
 from .codes import CCM_TOL, Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
-from .numtheory import EspPartition, _capped_power, _json_ints, _power_sums
-from .numtheory import _ptm_array, _ptm_weights, _range_power_sums
+from .numtheory import MAX_TAYLOR_ORDER, EspPartition, _capped_power, _json_ints
+from .numtheory import _power_sums, _ptm_array, _ptm_weights
 
 __all__ = [
     "Lane",
@@ -53,9 +53,6 @@ __all__ = [
 
 # Trains and plans of more pulses than this are refused outright.
 MAX_TRAIN_LENGTH = 1 << 20
-
-# Taylor orders above this cap are almost certainly a unit error upstream.
-MAX_TAYLOR_ORDER = 32
 
 # Phase factors exp(1j*theta*s) held at once (at least one theta row).
 PHASE_BLOCK = 1 << 18
@@ -209,7 +206,7 @@ class PulseTrain:
         lanes = data["lanes"]
         lane_ints = ([l["delay"], *l["indices"]] for l in lanes)
         _json_ints(chain([data["D"], data["M"]], *lane_ints), "D, M and lanes")
-        partition = _partition_from_json(data["partition"])
+        partition = EspPartition.from_json_dict(data["partition"])
         lanes = tuple(Lane(l["delay"], tuple(l["indices"])) for l in lanes)
         plan = cls(ccm, lanes, partition)
         if data["M"] != partition.degree:
@@ -221,15 +218,6 @@ class PulseTrain:
         if len(slots) != partition.p or not all(realised):
             raise ValueError("lanes do not realise the partition's blocks")
         return plan
-
-
-def _partition_from_json(data) -> EspPartition:
-    """EspPartition.from_json_dict, refusing a degree above MAX_TAYLOR_ORDER
-    (no higher order is ever verified) before any power sum."""
-    degree = data.get("M") if isinstance(data, dict) else None
-    if isinstance(degree, int) and degree > MAX_TAYLOR_ORDER:
-        raise ValueError(f"degree must be at most {MAX_TAYLOR_ORDER}, got {degree}")
-    return EspPartition.from_json_dict(data)
 
 
 def build_ptm_train(ccm: Ccm, order: int) -> PulseTrain:
@@ -264,7 +252,7 @@ def _exact_weights(schedule, max_order: int) -> list[list[int]]:
     Row m, column c, m = 0..max_order.  A PTM-ordered schedule (one lane
     at delay 0) of L = K^J pulses takes the digit DP (_ptm_weights) unless
     its J*K^2 row shifts outnumber the L pulses; every other schedule takes
-    one pass per code, all orders at once (_code_weights).
+    one _power_sums call per code, all orders at once.
     """
     if not 0 <= max_order <= MAX_TAYLOR_ORDER:
         raise ValueError(f"max_order must be in 0..{MAX_TAYLOR_ORDER}")
@@ -273,26 +261,8 @@ def _exact_weights(schedule, max_order: int) -> list[list[int]]:
         levels = round(math.log(pulses, count))
         if count**levels == pulses >= levels * count * count:
             return _ptm_weights(count, levels, max_order)
-    sums = [_code_weights(slots, max_order) for slots in schedule.slots_by_code()]
+    sums = [_power_sums(slots, max_order) for slots in schedule.slots_by_code()]
     return [list(row) for row in zip(*sums)]
-
-
-def _code_weights(slots: np.ndarray, max_order: int) -> list[int]:
-    """sum(slot^m) over one code's slots, m = 0..max_order.
-
-    A code that fills more than half of range(last + 1), no slot twice,
-    takes the range's sums less those of its empty slots; any other code
-    sums its own slots.
-    """
-    last = int(slots.max(initial=-1))
-    if 2 * slots.size > last + 1:  # bounds the counts by twice the slots
-        counts = np.bincount(slots)
-        if counts.max() == 1:
-            empty = np.flatnonzero(counts == 0)
-            del counts
-            sums = _range_power_sums(last + 1, max_order)
-            return list(map(operator.sub, sums, _power_sums(empty, max_order)))
-    return _power_sums(slots, max_order)
 
 
 def _slot_phase_sums(schedule, thetas: np.ndarray) -> np.ndarray:

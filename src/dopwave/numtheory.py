@@ -42,6 +42,9 @@ MAX_SEARCH_UNIVERSE = 30
 # Nodes an ESP search may visit before it is refused with ValueError.
 MAX_SEARCH_NODES = 10**6
 
+# Degrees and Taylor orders above this cap are almost certainly a unit error.
+MAX_TAYLOR_ORDER = 32
+
 # Values per object array of running powers in _power_sums, which bounds its
 # memory; the degree-16 plan of the stagger-search bench, padded to about
 # 34,900 slots per code, fits in one.
@@ -158,8 +161,19 @@ def power_sum(values, m: int) -> int:
 
 def _power_sums(values, max_order: int) -> list[int]:
     """[power_sum(values, m) for m = 0..max_order] of any integer sequence or
-    array, in one pass of running products over object arrays of Python ints
-    made POWER_CHUNK values at a time: 0**0 = 1, no entry for max_order < 0."""
+    array: 0**0 = 1, no entry for max_order < 0.  Non-negative int64 values
+    that fill more than half of range(last + 1), none twice, take the range's
+    sums (max_order^2 products per bit of last + 1, so up to MAX_TAYLOR_ORDER)
+    less their gaps'; any others one pass of running products over object
+    arrays of Python ints made POWER_CHUNK values at a time."""
+    array = np.asarray(values)  # ints at or above 2^63 are not int64
+    ruled = array.dtype == np.int64 and 0 <= max_order <= MAX_TAYLOR_ORDER
+    last = int(array.max(initial=-1)) if ruled else inf
+    if 2 * array.size > last + 1 and array.min() >= 0:
+        counts = np.bincount(array)  # last + 1 < 2 * size entries
+        if counts.max() == 1:
+            gaps = _power_sums(np.flatnonzero(counts == 0), max_order)
+            return list(map(sub, _range_power_sums(last + 1, max_order), gaps))
     sums = [len(values)] + [0] * max_order
     for lo in range(0, len(values), POWER_CHUNK):
         base = np.array(values[lo : lo + POWER_CHUNK], dtype=object)
@@ -264,6 +278,8 @@ class EspPartition:
         """Rebuild from blocks and M; a declared p or prouhetSums must match."""
         if not isinstance(data, dict):
             raise TypeError("a partition is a JSON object")
+        if isinstance(degree := data.get("M"), int) and degree > MAX_TAYLOR_ORDER:
+            raise ValueError(f"degree must be at most {MAX_TAYLOR_ORDER}, got {degree}")
         declared = [data.get("p", 0), *data.get("prouhetSums", [])]
         values = chain(*data["blocks"], [data["M"]], declared)
         _json_ints(values, "blocks, M, p and prouhetSums")
@@ -486,21 +502,23 @@ def sidelobe_split_check(values, degree: int) -> SidelobeSplitReport:
     # S(n) depends on n only through its PTM symbol; P_m is the weight of
     # symbol 0 and the range sum that of all symbols together.
     s_by_symbol = rows[1:].T.astype(float) @ b[1:]
-    s_vals = s_by_symbol[_ptm_array(p, size)]
+    s_parts = np.stack([s_by_symbol.real, s_by_symbol.imag, np.abs(s_by_symbol)], 1)
+    s_cols = s_parts[_ptm_array(p, size)]
     weights = _ptm_weights(p, degree + 1, degree)
 
     index_range = np.arange(size, dtype=float)
-    s_sizes = np.abs(s_vals)
+    powers = np.ones(size)
     n_coeffs = []
     residuals = np.empty(degree)
     for m in range(1, degree + 1):
-        powers = index_range ** m
-        lhs = complex(powers @ s_vals)
+        powers *= index_range
+        re, im, s_size = powers @ s_cols
+        lhs = complex(re, im)
         n_m = (1 << (p - 1)) * weights[m][0] - sum(weights[m])
         rhs = n_m * b[0]
         # Relative to the size of the terms that cancel: the left side keeps
         # their rounding error even where the exact sum (N_m = 0 for p=2) is 0.
-        scale = max(1.0, float(powers @ s_sizes), abs(rhs))
+        scale = max(1.0, float(s_size), abs(rhs))
         residuals[m - 1] = abs(lhs - rhs) / scale
         n_coeffs.append(n_m)
     return SidelobeSplitReport(degree, tuple(n_coeffs), residuals)

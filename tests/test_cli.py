@@ -26,6 +26,14 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def patch_bindings(monkeypatch, func, wrapper):
+    """Put `wrapper` in place of `func` under every name a dopwave module binds."""
+    for module in (codes, doppler, numtheory, stagger):
+        for name, value in list(vars(module).items()):
+            if value is func:
+                monkeypatch.setattr(module, name, wrapper)
+
+
 def count_calls(monkeypatch, func):
     """Record each call to `func` under every name a dopwave module binds."""
     calls = []
@@ -34,10 +42,28 @@ def count_calls(monkeypatch, func):
         calls.append(args)
         return func(*args, **kwargs)
 
-    for module in (codes, doppler, numtheory, stagger):
-        for name, value in list(vars(module).items()):
-            if value is func:
-                monkeypatch.setattr(module, name, counted)
+    patch_bindings(monkeypatch, func, counted)
+    return calls
+
+
+def trace_power_sums(monkeypatch):
+    """Record each numtheory._power_sums call as [args, depth, inner]: depth
+    counts the calls it is made within, inner those made within it.  The
+    dense-set rule makes one inner call, over the set's gaps; a call with
+    none sums its own values in one pass."""
+    calls, open_calls, power_sums = [], [], numtheory._power_sums
+
+    def traced(*args):
+        if open_calls:
+            open_calls[-1][2] += 1
+        calls.append([args, len(open_calls), 0])
+        open_calls.append(calls[-1])
+        try:
+            return power_sums(*args)
+        finally:
+            open_calls.pop()
+
+    patch_bindings(monkeypatch, power_sums, traced)
     return calls
 
 
@@ -245,10 +271,13 @@ class TestVerify:
         ccm = codes.Ccm.from_json_dict(json.loads(ccm_path.read_text()))
         train = doppler.build_cyclic_train(ccm, ccm.count ** (order + 1))
         train_path.write_text(json.dumps(train.to_json_dict()))
-        power_sums = count_calls(monkeypatch, numtheory._power_sums)
+        power_sums = trace_power_sums(monkeypatch)
         ffts = count_ffts(monkeypatch)
         assert run("verify", train_path, order) == 1
-        assert len(power_sums) == ccm.count  # one pass per code for every order
+        # One call per code for every order; the Golay codes' even slots
+        # fill 16 of 0..30 and take one more, over the odd ones.
+        assert sum(depth == 0 for _, depth, _ in power_sums) == ccm.count
+        assert all(args[1] == order for args, _, _ in power_sums)
         assert sum(ffts) == ccm.count
         slots = train.slots_by_code()
         weights = doppler._exact_weights(train, order)
@@ -458,20 +487,22 @@ class TestStagger:
         builtin = stagger.builtin_partition(2)  # padded: (0,3,4,5), (1,2,3,6)
         rows = count_calls(monkeypatch, doppler._weighted_sum)
         ffts = count_ffts(monkeypatch)
-        sums = count_calls(monkeypatch, numtheory._power_sums)
+        sums = trace_power_sums(monkeypatch)
         assert run("stagger", golay_file, 2, "--out", tmp_path / "plan.json") == 0
         # Orders 0..2: each c_m row (complex ACFs) and C_m(z) (real spectra) once.
         assert [args[0].dtype.kind for args in rows] == ["c", "f"] * 3
         assert sum(ffts) == 2  # one per code: validation, report and z domain share them
         # One pass per block in esp_check and one over the slots' repeated
         # copies (none: the blocks are disjoint); the padded sums are derived.
-        # Code 0 fills 4 of slots 0..5 and code 1 4 of slots 0..6, so each
-        # code's weights take one pass over its empty slots.  No pass over a
-        # padded block or over the padding slots.
-        assert [sorted(args[0]) for args in sums] == [
-            *map(list, builtin.blocks), [], [1, 2], [0, 4, 5]
-        ]
-        assert all(args[1] == 2 for args in sums)  # every order at once
+        # Code 1 fills 4 of slots 0..6, so its weights take one pass over its
+        # empty slots.  Code 0 fills 4 of slots 0..5 and hands its empty slots
+        # on, which fill 2 of 0..2 and hand on slot 0, down to a pass over
+        # none.  No pass over a padded block or over the padding slots.
+        passes = [sorted(args[0]) for args, _, inner in sums if not inner]
+        assert passes == [*map(list, builtin.blocks), [], [], [0, 4, 5]]
+        ruled = [sorted(args[0]) for args, _, inner in sums if inner]
+        assert ruled == [[0, 3, 4, 5], [1, 2], [0], [1, 2, 3, 6]]
+        assert all(args[1] == 2 for args, _, _ in sums)  # every order at once
 
     def test_plan_round_trip(self, tmp_path, golay_file):
         from dopwave import stagger as st

@@ -135,6 +135,11 @@ class TestPowerSumsKernel:
     @example([], 32)
     @example([0, 0, 0], 0)
     @example([0, 5, 5, 1 << 20], 32)
+    # Not int64 (float64, uint64) or repeated: each sums its own values.
+    @example([-1, 2**63], 5)
+    @example([2**63, 2**63 + 1], 5)
+    @example([0, 1, 2, 2, 3], 32)
+    @example((0, 1, 3, 4, 5), 32)  # dense: the range's sums less slot 2's
     def test_matches_power_sum_at_every_order(self, values, max_order):
         sums = nt._power_sums(values, max_order)
         assert sums == [nt.power_sum(values, m) for m in range(max_order + 1)]
@@ -157,6 +162,38 @@ class TestPowerSumsKernel:
         assert sums == [nt.power_sum(values, m) for m in range(max_order + 1)]
         assert array_sums == sums
         assert all(type(s) is int for s in sums + array_sums)
+
+    @pytest.mark.parametrize(
+        "values,max_order,inner",
+        [
+            # Fills 3 of 0..3, none twice: its gap.
+            (np.array([0, 1, 3]), 6, [[2]]),
+            # Fills 17 of 0..19: one inner pass, over its three gaps.
+            (np.setdiff1d(np.arange(20), [3, 11, 17]), 32, [[3, 11, 17]]),
+            # Repeats slot 1: its own values.
+            (np.array([0, 1, 2, 1]), 6, []),
+            # Fills exactly half of 0..3: its own values.
+            (np.array([1, 3]), 6, []),
+            # Ints of another type: their own values.
+            (np.array([0, 1, 3], dtype=np.uint64), 6, []),
+            # Above MAX_TAYLOR_ORDER, where range sums cost max_order^2 per bit.
+            (np.array([0, 1, 3]), nt.MAX_TAYLOR_ORDER + 1, []),
+        ],
+        ids=["complement", "sparse-gaps", "repeated", "exactly-half", "uint64",
+             "over-the-cap"],
+    )
+    def test_each_branch(self, monkeypatch, values, max_order, inner):
+        kernel, calls = nt._power_sums, []
+
+        def counted(values, max_order):
+            calls.append(list(values))
+            return kernel(values, max_order)
+
+        monkeypatch.setattr(nt, "_power_sums", counted)
+        sums = kernel(values, max_order)
+        assert calls == inner
+        assert sums == [nt.power_sum(values, m) for m in range(max_order + 1)]
+        assert all(type(s) is int for s in sums)
 
     @pytest.mark.parametrize(
         "stop", [0, 1, 2, *(2**k + d for k in range(1, 11) for d in (-1, 1))]
@@ -443,6 +480,17 @@ class TestEspSearch:
     )
     def test_json_reader_refuses_non_integers(self, data):
         with pytest.raises(ValueError, match="must be integers"):
+            nt.EspPartition.from_json_dict(data)
+
+    def test_json_reader_refuses_a_degree_over_the_cap_before_any_sum(
+        self, monkeypatch
+    ):
+        def refuse(values, max_order):
+            raise AssertionError("power sums computed for a degree over the cap")
+
+        monkeypatch.setattr(nt, "_power_sums", refuse)
+        data = {"M": 10**5, "blocks": [[0, 3], [1, 2]]}
+        with pytest.raises(ValueError, match="degree must be at most 32, got 100000"):
             nt.EspPartition.from_json_dict(data)
 
     @pytest.mark.parametrize(

@@ -327,21 +327,20 @@ class TestPlanWeights:
             assert weights[m] == [plan.partition.prouhet_sums[m]] * mapped.p
 
     @pytest.mark.parametrize(
-        "lanes,passes",
+        "lanes",
         [
             # Code 0 fills 3 of slots 0..3, no slot twice: its empty slot.
-            ((doppler.Lane(0, (0, 0, 1, 0)),), [[2], [2]]),
+            (doppler.Lane(0, (0, 0, 1, 0)),),
             # Code 0 fills slot 1 twice: its own slots.
-            (
-                (doppler.Lane(0, (0, 0, 0)), doppler.Lane(1, (0, 1))),
-                [[0, 1, 2, 1], [2]],
-            ),
+            (doppler.Lane(0, (0, 0, 0)), doppler.Lane(1, (0, 1))),
             # Code 0 fills exactly half of slots 0..3: its own slots.
-            ((doppler.Lane(0, (1, 0, 1, 0)),), [[1, 3], [1]]),
+            (doppler.Lane(0, (1, 0, 1, 0)),),
         ],
         ids=["complement", "repeated-slot", "exactly-half"],
     )
-    def test_each_weight_branch(self, monkeypatch, lanes, passes):
+    def test_each_weight_branch(self, monkeypatch, lanes):
+        # Each code's slots go to the kernel once, which picks the branch
+        # (TestPowerSumsKernel.test_each_branch in test_numtheory.py).
         plan = doppler.PulseTrain(golay(2), lanes, stagger.builtin_partition(2))
         calls = []
 
@@ -351,8 +350,8 @@ class TestPlanWeights:
 
         monkeypatch.setattr(doppler, "_power_sums", counted)
         weights = doppler._exact_weights(plan, 6)
-        assert calls == passes
         slots = lane_slots(lanes, 2)
+        assert calls == slots
         assert weights == [[numtheory.power_sum(s, m) for s in slots] for m in range(7)]
         assert all(type(w) is int for row in weights for w in row)
 
@@ -367,8 +366,9 @@ class TestPlanWeights:
         ) as digits:
             weights = doppler._exact_weights(plan, degree + 3)
         assert digits.call_count == 1
-        per_code = [doppler._code_weights(s, degree + 3) for s in plan.slots_by_code()]
-        assert weights == [list(row) for row in zip(*per_code)]
+        slots = plan.slots_by_code()
+        orders = range(degree + 4)
+        assert weights == [[numtheory.power_sum(s, m) for s in slots] for m in orders]
         assert all(type(w) is int for row in weights for w in row)
 
 
