@@ -163,11 +163,11 @@ def _power_sums(values, max_order: int) -> list[int]:
     """[power_sum(values, m) for m = 0..max_order] of any integer sequence or
     array: 0**0 = 1, no entry for max_order < 0.  Non-negative int64 values
     that fill more than half of range(last + 1), none twice, take the range's
-    sums (max_order^2 products per bit of last + 1, so up to MAX_TAYLOR_ORDER)
-    less their gaps'; any others one pass of running products over object
+    sums (about max_order^2/2 products, so up to MAX_TAYLOR_ORDER) less
+    their gaps'; any others one pass of running products over object
     arrays of Python ints made POWER_CHUNK values at a time."""
     array = np.asarray(values)  # ints at or above 2^63 are not int64
-    ruled = array.dtype == np.int64 and 0 <= max_order <= MAX_TAYLOR_ORDER
+    ruled = array.dtype == np.int64 and max_order <= MAX_TAYLOR_ORDER
     last = int(array.max(initial=-1)) if ruled else inf
     if 2 * array.size > last + 1 and array.min() >= 0:
         counts = np.bincount(array)  # last + 1 < 2 * size entries
@@ -194,16 +194,12 @@ def _shift_sums(rows, a: int) -> list[list[int]]:
 
 
 def _range_power_sums(stop: int, max_order: int) -> list[int]:
-    """_power_sums(range(stop), max_order) from the binary digits of stop:
-    doubling [0, h) adds the sums of [h, 2h), its shift by h, and a 1 digit
-    adds (2h)^m."""
-    sums, h = [0] * (max_order + 1), 0
-    for digit in bin(stop)[2:]:
-        sums = list(map(add, sums, *_shift_sums([sums], h)))
-        h *= 2
-        if digit == "1":
-            sums = [s + h**m for m, s in enumerate(sums)]
-            h += 1
+    """_power_sums(range(stop), max_order) by Pascal's telescoping identity,
+    stop^(m+1) = sum_i C(m+1, i) S_i over i = 0..m, one order at a time."""
+    sums, row = [], [1]  # row: C(m + 1, i) for i = 0..m + 1
+    for m in range(max_order + 1):
+        row = [1, *map(add, row, row[1:]), 1]
+        sums.append((stop ** (m + 1) - sum(map(mul, row, sums))) // (m + 1))
     return sums
 
 

@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from dopwave import codes, doppler, numtheory, stagger
 

@@ -176,7 +176,7 @@ class TestPowerSumsKernel:
             (np.array([1, 3]), 6, []),
             # Ints of another type: their own values.
             (np.array([0, 1, 3], dtype=np.uint64), 6, []),
-            # Above MAX_TAYLOR_ORDER, where range sums cost max_order^2 per bit.
+            # Above MAX_TAYLOR_ORDER, where range sums cost about max_order^2/2.
             (np.array([0, 1, 3]), nt.MAX_TAYLOR_ORDER + 1, []),
         ],
         ids=["complement", "sparse-gaps", "repeated", "exactly-half", "uint64",
@@ -199,11 +199,17 @@ class TestPowerSumsKernel:
         "stop", [0, 1, 2, *(2**k + d for k in range(1, 11) for d in (-1, 1))]
     )
     def test_range_sums_match_power_sum(self, stop):
-        sums = nt._range_power_sums(stop, 32)
-        assert sums == [nt.power_sum(range(stop), m) for m in range(33)]
+        sums = nt._range_power_sums(stop, 64)
+        assert sums == [nt.power_sum(range(stop), m) for m in range(65)]
         assert all(type(s) is int for s in sums)
-        for max_order in (0, 1, 16):  # a prefix of the same sums
+        for max_order in (-1, 0, 1, 16, 32):  # a prefix of the same sums
             assert nt._range_power_sums(stop, max_order) == sums[: max_order + 1]
+
+    @pytest.mark.parametrize("p,levels", [(2, 20), (3, 12), (5, 8)])
+    def test_range_sums_match_the_digit_dp(self, p, levels):
+        # The PTM symbols split range(p^levels): their weights add up to it.
+        weights = nt._ptm_weights(p, levels, 32)
+        assert [sum(row) for row in weights] == nt._range_power_sums(p**levels, 32)
 
 
 class TestPtmKernel:

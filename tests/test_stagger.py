@@ -1,6 +1,7 @@
 """Staggered-schedule tests: padding, lane decomposition, composite nulls."""
 
 import json
+import time
 from unittest import mock
 
 import numpy as np
@@ -126,6 +127,16 @@ class TestPadPartition:
         # Refused from the counts alone, before any slot range is built.
         with pytest.raises(ValueError, match="exceeds cap"):
             stagger.pad_partition(pairs(10**15, 2))
+
+    def test_high_degree_padding_is_quick(self):
+        # The range's sums at degree 600 take about M^2/2 products in all.
+        part = numtheory.EspPartition.from_blocks([[0, 3], [0, 3]], 600)
+        start = time.perf_counter()
+        padded = stagger.pad_partition(part)
+        assert time.perf_counter() - start < 1
+        assert padded.blocks == ((0, 1, 2, 3), (0, 1, 2, 3))
+        for m in (0, 1, 600):
+            assert padded.prouhet_sums[m] == numtheory.power_sum((0, 1, 2, 3), m)
 
     @pytest.mark.parametrize("degree", [2, 3, 5])
     def test_padding_preserves_degree(self, degree):
