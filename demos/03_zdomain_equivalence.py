@@ -4,9 +4,10 @@
 An order-m ambiguity coefficient vanishes at all non-zero delays exactly
 when the z-domain coefficient C_m(z) = sum_n n^m |X_n(z)|^2 is constant in
 z; for a PTM train its value is the closed form N * K * P_m, with P_m the
-common block power sum.  Both checks run on every order of one Taylor
-report, which carries each order's delay residual, z deviation and relative
-spread, and raises DomainMismatchError should the two verdicts disagree.
+common block power sum.  One Taylor report carries both views of every
+order: its delay residual, z deviation and relative spread.  This binary
+pair's nulls are decided exactly; a DFT-3 or column-stored set is decided in
+both domains and raises DomainMismatchError should the two verdicts disagree.
 """
 
 import numpy as np

@@ -4,8 +4,8 @@ Subcommands::
 
     gen      generate a code set (golay | dft) and write it as JSON
     ptm      build a PTM-ordered pulse train from a code-set file
-    verify   check null orders of a train or plan file in both domains (z at
-             2N points)
+    verify   check null orders of a train or plan file: exactly for binary and
+             quaternary sets, else in both domains (z at 2N points)
     surface  export a train or plan file's ambiguity-magnitude grid as CSV
     esp      search equal-power-sum partitions of a slot universe
     stagger  build a staggered multi-antenna schedule and report its nulls
@@ -13,9 +13,9 @@ Subcommands::
 Human-readable summaries go to stdout, structured artifacts to files (JSON;
 CSV for surfaces).  Every failure past argument parsing prints one
 ``error: ...`` line on stderr and picks the exit code: 1 verification
-failed, 2 usage error, 3 I/O error, 4 internal inconsistency between the two
-verification domains; 0 is success / verified.  ``--seed`` is accepted and
-has no effect: every command is deterministic.
+failed, 2 usage error, 3 I/O error, 4 the two verification domains of a set
+not binary or quaternary disagree; 0 is success / verified.  ``--seed`` is
+accepted and has no effect: every command is deterministic.
 """
 
 import argparse
@@ -170,7 +170,7 @@ def cmd_ptm(args) -> int:
 def cmd_verify(args) -> int:
     train = _read_json(args.train, "train", doppler.PulseTrain.from_json_dict)
     # An order outside 0..32 exits 2 before any weight; a DomainMismatchError
-    # from the cross-check of any order exits 4 (see `main`).
+    # from the cross-check of a set not decided exactly exits 4 (see `main`).
     with _exits(EXIT_USAGE):
         report = doppler.taylor_coeffs(train, args.order, args.tol)
     if args.out is not None:  # before printing, so that a failed write prints nothing

@@ -31,7 +31,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .codes import CCM_TOL, Ccm, code_acfs
+from .codes import _EXACT_ROOTS, CCM_TOL, Ccm, code_acfs
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
 from .numtheory import MAX_TAYLOR_ORDER, EspPartition, _capped_power, _json_ints
 from .numtheory import _power_sums, _ptm_array, _ptm_weights
@@ -67,9 +67,9 @@ MAX_SURFACE_CELLS = 1 << 24
 class DomainMismatchError(RuntimeError):
     """Delay-domain and z-domain null verdicts disagree for some order.
 
-    The two tests measure the same property, so disagreement means a broken
-    computation (or a deliberately borderline input) and is never silently
-    swallowed.
+    Only sets outside phase orders 1, 2 and 4 take both tests.  They measure
+    one property, so disagreement means a broken computation (or a
+    deliberately borderline input) and is never silently swallowed.
     """
 
     def __init__(self, order, time_residual, z_deviation):
@@ -312,13 +312,13 @@ class _MagnitudeLines(dict):
 class TaylorReport:
     """Ambiguity Taylor coefficients and the null order they certify.
 
-    weights[m][c] is code c's exact weight W_c(m) and acfs the code set's
-    shared ACF table; coeffs[m], c_m over all lags (lag k at column N-1+k),
-    is formed on each access as their code-order sum (_weighted_sum); the
-    JSON keeps the weights, from which the rows rebuild bit for bit.
-    max_sidelobe_residual[m] is the worst off-peak |c_m|, and null_order
-    the largest m with every c_0..c_m within its threshold.  z_deviations[m]
-    is the spread max_z |C_m(z) - mean| on the 2N grid and z_residuals[m]
+    weights[m][c] is code c's exact weight W_c(m) and acfs the set's ACF
+    table; coeffs[m], c_m over all lags (lag k at column N-1+k), is formed
+    on each access as their code-order sum (_weighted_sum); the JSON keeps
+    the weights, which rebuild the rows bit for bit.  max_sidelobe_residual[m]
+    is the worst off-peak |c_m|; null_order the largest m with c_0..c_m zero
+    off-peak, exactly for phase orders 1, 2 and 4, else within thresholds.
+    z_deviations[m] is max_z |C_m(z) - mean| on the 2N grid, z_residuals[m]
     max_z |C_m(z) - N*K*W_0(m)| / max(1, N*K*W_0(m)); neither goes to JSON.
     total_pulses counts the schedule's pulses, span its first to last slot.
     """
@@ -353,12 +353,11 @@ class TaylorReport:
 def taylor_coeffs(schedule, max_order: int, tol: float = CCM_TOL) -> TaylorReport:
     """Taylor coefficients c_0..c_max_order of a train or staggered plan.
 
-    The one path from a schedule to a report; thresholds use its last slot.
-    Each order takes one pass: its coefficients, formed and dropped, give
-    the off-peak residual, and its C_m(z) samples on the code set's 2N grid
-    (`ccm.spectra`) go with it through _order_check, raising
-    DomainMismatchError when the two domains disagree.  The null order is
-    the last of the leading delay-domain nulls; a NaN residual is no null.
+    One pass per order forms c_m, for the off-peak residual, and C_m(z) on
+    the 2N grid (`ccm.spectra`), for the z spread; thresholds use the last
+    slot.  Phase orders 1, 2 and 4 are null at m exactly when G·W(m) = 0
+    (_exact_gram); other sets when the residual is within its threshold (a
+    NaN is no null), raising DomainMismatchError if the z test disagrees.
     ValueError when the widest bound, the z test's at max_order, overflows.
     """
     ccm = schedule.ccm
@@ -369,7 +368,7 @@ def taylor_coeffs(schedule, max_order: int, tol: float = CCM_TOL) -> TaylorRepor
     if not math.isfinite(widest):  # Python floats overflow without a warning
         raise ValueError(f"tolerance {tol:g} gives an order-{max_order} threshold "
                          "that is not finite")
-    acfs = code_acfs(ccm)
+    acfs, gram = code_acfs(ccm), _exact_gram(ccm)
     # Raw weights grow like slot^m, so a flat tolerance would misjudge high orders.
     thresholds = tol * code_length * base ** np.arange(max_order + 1)
 
@@ -379,15 +378,35 @@ def taylor_coeffs(schedule, max_order: int, tol: float = CCM_TOL) -> TaylorRepor
         magnitudes[code_length - 1] = 0.0  # the peak lag; the off-peak max is 0 at N = 1
         residuals[m] = residual = float(magnitudes.max(initial=0.0))
         samples = _weighted_sum(ccm.spectra, row)
-        z_deviations[m] = _order_check(m, residual, thresholds[m], samples, code_length)
+        z_deviations[m] = z_dev = _spread(samples, samples.mean())
+        # The deviation polynomial has 2(N-1) coefficient terms of size |c_m(k)|.
+        z_null = z_dev <= 2 * max(1, code_length - 1) * thresholds[m]
+        if gram is None and (residual <= thresholds[m]) != z_null:
+            raise DomainMismatchError(m, residual, z_dev)
         target = code_length * ccm.count * row[0]
         z_residuals[m] = _spread(samples, target) / max(1.0, target)
-    nulls = (residuals <= thresholds).tolist()
+    nulls = (residuals <= thresholds).tolist() if gram is None else [
+        not any(sum(map(operator.mul, g, row)) for g in gram) for row in weights]
     null_order = (nulls + [False]).index(False) - 1
     return TaylorReport(
         max_order, weights, acfs, residuals, thresholds, null_order,
         z_deviations, z_residuals, schedule.total_pulses, schedule.span,
     )
+
+
+def _exact_gram(ccm: Ccm) -> list[list[int]] | None:
+    """G = Re(A^H A), A the off-peak rows of a phase-1/2/4 set's ACFs, in
+    ints: |A·W|^2 = W^T G W, so A·W = 0 exactly when G·W = 0.  Row blocks
+    multiply in int64 (each entry below rows * N^2 <= 2^62) and add as
+    Python ints, so G is exact at any code length.  None for other sets."""
+    if ccm.phase_order not in _EXACT_ROOTS:
+        return None
+    acfs, gram = code_acfs(ccm), 0
+    rows = min(SUM_BLOCK, (1 << 62) // ccm.length**2)
+    for block in (acfs[lo : lo + rows] for lo in range(0, len(acfs), rows)):
+        re, im = block.real.astype(np.int64), block.imag.astype(np.int64)
+        gram += np.array((re.T @ re + im.T @ im).tolist(), dtype=object)
+    return (gram - ccm.length**2).tolist()  # less the peak row: N in every column
 
 
 def _weighted_sum(table: np.ndarray, weights_m: list[int]) -> np.ndarray:
@@ -408,7 +427,7 @@ def zdomain_samples(schedule, order: int) -> np.ndarray:
 
     Real-valued; 2N samples hold C_m's 2N-1 coefficients without alias.  Any
     train or staggered plan works: its weights come from _exact_weights, so
-    these are the samples taylor_coeffs cross-checks at order m.  A PTM
+    these are the samples whose spread taylor_coeffs takes at order m.  A PTM
     train or an ESP plan makes them constant in z up to its order.
     """
     return _weighted_sum(schedule.ccm.spectra, _exact_weights(schedule, order)[order])
@@ -416,25 +435,6 @@ def zdomain_samples(schedule, order: int) -> np.ndarray:
 
 def _spread(samples, centre) -> float:  # max|samples - centre|: rounding keeps order
     return float(np.maximum(samples.max() - centre, centre - samples.min()))
-
-
-def _order_check(
-    order: int, time_residual: float, threshold: float, samples: np.ndarray,
-    code_length: int,
-) -> float:
-    """Both order-m verdicts from the off-peak residual and C_m(z) samples.
-
-    Returns the z deviation (the samples' spread).  A NaN residual or sample
-    fails its test.  Raises DomainMismatchError when the verdicts disagree.
-    """
-    time_null = time_residual <= threshold
-    z_dev = _spread(samples, samples.mean())
-    # The deviation polynomial has 2(N-1) coefficient terms of size |c_m(k)|.
-    z_constant = z_dev <= 2 * max(1, code_length - 1) * threshold
-
-    if time_null != z_constant:
-        raise DomainMismatchError(order, time_residual, z_dev)
-    return z_dev
 
 
 @dataclass(frozen=True)

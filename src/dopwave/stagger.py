@@ -161,8 +161,8 @@ def compare_ptm_vs_stagger(
     pulse count, and both are verified to reach null order >= degree.
     Without an explicit partition it takes builtin_partition(degree), as
     `dopwave stagger` does; pass partition=ptm_partition(K, degree) for the
-    PTM split.  Both reports are cross-checked in the z domain, so a
-    disagreement raises DomainMismatchError.
+    PTM split.  Unless the set is binary or quaternary (decided exactly),
+    both are cross-checked in z, and a disagreement raises DomainMismatchError.
     """
     if partition is None:
         partition = builtin_partition(degree)

@@ -93,6 +93,15 @@ def train_file(tmp_path, golay_file):
     return path
 
 
+@pytest.fixture
+def dft_train_file(tmp_path):
+    """A DFT-3 PTM train of order 2: a set the float verdicts decide."""
+    path = tmp_path / "dft-train.json"
+    train = doppler.build_ptm_train(codes.gen_dft_set(3), 2)
+    path.write_text(json.dumps(train.to_json_dict()))
+    return path
+
+
 class TestGen:
     def test_golay(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
@@ -207,12 +216,16 @@ class TestVerify:
             json.dump(train.to_json_dict(), fh)
         assert run("verify", path, 0) == 0
 
-    def test_domain_mismatch_exits_4(self, train_file, monkeypatch):
-        def boom(order, time_residual, threshold, samples, code_length):
-            raise doppler.DomainMismatchError(order, 1.0, 0.0)
+    def test_domain_mismatch_exits_4(self, dft_train_file):
+        # DFT-3 takes the float verdicts: at order 0 its residual 5.0e-15 is
+        # within 3 * tol while its z spread 2.8e-14 exceeds 4 * 3 * tol.
+        assert run("--tol", 2e-15, "verify", dft_train_file, 2) == 4
 
-        monkeypatch.setattr(doppler, "_order_check", boom)
-        assert run("verify", train_file, 1) == 4
+    def test_tol_does_not_move_an_exact_verdict(self, train_file, capsys):
+        # A Golay train is decided by the integer Gram identity, so a
+        # tolerance below its z spread no longer raises a mismatch.
+        assert run("--tol", 1e-16, "verify", train_file, 3) == 0
+        assert capsys.readouterr().out.endswith("null order 3 (required 3)\n")
 
     def test_frank_train_does_not_alias(self, tmp_path, frank_train, capsys):
         path = tmp_path / "frank.json"
@@ -1164,34 +1177,37 @@ def test_compare_refuses_what_stagger_refuses(error_inputs, monkeypatch, case):
     assert builds == []
 
 
-def test_domain_mismatch_prints_one_error_line(train_file, monkeypatch, capsys):
-    def boom(order, time_residual, threshold, samples, code_length):
-        raise doppler.DomainMismatchError(order, 1.0, 0.0)
-
-    monkeypatch.setattr(doppler, "_order_check", boom)
-    assert run("verify", train_file, 1) == 4
-    assert capsys.readouterr().err == (
+def test_domain_mismatch_prints_one_error_line(dft_train_file, capsys):
+    # The order-0 verdicts of test_domain_mismatch_exits_4, read back at the
+    # default tolerance, under which they agree.
+    train = doppler.PulseTrain.from_json_dict(json.loads(dft_train_file.read_text()))
+    report = doppler.taylor_coeffs(train, 2)
+    residual, z_dev = report.max_sidelobe_residual[0], report.z_deviations[0]
+    assert residual <= 3 * 2e-15 < z_dev / 4  # threshold 3 * tol, z bound 4x that
+    assert run("--tol", 2e-15, "verify", dft_train_file, 2) == 4
+    assert capsys.readouterr() == ("", (
         "error: order-0 null verdicts disagree: delay-domain residual "
-        "1.000e+00, z-domain deviation 0.000e+00\n"
-    )
+        f"{residual:.3e}, z-domain deviation {z_dev:.3e}\n"
+    ))
 
 
-def test_stagger_domain_mismatch_prints_one_error_line(
-    tmp_path, golay_file, monkeypatch, capsys
-):
-    def boom(order, time_residual, threshold, samples, code_length):
-        raise doppler.DomainMismatchError(order, 1.0, 0.0)
-
-    monkeypatch.setattr(doppler, "_order_check", boom)
-    capsys.readouterr()  # drop the fixture's output
-    plan = tmp_path / "plan.json"
-    assert run("stagger", golay_file, 2, "--out", plan) == 4
+def test_stagger_domain_mismatch_prints_one_error_line(tmp_path, monkeypatch, capsys):
+    # The Golay pair given by columns takes the float verdicts; a z spread
+    # of 1 disagrees with its order-0 residual of about 3e-15.
+    ccm = codes.Ccm(codes.gen_golay_pair(3).columns)
+    pair = tmp_path / "columns.json"
+    pair.write_text(json.dumps(ccm.to_json_dict()))
+    plan = stagger.decompose_to_antennas(stagger.builtin_partition(2), ccm)
+    residual = doppler.taylor_coeffs(plan, 0).max_sidelobe_residual[0]
+    monkeypatch.setattr(doppler, "_spread", lambda samples, centre: 1.0)
+    out = tmp_path / "plan.json"
+    assert run("stagger", pair, 2, "--out", out) == 4
     assert capsys.readouterr() == (
         "",
         "error: order-0 null verdicts disagree: delay-domain residual "
-        "1.000e+00, z-domain deviation 0.000e+00\n",
+        f"{residual:.3e}, z-domain deviation 1.000e+00\n",
     )
-    assert not plan.exists()
+    assert not out.exists()
 
 
 def test_unequal_partition_blocks_write_no_plan(tmp_path, golay_file, capsys):

@@ -35,6 +35,11 @@ def one_lane(ccm, indices, delay=0):
     return doppler.PulseTrain(ccm, (doppler.Lane(delay, indices),))
 
 
+def exact_null_order(weights):
+    """The last order m at which every code's exact weight W_c(m) is equal."""
+    return ([len(set(row)) == 1 for row in weights] + [False]).index(False) - 1
+
+
 def finite_difference_derivative(train, lag, order, step):
     """Oracle: central finite differences of g(lag, theta) at theta = 0.
 
@@ -324,9 +329,10 @@ class TestTaylorCoeffs:
         """Every PTM train of length K^(M+1) < 512 nulls through M and no further.
 
         Asked for M + 1 orders or for up to six more, the report says M; the
-        cyclic train of the same length says 0.  Longer trains are left out:
-        there the float verdict can over-report (Golay-1 at L = 1024 reads 12)
-        or raise DomainMismatchError (Golay-4 at L = 512), ROADMAP item 2.
+        cyclic train of the same length says 0.  Longer DFT trains are left
+        out: their float verdict can over-report (DFT-3 at L = 59049 reads 11
+        where the exact order is 9), ROADMAP item 3.  Golay trains of any
+        length and delay are pinned by test_golay_null_order_is_exact.
         """
         ccm = make(size)
         order = 1
@@ -339,10 +345,11 @@ class TestTaylorCoeffs:
             order += 1
         assert order > 2  # at least the orders 1 and 2 were checked
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
     @pytest.mark.parametrize("make,size,order,asked,delay", [
         (codes.gen_golay_pair, 4, 11, 13, 0), (codes.gen_golay_pair, 1, 10, 32, 0),
-        (codes.gen_golay_pair, 4, 8, 9, 0), (codes.gen_dft_set, 3, 9, 11, 0),
+        (codes.gen_golay_pair, 4, 8, 9, 0),
+        pytest.param(codes.gen_dft_set, 3, 9, 11, 0,
+                     marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")),
         (codes.gen_golay_pair, 2, 1, 32, 1 << 20),
         (codes.gen_golay_pair, 1, 3, 32, 1 << 20),
     ], ids=["golay4-L4096", "golay1-L2048", "golay4-L512", "dft3-L59049",
@@ -350,16 +357,76 @@ class TestTaylorCoeffs:
     def test_null_order_is_the_exact_one(self, make, size, order, asked, delay):
         """The reported null order is the last m with equal exact weights.
 
-        The float verdict reads 13, 20, a DomainMismatchError, 11, 32 and 32
-        here, where every code's W_c(m) is equal up to 11, 10, 8, 9, 1 and 3.
+        Every code's W_c(m) is equal up to 11, 10, 8, 9, 1 and 3 here.  The
+        Golay sets are decided by the integer Gram identity; a tolerance test
+        read 13, 20, a DomainMismatchError, 32 and 32.  DFT-3 still takes the
+        float verdict, which reads 11.
         """
         train = doppler.build_ptm_train(make(size), order)
         train = one_lane(train.ccm, train.lanes[0].indices, delay)
-        weights = doppler._exact_weights(train, asked)
-        exact = -1
-        while exact < asked and len(set(weights[exact + 1])) == 1:
-            exact += 1
+        exact = exact_null_order(doppler._exact_weights(train, asked))
+        assert exact == order
         assert doppler.taylor_coeffs(train, asked).null_order == exact
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        exponent=stn.integers(1, 6),
+        order=stn.integers(1, 11),
+        delay=stn.integers(0, 1 << 20),
+        degree=stn.sampled_from([None, 2, 3, 5]),
+        asked=stn.integers(0, doppler.MAX_TAYLOR_ORDER),
+    )
+    def test_golay_null_order_is_exact(self, exponent, order, delay, degree, asked):
+        """Golay PTM trains of up to 2^12 pulses at any delay, and the plans of
+        the built-in partitions, null exactly through the last order with
+        equal weights: neither more nor less.  A Golay pair's off-peak ACF
+        matrix has rank K - 1 = 1, so c_m = 0 off-peak exactly when
+        W_0(m) = W_1(m)."""
+        pair = golay(exponent)
+        if degree is None:
+            train = doppler.build_ptm_train(pair, order)
+            schedule = one_lane(pair, train.lanes[0].indices, delay)
+        else:
+            schedule = stagger.decompose_to_antennas(
+                stagger.builtin_partition(degree), pair
+            )
+        weights = doppler._exact_weights(schedule, asked)
+        report = doppler.taylor_coeffs(schedule, asked)
+        assert report.null_order == exact_null_order(weights)
+
+    @pytest.mark.parametrize("block", [1, 3, doppler.SUM_BLOCK])
+    def test_gram_blocks_add_up_to_the_python_int_gram(self, monkeypatch, block):
+        """G from int64 blocks of any size is Re(A^H A) summed in Python ints
+        over the off-peak rows; a set not of phase order 1, 2 or 4 has none."""
+        monkeypatch.setattr(doppler, "SUM_BLOCK", block)
+        for ccm in (golay(3), codes.gen_dft_set(4), codes.Ccm.from_phases([[0]], 2)):
+            rows = np.delete(ccm.acfs, ccm.length - 1, axis=0).tolist()
+            pairs = [[(int(z.real), int(z.imag)) for z in row] for row in rows]
+            expected = [
+                [sum(r[i][0] * r[j][0] + r[i][1] * r[j][1] for r in pairs)
+                 for j in range(ccm.count)] for i in range(ccm.count)
+            ]
+            assert doppler._exact_gram(ccm) == expected
+        assert doppler._exact_gram(codes.Ccm(golay(3).columns)) is None
+        assert doppler._exact_gram(codes.gen_dft_set(3)) is None
+
+    def test_null_is_kernel_membership_not_equal_weights(self):
+        """An (a, b, a, b) set has off-peak ACF rank 1 < K - 1: code c's ACF
+        is code c+2's, so moving pulses from code 0 to 2 or from 1 to 3
+        keeps every c_m.  Its order-3 PTM train with random such moves
+        still nulls through 3 while its weights differ."""
+        pair = codes.gen_golay_pair(3).phases
+        quad = codes.Ccm.from_phases(np.hstack([pair, pair]), 2)
+        indices = np.array(numtheory.ptm_sequence(4, 256))
+        rng = np.random.default_rng(7)
+        indices[(indices < 2) & (rng.random(indices.size) < 0.5)] += 2
+        train = one_lane(quad, indices.tolist())
+        report = doppler.taylor_coeffs(train, 4)
+        assert len(set(report.weights[1])) > 1
+        assert report.null_order == 3
+        # Order 4 is not null: the merged weights W_0 + W_2 and W_1 + W_3 differ.
+        merged = [w[0] + w[2] - w[1] - w[3] for w in report.weights]
+        assert merged[:4] == [0] * 4 and merged[4] != 0
 
     def test_cyclic_train_fails_first_order(self):
         train = doppler.build_cyclic_train(golay(), 16)
@@ -515,14 +582,20 @@ class TestZDomain:
     )
     def test_samples_are_the_taylor_rows_bit_for_bit(self, schedule):
         # Trains and plans alike: the same floats as the C_m(z) samples
-        # taylor_coeffs hands to _order_check, from the same exact weights.
-        with mock.patch.object(
-            doppler, "_order_check", wraps=doppler._order_check
-        ) as check:
+        # taylor_coeffs sums from `ccm.spectra`, from the same exact weights.
+        samples, weighted_sum = [], doppler._weighted_sum
+
+        def recorded(table, row):
+            out = weighted_sum(table, row)
+            if table is schedule.ccm.spectra:
+                samples.append(out)
+            return out
+
+        with mock.patch.object(doppler, "_weighted_sum", recorded):
             doppler.taylor_coeffs(schedule, 8)
-        for m, call in enumerate(check.call_args_list):
-            samples = doppler.zdomain_samples(schedule, m)
-            assert samples.tobytes() == call.args[3].tobytes()
+        assert len(samples) == 9
+        for m, got in enumerate(samples):
+            assert doppler.zdomain_samples(schedule, m).tobytes() == got.tobytes()
 
     def test_samples_refuse_orders_out_of_range(self):
         train = doppler.build_cyclic_train(golay(), 16)

@@ -529,27 +529,28 @@ class TestCompositeTaylor:
 
 
 class TestCrossCheck:
+    # The Golay pair given by columns takes the float verdicts and their
+    # z cross-check; given by phases it is decided exactly and never raises.
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: doppler.taylor_coeffs(doppler.build_ptm_train(golay(), 2), 2),
-            lambda: doppler.taylor_coeffs(
+            lambda ccm: doppler.taylor_coeffs(doppler.build_ptm_train(ccm, 2), 2),
+            lambda ccm: doppler.taylor_coeffs(
                 stagger.decompose_to_antennas(
-                    stagger.pad_partition(stagger.builtin_partition(2)), golay()
+                    stagger.pad_partition(stagger.builtin_partition(2)), ccm
                 ),
                 2,
             ),
-            lambda: stagger.compare_ptm_vs_stagger(golay(), 2),
+            lambda ccm: stagger.compare_ptm_vs_stagger(ccm, 2),
         ],
         ids=["taylor_coeffs", "plan", "compare"],
     )
     def test_every_report_raises_on_a_domain_mismatch(self, monkeypatch, build):
-        def boom(order, time_residual, threshold, samples, code_length):
-            raise doppler.DomainMismatchError(order, 1.0, 0.0)
-
-        monkeypatch.setattr(doppler, "_order_check", boom)
-        with pytest.raises(doppler.DomainMismatchError):
-            build()
+        monkeypatch.setattr(doppler, "_spread", lambda samples, centre: 1.0)
+        build(golay())  # exact: the z spread decides nothing
+        with pytest.raises(doppler.DomainMismatchError) as mismatch:
+            build(codes.Ccm(golay().columns))
+        assert (mismatch.value.order, mismatch.value.z_deviation) == (0, 1.0)
 
 
 class TestComparison:
