@@ -169,6 +169,7 @@ def cmd_ptm(args) -> int:
 
 def cmd_verify(args) -> int:
     train = _read_json(args.train, "train", doppler.PulseTrain.from_json_dict)
+    _complementary(train.ccm, args.tol)
     # An order outside 0..32 exits 2 before any weight; a DomainMismatchError
     # from the cross-check of a set not decided exactly exits 4 (see `main`).
     with _exits(EXIT_USAGE):

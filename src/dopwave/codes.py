@@ -35,7 +35,7 @@ UNIT_TOL = 1e-12
 
 # Default per-lag tolerance on summed autocorrelations, unused for the exact
 # orders 1, 2, 4; otherwise FFT error is ~1e-10 at N = 2^20, ten times below.
-# Also doppler.taylor_coeffs' default, scaled there by N and the last slot^m.
+# Also doppler.taylor_coeffs' default, scaled there by N and max(1, max_c |D_c(m)|).
 CCM_TOL = 1e-9
 
 _EXACT_ROOTS = {

@@ -31,7 +31,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .codes import _EXACT_ROOTS, CCM_TOL, Ccm, code_acfs
+from .codes import _EXACT_ROOTS, CCM_TOL, Ccm, code_acfs, validate_ccm
 from .codes import acf as _acf  # noqa: F401  (bench/test_bench.py traces this binding)
 from .numtheory import MAX_TAYLOR_ORDER, EspPartition, _capped_power, _json_ints
 from .numtheory import _power_sums, _ptm_array, _ptm_weights
@@ -353,38 +353,36 @@ class TaylorReport:
 def taylor_coeffs(schedule, max_order: int, tol: float = CCM_TOL) -> TaylorReport:
     """Taylor coefficients c_0..c_max_order of a train or staggered plan.
 
-    One pass per order forms c_m, for the off-peak residual, and C_m(z) on
-    the 2N grid (`ccm.spectra`), for the z spread; thresholds use the last
-    slot.  Phase orders 1, 2 and 4 are null at m exactly when G·W(m) = 0
-    (_exact_gram); other sets when the residual is within its threshold (a
-    NaN is no null), raising DomainMismatchError if the z test disagrees.
-    ValueError when the widest bound, the z test's at max_order, overflows.
+    One pass per order over D_c(m) = W_c(m) - W_0(m) forms the off-peak
+    residual and the z spread (`ccm.spectra`), with threshold
+    tol*N*max(1, max_c |D_c(m)|); that drops W_0(m)·sum_c ACF_c, 0 off-peak
+    only for a complementary set, so a set validate_ccm(ccm, tol) rejects
+    (G·1 != 0) raises ValueError.  Phase orders 1, 2 and 4 are null at m
+    exactly when G·W(m) = 0 (_exact_gram); other sets when the residual is
+    within its threshold (a NaN is no null), DomainMismatchError if z disagrees.
     """
     ccm = schedule.ccm
     weights = _exact_weights(schedule, max_order)
-    code_length = ccm.length
-    base = float(max(1, schedule.last_slot))
-    widest = 2 * max(1, code_length - 1) * tol * code_length * base**max_order
-    if not math.isfinite(widest):  # Python floats overflow without a warning
-        raise ValueError(f"tolerance {tol:g} gives an order-{max_order} threshold "
-                         "that is not finite")
     acfs, gram = code_acfs(ccm), _exact_gram(ccm)
-    # Raw weights grow like slot^m, so a flat tolerance would misjudge high orders.
-    thresholds = tol * code_length * base ** np.arange(max_order + 1)
+    if any(map(sum, gram)) if gram is not None else not validate_ccm(ccm, tol).is_ccm:
+        raise ValueError("code set is not complementary")
+    code_length = ccm.length
 
-    residuals, z_deviations, z_residuals = np.empty((3, max_order + 1))
+    residuals, thresholds, z_deviations, z_residuals = np.empty((4, max_order + 1))
     for m, row in enumerate(weights):
-        magnitudes = np.abs(_weighted_sum(acfs, row))
+        diffs = [w - row[0] for w in row]
+        magnitudes = np.abs(_weighted_sum(acfs, diffs))
         magnitudes[code_length - 1] = 0.0  # the peak lag; the off-peak max is 0 at N = 1
         residuals[m] = residual = float(magnitudes.max(initial=0.0))
-        samples = _weighted_sum(ccm.spectra, row)
+        # Python floats: a huge tol gives an infinite threshold, with no warning.
+        thresholds[m] = threshold = tol * code_length * float(max(1, *map(abs, diffs)))
+        samples = _weighted_sum(ccm.spectra, diffs)
         z_deviations[m] = z_dev = _spread(samples, samples.mean())
         # The deviation polynomial has 2(N-1) coefficient terms of size |c_m(k)|.
-        z_null = z_dev <= 2 * max(1, code_length - 1) * thresholds[m]
-        if gram is None and (residual <= thresholds[m]) != z_null:
+        z_null = z_dev <= 2 * max(1, code_length - 1) * threshold
+        if gram is None and (residual <= threshold) != z_null:
             raise DomainMismatchError(m, residual, z_dev)
-        target = code_length * ccm.count * row[0]
-        z_residuals[m] = _spread(samples, target) / max(1.0, target)
+        z_residuals[m] = _spread(samples, 0) / max(1, code_length * ccm.count * row[0])
     nulls = (residuals <= thresholds).tolist() if gram is None else [
         not any(sum(map(operator.mul, g, row)) for g in gram) for row in weights]
     null_order = (nulls + [False]).index(False) - 1
@@ -426,9 +424,9 @@ def zdomain_samples(schedule, order: int) -> np.ndarray:
     """C_m(z) = sum_c W_c(m) |X_c(z)|^2 at the 2N points exp(1j*pi*j/N).
 
     Real-valued; 2N samples hold C_m's 2N-1 coefficients without alias.  Any
-    train or staggered plan works: its weights come from _exact_weights, so
-    these are the samples whose spread taylor_coeffs takes at order m.  A PTM
-    train or an ESP plan makes them constant in z up to its order.
+    train or staggered plan works: its weights come from _exact_weights, as
+    taylor_coeffs' do, which sums the spectra over W_c(m) - W_0(m) instead.
+    A PTM train or an ESP plan makes them constant in z up to its order.
     """
     return _weighted_sum(schedule.ccm.spectra, _exact_weights(schedule, order)[order])
 

@@ -216,10 +216,13 @@ class TestVerify:
             json.dump(train.to_json_dict(), fh)
         assert run("verify", path, 0) == 0
 
-    def test_domain_mismatch_exits_4(self, dft_train_file):
-        # DFT-3 takes the float verdicts: at order 0 its residual 5.0e-15 is
-        # within 3 * tol while its z spread 2.8e-14 exceeds 4 * 3 * tol.
-        assert run("--tol", 2e-15, "verify", dft_train_file, 2) == 4
+    def test_domain_mismatch_exits_4(self, dft_train_file, monkeypatch):
+        # DFT-3 takes the float verdicts.  Its weight differences at a null
+        # order are 0, so both tests agree at any tolerance; a z spread of 1
+        # disagrees with the order-0 residual of 0.
+        assert run("verify", dft_train_file, 2) == 0
+        monkeypatch.setattr(doppler, "_spread", lambda samples, centre: 1.0)
+        assert run("verify", dft_train_file, 2) == 4
 
     def test_tol_does_not_move_an_exact_verdict(self, train_file, capsys):
         # A Golay train is decided by the integer Gram identity, so a
@@ -227,11 +230,54 @@ class TestVerify:
         assert run("--tol", 1e-16, "verify", train_file, 3) == 0
         assert capsys.readouterr().out.endswith("null order 3 (required 3)\n")
 
+    def test_huge_tol_gives_infinite_thresholds(
+        self, tmp_path, train_file, dft_train_file, capsys
+    ):
+        # Thresholds scale with the weight differences, not the last slot^m,
+        # so no tolerance is refused: one too large for a float prints inf
+        # and writes Infinity, with no warning.  The Golay verdict is exact
+        # and does not move; the DFT-3 set passes and every order reads null.
+        report = tmp_path / "report.json"
+        assert run("--tol", 1e300, "verify", train_file, 32, "--out", report) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "null order 3 (required 32)"
+        assert "(threshold inf)" in out[32]
+        assert json.loads(report.read_text())["thresholds"][32] == float("inf")
+        assert run("--tol", 1e300, "verify", dft_train_file, 5) == 0
+        assert capsys.readouterr().out.endswith("null order 5 (required 5)\n")
+
+    @pytest.mark.parametrize("count,order,asked", [(3, 9, 11), (6, 5, 6)])
+    def test_dft_train_reads_its_exact_null_order(
+        self, tmp_path, capsys, count, order, asked
+    ):
+        # The float verdict on the weight differences; thresholds scaled by
+        # the last slot^m read null order 11 (exit 0) on the DFT-3 train of
+        # 59,049 pulses and raised an order-6 mismatch (exit 4) on the DFT-6
+        # train of 46,656.
+        ccm_path, train_path = tmp_path / "set.json", tmp_path / "train.json"
+        assert run("gen", "dft", count, "--out", ccm_path) == 0
+        assert run("ptm", ccm_path, order, "--out", train_path) == 0
+        capsys.readouterr()
+        assert run("verify", train_path, asked) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith(f"null order {order} (required {asked})\n") and not err
+
     def test_frank_train_does_not_alias(self, tmp_path, frank_train, capsys):
+        # The Frank pair is not complementary, so `verify` refuses its train
+        # as `ptm` and `stagger` refuse the set, before any weight.
         path = tmp_path / "frank.json"
         path.write_text(json.dumps(frank_train.to_json_dict()))
+        check = codes.validate_ccm(frank_train.ccm)
         assert run("verify", path, 1) == 1
-        assert "null order -1 (required 1)" in capsys.readouterr().out
+        assert capsys.readouterr() == ("", (
+            "error: code set is not complementary: worst sidelobe sum "
+            f"{check.worst_sidelobe:.6e}, peak error {check.peak_error:.6e}\n"
+        ))
+        # C_0(z) on the 2N grid is not constant, although its even samples,
+        # the Frank code's own 64-point DFT grid, are.
+        samples = doppler.zdomain_samples(frank_train, 0)
+        assert doppler._spread(samples, samples.mean()) > 100.0
+        assert doppler._spread(samples[::2], samples[::2].mean()) < 1e-9
 
     def test_one_code_train_ends_cleanly(self, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -917,9 +963,6 @@ ERROR_CASES = [
                  id="verify-nan-entry"),
     pytest.param("verify {t}/train.json 33", 2, "max_order must be in 0..32",
                  id="verify-order"),
-    pytest.param("--tol 1e300 verify {t}/train.json 32 --out {t}/r.json", 2,
-                 "tolerance 1e+300 gives an order-32 threshold that is not finite",
-                 id="verify-tol-overflow"),
     pytest.param("verify {t}/train.json 3 --out {t}/no/r.json", 3,
                  "output directory does not exist: {t}/no", id="verify-no-dir"),
     pytest.param("verify {t}/train.json 3 --out {t}", 3,
@@ -1177,17 +1220,16 @@ def test_compare_refuses_what_stagger_refuses(error_inputs, monkeypatch, case):
     assert builds == []
 
 
-def test_domain_mismatch_prints_one_error_line(dft_train_file, capsys):
-    # The order-0 verdicts of test_domain_mismatch_exits_4, read back at the
-    # default tolerance, under which they agree.
+def test_domain_mismatch_prints_one_error_line(dft_train_file, monkeypatch, capsys):
+    # The order-0 verdicts of test_domain_mismatch_exits_4: the residual read
+    # back from the library, the z spread patched to 1.
     train = doppler.PulseTrain.from_json_dict(json.loads(dft_train_file.read_text()))
-    report = doppler.taylor_coeffs(train, 2)
-    residual, z_dev = report.max_sidelobe_residual[0], report.z_deviations[0]
-    assert residual <= 3 * 2e-15 < z_dev / 4  # threshold 3 * tol, z bound 4x that
-    assert run("--tol", 2e-15, "verify", dft_train_file, 2) == 4
+    residual = doppler.taylor_coeffs(train, 2).max_sidelobe_residual[0]
+    monkeypatch.setattr(doppler, "_spread", lambda samples, centre: 1.0)
+    assert run("verify", dft_train_file, 2) == 4
     assert capsys.readouterr() == ("", (
         "error: order-0 null verdicts disagree: delay-domain residual "
-        f"{residual:.3e}, z-domain deviation {z_dev:.3e}\n"
+        f"{residual:.3e}, z-domain deviation 1.000e+00\n"
     ))
 
 

@@ -594,7 +594,7 @@ class TestComparison:
 
     def test_non_complementary_pair_refused(self):
         flat = codes.Ccm(np.column_stack([[1, 1], [1, 1]]))
-        with pytest.raises(ValueError, match="failed to reach the requested null order"):
+        with pytest.raises(ValueError, match="^code set is not complementary$"):
             stagger.compare_ptm_vs_stagger(flat, 2)
 
     def test_mismatched_partition_rejected(self):
